@@ -32,7 +32,6 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import NumericalValidityError, RequestError
-from .grid import DiscretizationGrid
 from .pld import FinitePLD
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
@@ -73,15 +72,9 @@ class CompositionPolicy:
 
 def point_mass_pld(spacing: float) -> FinitePLD:
     """Loss distribution of an empty composition: all mass at epsilon = 0."""
-    grid = DiscretizationGrid.uniform(spacing, 0.0, 0.0)
-    return FinitePLD(grid=grid, masses=np.array([0.0, 1.0, 0.0]))
-
-
-def _lattice(pld: FinitePLD) -> tuple[float, int]:
-    spacing = pld.grid.spacing
-    if spacing is None:
-        raise RequestError("composition requires uniform-lattice distributions")
-    return spacing, pld.grid.lattice_offset()
+    return FinitePLD(
+        finite_epsilons=np.array([0.0]), masses=np.array([0.0, 1.0, 0.0]), spacing=spacing
+    )
 
 
 def _truncate(
@@ -92,19 +85,16 @@ def _truncate(
     direction: str,
     budget: float,
 ) -> tuple[np.ndarray, int, float, float, float, float]:
-    """Relocate up to ``budget`` mass per tail; keeps lattice index 0.
+    """Relocate up to ``budget`` mass per tail, keeping at least one point.
 
     Returns (finite, j0, neg_mass, inf_mass, moved_low, moved_high).
     """
     if budget <= 0.0 or finite.size <= 1:
         return finite, j0, neg_mass, inf_mass, 0.0, 0.0
-    idx_zero = -j0  # position of epsilon = 0, always within the window
     csum = np.cumsum(finite)
-    lo_cut = int(np.searchsorted(csum, budget, side="right"))
-    lo_cut = min(lo_cut, idx_zero, finite.size - 1)
+    lo_cut = min(int(np.searchsorted(csum, budget, side="right")), finite.size - 1)
     rsum = np.cumsum(finite[::-1])
-    hi_cut = int(np.searchsorted(rsum, budget, side="right"))
-    hi_cut = min(hi_cut, finite.size - 1 - idx_zero, finite.size - 1 - lo_cut)
+    hi_cut = min(int(np.searchsorted(rsum, budget, side="right")), finite.size - 1 - lo_cut)
     if lo_cut == 0 and hi_cut == 0:
         return finite, j0, neg_mass, inf_mass, 0.0, 0.0
     hi_keep = finite.size - hi_cut
@@ -121,12 +111,10 @@ def _truncate(
 
 
 def _convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy, budget: float) -> FinitePLD:
-    spacing_a, j0a = _lattice(a)
-    spacing_b, j0b = _lattice(b)
-    if spacing_a != spacing_b:
+    spacing = a.spacing
+    if spacing is None or spacing != b.spacing:
         raise RequestError(
-            f"lattice spacings differ ({spacing_a} vs {spacing_b}); "
-            "resample before composing"
+            f"composition needs one lattice spacing, got {spacing} and {b.spacing}"
         )
     neg_a, inf_a = float(a.masses[0]), float(a.masses[-1])
     neg_b, inf_b = float(b.masses[0]), float(b.masses[-1])
@@ -145,7 +133,7 @@ def _convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy, budget: flo
     finite[finite < _MASS_FLOOR] = 0.0
     inf_mass = inf_a + inf_b - inf_a * inf_b
     neg_mass = neg_a + neg_b - neg_a * neg_b
-    j0 = j0a + j0b
+    j0 = round(float(a.finite_epsilons[0]) / spacing) + round(float(b.finite_epsilons[0]) / spacing)
     finite, j0, neg_mass, inf_mass, moved_low, moved_high = _truncate(
         finite, j0, neg_mass, inf_mass, policy.direction, budget
     )
@@ -154,14 +142,11 @@ def _convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy, budget: flo
             f"composed support {finite.size} exceeds max_support "
             f"{policy.max_support}; raise the cap or allow more truncation"
         )
-    spacing = spacing_a
-    grid = DiscretizationGrid.uniform(
-        spacing, j0 * spacing, (j0 + finite.size - 1) * spacing
-    )
     masses = np.concatenate(([neg_mass], finite, [inf_mass]))
     return FinitePLD(
-        grid=grid,
+        finite_epsilons=(j0 + np.arange(finite.size)) * spacing,
         masses=masses,
+        spacing=spacing,
         proper=a.proper and b.proper and neg_mass == 0.0,
         truncated_low=a.truncated_low + b.truncated_low + moved_low,
         truncated_high=a.truncated_high + b.truncated_high + moved_high,
@@ -183,9 +168,10 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     """
     if n < 0:
         raise RequestError(f"composition count must be non-negative, got {n}")
-    spacing, _ = _lattice(pld)
+    if pld.spacing is None:
+        raise RequestError("composition requires uniform-lattice distributions")
     if n == 0:
-        return point_mass_pld(spacing)
+        return point_mass_pld(pld.spacing)
     if n == 1:
         return pld
     step_budget = policy.truncation_tail_mass / n

@@ -3,9 +3,10 @@
 A grid is the ordered set alphas = {0 = a_0 < a_1 < ... < a_k = +inf}
 together with its log image epsilons = {-inf, ln a_1, ..., ln a_{k-1}, +inf}.
 Uniform grids additionally carry a spacing Delta with every finite epsilon an
-integer multiple of Delta (so 0 is always on the lattice); only uniform grids
-can be composed by convolution, because the lattice must be closed under
-addition.
+integer multiple of Delta, and always contain 0 (the optimistic construction
+needs alpha = 1 on the grid).  A grid exists only where a curve is sampled:
+the loss distributions built on a uniform grid keep its epsilons and spacing
+and compose on that lattice without any alphas.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ class DiscretizationGrid:
             raise RequestError("finite epsilons must be strictly increasing")
         if np.max(np.abs(finite)) > 700.0:
             raise NumericalValidityError(
-                "finite epsilons beyond +/-700 are not representable as alphas; "
-                "composition needs a truncation budget large enough to trim the tails"
+                "finite epsilons beyond +/-700 are not representable as alphas"
             )
         epsilons = np.concatenate(([-math.inf], finite, [math.inf]))
         alphas = np.concatenate(([0.0], np.exp(finite), [math.inf]))
@@ -111,11 +111,6 @@ class DiscretizationGrid:
     def k(self) -> int:
         """Index of the +inf grid point (the grid has k + 1 points)."""
         return self.alphas.size - 1
-
-    @property
-    def finite_alphas(self) -> np.ndarray:
-        """Alphas a_0 .. a_{k-1} (everything except +inf)."""
-        return self.alphas[:-1]
 
     @property
     def finite_epsilons(self) -> np.ndarray:

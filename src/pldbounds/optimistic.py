@@ -245,17 +245,9 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
 def _bin_pair_atoms_down(pair: DiscreteDominatingPair, grid: DiscretizationGrid) -> np.ndarray:
     """Round the pair's loss atoms down to the previous grid epsilon."""
     masses = np.zeros(grid.alphas.size)
-    eps_grid = grid.finite_epsilons
-    src_eps = pair.grid.finite_epsilons
-    src_m = pair.p_masses[1:-1]
-    idx = np.searchsorted(eps_grid, src_eps, side="right") - 1
-    for j, m in zip(idx, src_m):
-        if m == 0.0:
-            continue
-        if j < 0:
-            masses[0] += m
-        else:
-            masses[1 + j] += m
+    # atoms below the first finite grid epsilon land on the -inf slot
+    idx = np.searchsorted(grid.finite_epsilons, pair.grid.finite_epsilons, side="right")
+    np.add.at(masses, idx, pair.p_masses[1:-1])
     masses[-1] += pair.p_masses[-1]
     return masses
 
@@ -279,7 +271,9 @@ def pb_optimistic_pld(
         masses = np.zeros(grid.alphas.size)
         masses[0 : grid.k] = interval  # interval i lands at its left endpoint
         masses[-1] = tail
-    return FinitePLD(grid=grid, masses=masses, proper=False)
+    return FinitePLD(
+        finite_epsilons=grid.finite_epsilons, masses=masses, spacing=grid.spacing, proper=False
+    )
 
 
 def non_uniqueness_fixture(

@@ -122,17 +122,9 @@ def _survival_from_curve(curve: HockeyStickCurve, grid: DiscretizationGrid, side
 def _bin_pair_atoms_up(pair: DiscreteDominatingPair, grid: DiscretizationGrid) -> np.ndarray:
     """Round the pair's loss atoms up to the next grid epsilon."""
     masses = np.zeros(grid.alphas.size)
-    eps_grid = grid.finite_epsilons
-    src_eps = pair.grid.finite_epsilons
-    src_m = pair.p_masses[1:-1]
-    idx = np.searchsorted(eps_grid, src_eps, side="left")
-    for j, m in zip(idx, src_m):
-        if m == 0.0:
-            continue
-        if j >= eps_grid.size:
-            masses[-1] += m
-        else:
-            masses[1 + j] += m
+    # atoms above the last finite grid epsilon land on the +inf slot
+    idx = np.searchsorted(grid.finite_epsilons, pair.grid.finite_epsilons, side="left")
+    np.add.at(masses, 1 + idx, pair.p_masses[1:-1])
     masses[-1] += pair.p_masses[-1]
     return masses
 
@@ -155,4 +147,4 @@ def pb_pessimistic_pld(
         masses = np.zeros(grid.alphas.size)
         masses[1:-1] = interval
         masses[-1] = g[-1]  # everything above a_{k-1}, including the +inf atom
-    return FinitePLD(grid=grid, masses=masses)
+    return FinitePLD(finite_epsilons=grid.finite_epsilons, masses=masses, spacing=grid.spacing)

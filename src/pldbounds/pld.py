@@ -30,6 +30,7 @@ contributes fully (a floor on delta) and mass at -inf contributes nothing.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
@@ -38,7 +39,7 @@ import numpy as np
 
 from .curves import PiecewiseLinearCurve
 from .errors import NumericalValidityError, RequestError
-from .grid import DiscretizationGrid
+from .grid import _SPACING_ATOL, DiscretizationGrid
 
 __all__ = [
     "DiscreteDominatingPair",
@@ -60,8 +61,6 @@ _CLAMP_TOL = 1e-12
 
 #: Tolerance on total probability mass after construction or composition.
 _MASS_ATOL = 1e-11
-
-_EPS_BISECT_TOL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,34 +110,51 @@ class DiscreteDominatingPair:
 
 @dataclasses.dataclass(frozen=True)
 class FinitePLD:
-    """Probability masses on a grid's epsilons, the object that composes.
+    """Masses [-inf atom, one per finite epsilon..., +inf atom], the object that composes.
 
-    ``masses[0]`` is the -inf slot and ``masses[-1]`` the +inf atom.  A
+    With ``spacing`` set, the strictly increasing ``finite_epsilons`` are
+    consecutive multiples j * spacing (a lattice that need not contain 0).  A
     ``proper`` distribution is one realisable as the loss distribution of a
     pair, which forces masses[0] = 0; rounded-down baseline estimates and
     optimistically truncated compositions may carry mass at -inf and are
     flagged improper (they are used for divergence evaluation only).
     """
 
-    grid: DiscretizationGrid
+    finite_epsilons: np.ndarray
     masses: np.ndarray
+    spacing: float | None = None
     proper: bool = True
     truncated_low: float = 0.0
     truncated_high: float = 0.0
 
     def __post_init__(self):
+        eps = np.asarray(self.finite_epsilons, dtype=float)
         m = np.asarray(self.masses, dtype=float)
-        if m.shape != (self.grid.alphas.size,):
-            raise RequestError("mass array must match the grid size")
+        if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps)):
+            raise RequestError("need a non-empty 1-D array of finite epsilons")
+        if m.shape != (eps.size + 2,):
+            raise RequestError("mass array must hold the finite epsilons plus both atoms")
+        if self.spacing is None:
+            if not np.all(np.diff(eps) > 0):
+                raise RequestError("finite epsilons must be strictly increasing")
+        else:
+            if not (self.spacing > 0 and math.isfinite(self.spacing)):
+                raise RequestError(f"spacing must be positive and finite, got {self.spacing}")
+            j0 = round(float(eps[0]) / self.spacing)
+            lattice = (j0 + np.arange(eps.size)) * self.spacing
+            if np.max(np.abs(eps - lattice)) > _SPACING_ATOL:
+                raise RequestError("finite epsilons are not consecutive multiples of the spacing")
         if np.any(m < -1e-15):
             raise NumericalValidityError("negative probability mass in PLD")
         m = np.maximum(m, 0.0)
+        object.__setattr__(self, "finite_epsilons", eps)
         object.__setattr__(self, "masses", m)
         total = math.fsum(m.tolist())
         if abs(total - 1.0) > _MASS_ATOL:
             raise NumericalValidityError(f"PLD masses sum to {total!r}, expected 1")
         if self.proper and m[0] != 0.0:
             raise NumericalValidityError("a proper PLD carries no mass at -inf")
+        eps.setflags(write=False)
         m.setflags(write=False)
 
     @property
@@ -147,8 +163,8 @@ class FinitePLD:
 
     @property
     def support_size(self) -> int:
-        """Number of finite lattice points."""
-        return int(self.masses.size - 2)
+        """Number of finite support points."""
+        return int(self.finite_epsilons.size)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +254,10 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
 
 def pld_of(pair: DiscreteDominatingPair) -> FinitePLD:
     """Loss distribution of the pair: mass P(a_i) at eps_i, none at -inf."""
-    return FinitePLD(grid=pair.grid, masses=pair.p_masses.copy())
+    grid = pair.grid
+    return FinitePLD(
+        finite_epsilons=grid.finite_epsilons, masses=pair.p_masses.copy(), spacing=grid.spacing
+    )
 
 
 def delta_at(pld: FinitePLD, epsilon: float) -> float:
@@ -249,12 +268,12 @@ def delta_at(pld: FinitePLD, epsilon: float) -> float:
         return m_inf
     if epsilon == -math.inf:
         return float(math.fsum(m[1:].tolist()))
-    eps_f = pld.grid.finite_epsilons
-    above = eps_f > epsilon
-    if not np.any(above):
+    eps_f = pld.finite_epsilons
+    first = int(np.searchsorted(eps_f, epsilon, side="right"))
+    if first == eps_f.size:
         return m_inf
-    weights = -np.expm1(epsilon - eps_f[above])
-    return float(max(m_inf + float(np.dot(m[1:-1][above], weights)), 0.0))
+    weights = -np.expm1(epsilon - eps_f[first:])
+    return float(max(m_inf + float(np.dot(m[1 + first : -1], weights)), 0.0))
 
 
 def curve_of(pair: DiscreteDominatingPair) -> PiecewiseLinearCurve:
@@ -278,9 +297,13 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     """Smallest epsilon with delta_at(pld, epsilon) <= delta_target.
 
     Returns +inf when the +inf atom already exceeds the target (the floor of
-    delta) and -inf when every epsilon meets the target.  The root is located
-    by monotone bisection to 1e-9 in epsilon, biased so the returned value
-    always satisfies the target.
+    delta) and -inf when every epsilon meets the target.  Otherwise bisection
+    over support indices finds the first support point eps_k meeting the
+    target.  On [eps_{k-1}, eps_k] the points above epsilon are those from k
+    on, so delta(epsilon) = A - e^(epsilon - eps_k) * T with
+    A = m(+inf) + sum_{i >= k} m_i and T = sum_{i >= k} m_i e^(eps_k - eps_i),
+    whose root is stepped up (one ulp, then doubling strides) until
+    ``delta_at`` meets the target.
     """
     if not (0.0 < delta_target <= 1.0):
         raise RequestError(f"delta target must lie in (0, 1], got {delta_target}")
@@ -288,26 +311,25 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
         return math.inf
     if delta_at(pld, -math.inf) <= delta_target:
         return -math.inf
-    eps_f = pld.grid.finite_epsilons
-    hi = float(eps_f[-1])  # delta(hi) == mass at infinity <= target
-    lo = float(eps_f[0]) - 1.0
-    step = 1.0
-    for _ in range(200):
-        if delta_at(pld, lo) > delta_target:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        # delta plateaus at its supremum within rounding of the target;
-        # everything down here already meets it
-        return lo
-    while hi - lo > _EPS_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if delta_at(pld, mid) <= delta_target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    eps_f = pld.finite_epsilons
+    # delta at the top support point is the +inf atom, which meets the target
+    k = bisect.bisect_left(
+        range(eps_f.size), True, key=lambda i: delta_at(pld, float(eps_f[i])) <= delta_target
+    )
+    top = float(eps_f[k])
+    above = pld.masses[1 + k :]
+    a = math.fsum(above.tolist())
+    t = float(np.dot(above[:-1], np.exp(top - eps_f[k:])))
+    lower = float(eps_f[k - 1]) if k else -math.inf
+    if a > delta_target and t > 0.0:
+        eps = min(max(top + math.log((a - delta_target) / t), lower), top)
+    else:  # the root sits at the interval's lower end within rounding
+        eps = lower if k else top
+    stride = 0.0
+    while delta_at(pld, eps) > delta_target:
+        stride = max(2.0 * stride, math.ulp(eps))
+        eps = min(eps + stride, top)
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +340,18 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
 def pld_to_json_dict(pld: FinitePLD) -> dict:
     """JSON-ready view of a lattice-supported loss distribution.
 
-    Schema: {"discretization": spacing, "epsilon_offset": index of eps = 0 in
-    "masses", "masses": finite lattice masses, "mass_at_infinity": atom},
-    plus "mass_at_neg_infinity" when an improper distribution carries one.
+    Schema: {"discretization": spacing, "epsilon_offset": index that
+    epsilon = 0 has, or would have, in "masses" (it may lie outside them),
+    "masses": finite lattice masses, "mass_at_infinity": atom}, plus
+    "mass_at_neg_infinity" when an improper distribution carries one.
     """
-    spacing = pld.grid.spacing
+    spacing = pld.spacing
     if spacing is None:
         raise RequestError("only uniform-lattice distributions serialise")
-    offset = -pld.grid.lattice_offset()
-    finite = pld.masses[1:-1]
-    if not (0 <= offset < finite.size):
-        raise RequestError("lattice does not contain epsilon = 0")
     payload = {
         "discretization": float(spacing),
-        "epsilon_offset": int(offset),
-        "masses": [float(x) for x in finite],
+        "epsilon_offset": -round(float(pld.finite_epsilons[0]) / spacing),
+        "masses": [float(x) for x in pld.masses[1:-1]],
         "mass_at_infinity": float(pld.masses[-1]),
     }
     if pld.masses[0] > 0.0:
@@ -345,11 +364,13 @@ def pld_from_json_dict(payload: dict) -> FinitePLD:
     offset = int(payload["epsilon_offset"])
     finite = np.asarray(payload["masses"], dtype=float)
     neg = float(payload.get("mass_at_neg_infinity", 0.0))
-    grid = DiscretizationGrid.from_epsilons(
-        (np.arange(finite.size) - offset) * spacing, spacing=spacing
-    )
     masses = np.concatenate(([neg], finite, [float(payload["mass_at_infinity"])]))
-    return FinitePLD(grid=grid, masses=masses, proper=(neg == 0.0))
+    return FinitePLD(
+        finite_epsilons=(np.arange(finite.size) - offset) * spacing,
+        masses=masses,
+        spacing=spacing,
+        proper=(neg == 0.0),
+    )
 
 
 def pld_to_json(pld: FinitePLD) -> str:

@@ -171,8 +171,7 @@ class PrivacyBoundReport:
         return body
 
 
-def _build_grid(request: AccountingRequest) -> DiscretizationGrid:
-    curve = curve_for(request.mechanism)
+def _build_grid(request: AccountingRequest, curve) -> DiscretizationGrid:
     if request.grid_range is not None:
         lo, hi = request.grid_range
     else:
@@ -248,7 +247,7 @@ def run_compute(request: AccountingRequest) -> PrivacyBoundReport:
     """Execute the full pipeline for one request."""
     start = time.perf_counter()
     curve = curve_for(request.mechanism)
-    grid = _build_grid(request)
+    grid = _build_grid(request, curve)
     outcomes = {
         method: _compose_and_query(request, method, curve, grid)
         for method in _estimator_plan(request)
@@ -327,7 +326,7 @@ def run_curve(request: AccountingRequest) -> tuple[list[str], list[dict]]:
     describe the single-step discretization.
     """
     curve = curve_for(request.mechanism)
-    grid = _build_grid(request)
+    grid = _build_grid(request, curve)
     pess = curve_of(pessimistic_pair(curve, grid))
     opt = curve_of(optimistic_pair(curve, grid))
     pb = pb_pessimistic_pld(curve, grid)

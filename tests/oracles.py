@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
-from scipy.stats import norm
+from scipy.special import log_ndtr
 
 import pldbounds as pb
 
@@ -121,16 +121,23 @@ def mech_to_spec(mech: dict) -> pb.MechanismSpec:
 
 
 def gaussian_delta_exact(sigma: float, epsilon: float) -> float:
-    """delta(epsilon) of a unit-sensitivity Gaussian with noise scale sigma."""
+    """delta(epsilon) of a unit-sensitivity Gaussian with noise scale sigma.
+
+    Both terms are evaluated in log space, so epsilons in the hundreds stay
+    finite (e^epsilon alone overflows past about 709).
+    """
     s = 1.0 / sigma
-    return float(
-        norm.sf(epsilon / s - 0.5 * s) - math.exp(epsilon) * norm.sf(epsilon / s + 0.5 * s)
+    return math.exp(log_ndtr(0.5 * s - epsilon / s)) - math.exp(
+        epsilon + log_ndtr(-epsilon / s - 0.5 * s)
     )
 
 
 def gaussian_epsilon_exact(sigma: float, delta: float) -> float:
     """Root of delta(epsilon) = delta for the analytic Gaussian curve."""
-    return brentq(lambda e: gaussian_delta_exact(sigma, e) - delta, -80.0, 200.0, xtol=1e-12)
+    hi = 200.0
+    while gaussian_delta_exact(sigma, hi) > delta:
+        hi *= 2.0
+    return brentq(lambda e: gaussian_delta_exact(sigma, e) - delta, -80.0, hi, xtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +159,7 @@ def rr_pld_on_grid(epsilon: float, grid: pb.DiscretizationGrid) -> pb.FinitePLD:
         hits = np.nonzero(np.abs(eps_f - value) < 1e-12)[0]
         assert hits.size == 1, f"grid lacks an exact point at {value}"
         masses[1 + hits[0]] += mass
-    return pb.FinitePLD(grid=grid, masses=masses)
+    return pb.FinitePLD(finite_epsilons=grid.finite_epsilons, masses=masses, spacing=grid.spacing)
 
 
 def rr_product_delta(epsilon: float, epsilon_query: float, folds: int = 2) -> float:

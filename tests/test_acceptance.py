@@ -260,7 +260,7 @@ def test_criterion_6_convolution_equivalence():
         masses = np.zeros(size + 2)
         masses[1:-1] = rng.random(size) ** 2
         masses[1:-1] /= masses[1:-1].sum()
-        a = pb.FinitePLD(grid=grid, masses=masses)
+        a = pb.FinitePLD(finite_epsilons=grid.finite_epsilons, masses=masses, spacing=grid.spacing)
         fft = pb.convolve(a, a, pb.CompositionPolicy("pessimistic", truncation_tail_mass=0.0))
         direct = pb.convolve(
             a, a, pb.CompositionPolicy("pessimistic", method="direct", truncation_tail_mass=0.0)

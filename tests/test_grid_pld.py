@@ -277,7 +277,7 @@ class TestSerialization:
         assert payload["epsilon_offset"] == 1
         back = pb.pld_from_json(pb.pld_to_json(pld))
         np.testing.assert_allclose(back.masses, pld.masses, rtol=0, atol=0)
-        assert back.grid.spacing == pld.grid.spacing
+        assert back.spacing == pld.spacing
 
     def test_improper_distribution_keeps_neg_infinity_mass(self):
         grid = pb.DiscretizationGrid.uniform(LN2, -LN2, LN2)

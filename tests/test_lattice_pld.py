@@ -1,0 +1,121 @@
+"""Lattice loss distributions: exact epsilon inversion, large epsilons, JSON.
+
+Composed distributions carry only their lattice epsilons and masses, so
+supports may exclude epsilon = 0 or lie beyond +/-700 (where e^epsilon
+overflows).  The epsilon query inverts delta in closed form between two
+support points; the properties below pin its contract on random lattices.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+
+import pldbounds as pb
+from oracles import gaussian_epsilon_exact, random_grid, random_pair, rr_product_delta
+from pldbounds import cli
+
+
+@st.composite
+def lattice_plds(draw) -> pb.FinitePLD:
+    spacing = draw(st.floats(1e-3, 2.0))
+    first = draw(st.floats(-2000.0, 2000.0))
+    size = draw(st.integers(1, 40))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+    inf_mass = draw(st.one_of(st.just(0.0), st.floats(1e-12, 0.3)))
+    neg_mass = draw(st.one_of(st.just(0.0), st.floats(1e-12, 0.3)))
+    j0 = round(first / spacing)
+    masses = np.concatenate(([neg_mass], raw * ((1.0 - inf_mass - neg_mass) / raw.sum()), [inf_mass]))
+    return pb.FinitePLD(
+        finite_epsilons=(j0 + np.arange(size)) * spacing,
+        masses=masses,
+        spacing=spacing,
+        proper=neg_mass == 0.0,
+    )
+
+
+def _slope(pld: pb.FinitePLD, epsilon: float) -> float:
+    """-d delta / d epsilon: the mass above epsilon, weighted by e^(epsilon - eps_i)."""
+    above = pld.finite_epsilons > epsilon
+    return float(np.sum(pld.masses[1:-1][above] * np.exp(epsilon - pld.finite_epsilons[above])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pld=lattice_plds(), share=st.floats(0.0, 1.0))
+def test_epsilon_for_delta_is_the_smallest_epsilon_meeting_the_target(pld, share):
+    top = pb.delta_at(pld, -math.inf)
+    target = min(max(pld.mass_at_infinity + share * (top - pld.mass_at_infinity), 1e-300), 1.0)
+    eps = pb.epsilon_for_delta(pld, target)
+    assert pb.delta_at(pld, eps) <= target
+    if math.isfinite(eps):
+        step = 1e-12 * max(1.0, abs(eps))
+        # delta_at sums up to 42 terms, so it cannot resolve a drop below
+        # about 1e-14; where delta is that flat no float epsilon is "smaller"
+        if _slope(pld, eps - step) * step > 1e-14:
+            assert pb.delta_at(pld, eps - step) > target
+
+
+@settings(max_examples=100, deadline=None)
+@given(pld=lattice_plds())
+def test_json_round_trip_is_exact(pld):
+    back = pb.pld_from_json(pb.pld_to_json(pld))
+    assert back.spacing == pld.spacing
+    assert np.array_equal(back.finite_epsilons, pld.finite_epsilons)
+    assert np.array_equal(back.masses, pld.masses)
+    assert back.proper == pld.proper
+
+
+def test_pair_atoms_round_to_the_neighbouring_lattice_points():
+    # atoms beyond either end of the lattice land on the +inf / -inf slots
+    rng = np.random.default_rng(17)
+    lattice = pb.DiscretizationGrid.uniform(0.5, -3.0, 3.0)
+    grid_eps = list(lattice.finite_epsilons)
+    for _ in range(20):
+        pair = random_pair(rng, random_grid(rng))
+        up = np.zeros(lattice.alphas.size)
+        down = np.zeros(lattice.alphas.size)
+        for e, m in zip(pair.grid.finite_epsilons, pair.p_masses[1:-1]):
+            up[1 + sum(g < e for g in grid_eps)] += m
+            down[sum(g <= e for g in grid_eps)] += m
+        up[-1] += pair.p_masses[-1]
+        down[-1] += pair.p_masses[-1]
+        assert np.array_equal(pb.pb_pessimistic_pld(pair, lattice).masses, up)
+        assert np.array_equal(pb.pb_optimistic_pld(pair, lattice).masses, down)
+
+
+def test_randomized_response_bracket_meets_enumeration():
+    # 16 folds of 1-randomized response: every loss value lies on the 0.01
+    # lattice, so both estimates are exact and only the query can err
+    request = pb.AccountingRequest(
+        mechanism=pb.MechanismSpec.randomized_response(1.0),
+        discretization=0.01,
+        compositions=16,
+        delta_target=1e-6,
+    )
+    report = pb.run_compute(request)
+    root = brentq(lambda e: rr_product_delta(1.0, e, folds=16) - 1e-6, 0.0, 16.0, xtol=1e-15)
+    assert abs(report.eps_low - root) <= 1e-12
+    assert abs(report.eps_high - root) <= 1e-12
+
+
+def test_gaussian_epsilon_beyond_alpha_range(capsys):
+    # the composed support reaches epsilons where e^epsilon overflows
+    flags = [
+        "--mechanism", "gaussian", "--noise-scale", "1", "--discretization", "1e-3",
+        "--compositions", "1000", "--delta", "1e-5",
+    ]
+    request = pb.AccountingRequest(
+        mechanism=pb.MechanismSpec.gaussian(1.0),
+        discretization=1e-3,
+        compositions=1000,
+        delta_target=1e-5,
+    )
+    report = pb.run_compute(request)
+    exact = gaussian_epsilon_exact(1.0 / math.sqrt(1000.0), 1e-5)
+    assert report.eps_low <= exact <= report.eps_high
+    assert cli.main(["compute", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["eps_low"] <= exact <= payload["eps_high"]
