@@ -29,7 +29,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NumericalValidityError, RequestError
 from .pld import FinitePLD
@@ -110,6 +110,22 @@ def _truncate(
     return finite, j0 + lo_cut, neg_mass, inf_mass, moved_low, moved_high
 
 
+def _fft_convolve(fa: np.ndarray, fb: np.ndarray, square: bool) -> np.ndarray:
+    """Full linear convolution by real FFT at the next fast length.
+
+    The length and arithmetic are those of ``scipy.signal.fftconvolve``; a
+    square transforms its operand once and multiplies the spectrum by itself.
+    A one-point operand scales the other exactly, as ``fftconvolve`` does.
+    """
+    if fa.size == 1 or fb.size == 1:
+        return fa * fb
+    size = fa.size + fb.size - 1
+    length = next_fast_len(size, True)
+    spectrum = rfft(fa, length)
+    spectrum *= spectrum if square else rfft(fb, length)
+    return irfft(spectrum, length)[:size]
+
+
 def _convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy, budget: float) -> FinitePLD:
     spacing = a.spacing
     if spacing is None or spacing != b.spacing:
@@ -125,7 +141,7 @@ def _convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy, budget: flo
     if policy.method == "direct":
         finite = np.convolve(fa, fb)
     else:
-        finite = fftconvolve(fa, fb)
+        finite = _fft_convolve(fa, fb, square=a is b)
         worst = float(finite.min()) if finite.size else 0.0
         if worst < -_FFT_NEG_TOL:
             raise NumericalValidityError(f"fft convolution went negative ({worst:.3e})")

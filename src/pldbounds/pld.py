@@ -63,6 +63,39 @@ _CLAMP_TOL = 1e-12
 _MASS_ATOL = 1e-11
 
 
+def _mass_total(masses: np.ndarray, *cuts: float) -> float:
+    """Total of non-negative masses, on the same side of every cut as the fsum total.
+
+    Returns ``np.sum`` unless its error bound reaches a cut, and the exactly
+    rounded ``math.fsum`` total otherwise.  numpy documents (partial) pairwise
+    summation for a float sum without an axis; its implementation adds blocks
+    of at most 128 values pairwise and may add buffer chunks of 8192 values in
+    sequence, so no value passes through more than
+    d = 128 + ceil(log2 n) + ceil(n / 8192) roundings.  For non-negative
+    values |np.sum - sum| <= d u sum / (1 - d u) with u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, section 4.2); with fsum's
+    half-ulp and the rounding of a cut such as 1 + 1e-11, |np.sum - fsum| stays
+    below the (d + 2) * 2^-52 * np.sum used here.  Its slack of about d u also
+    covers entries down to -1e-15, which a pair admits, for n below 10^14.
+    A NaN or inf total always falls back to fsum.
+    """
+    total = float(np.sum(masses))
+    n = max(masses.size, 1)
+    depth = 128 + math.ceil(math.log2(n)) + math.ceil(n / 8192)
+    bound = (depth + 2) * 2.0**-52 * total
+    if all(abs(total - cut) > bound for cut in cuts):
+        return total
+    return math.fsum(masses.tolist())
+
+
+def _require_unit_mass(masses: np.ndarray, name: str) -> None:
+    """Reject masses whose fsum total is off 1 by more than _MASS_ATOL."""
+    if abs(_mass_total(masses, 1.0 - _MASS_ATOL, 1.0 + _MASS_ATOL) - 1.0) > _MASS_ATOL:
+        raise NumericalValidityError(
+            f"{name} masses sum to {math.fsum(masses.tolist())!r}, expected 1"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class DiscreteDominatingPair:
     """Distributions (P, Q) on a grid with P = alpha * Q off infinity.
@@ -94,12 +127,8 @@ class DiscreteDominatingPair:
         finite = self.grid.alphas[1:-1]
         if not np.allclose(p[1:-1], finite * q[1:-1], rtol=1e-9, atol=1e-15):
             raise NumericalValidityError("P(alpha) = alpha * Q(alpha) violated")
-        for name, masses in (("P", p), ("Q", q)):
-            total = math.fsum(masses.tolist())
-            if abs(total - 1.0) > _MASS_ATOL:
-                raise NumericalValidityError(
-                    f"{name} masses sum to {total!r}, expected 1"
-                )
+        _require_unit_mass(p, "P")
+        _require_unit_mass(q, "Q")
         p.setflags(write=False)
         q.setflags(write=False)
 
@@ -149,9 +178,7 @@ class FinitePLD:
         m = np.maximum(m, 0.0)
         object.__setattr__(self, "finite_epsilons", eps)
         object.__setattr__(self, "masses", m)
-        total = math.fsum(m.tolist())
-        if abs(total - 1.0) > _MASS_ATOL:
-            raise NumericalValidityError(f"PLD masses sum to {total!r}, expected 1")
+        _require_unit_mass(m, "PLD")
         if self.proper and m[0] != 0.0:
             raise NumericalValidityError("a proper PLD carries no mass at -inf")
         eps.setflags(write=False)
@@ -309,7 +336,8 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
         raise RequestError(f"delta target must lie in (0, 1], got {delta_target}")
     if pld.mass_at_infinity > delta_target:
         return math.inf
-    if delta_at(pld, -math.inf) <= delta_target:
+    # delta at -inf is the fsum total of masses[1:]
+    if _mass_total(pld.masses[1:], delta_target) <= delta_target:
         return -math.inf
     eps_f = pld.finite_epsilons
     # delta at the top support point is the +inf atom, which meets the target
