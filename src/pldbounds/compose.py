@@ -77,6 +77,26 @@ def point_mass_pld(spacing: float) -> FinitePLD:
     )
 
 
+#: Length of the first prefix ``_tail_count`` sums; supports up to this size take one pass.
+_CUT_PREFIX = 4096
+
+
+def _tail_count(values: np.ndarray, budget: float) -> int:
+    """Number of leading entries whose running sum stays at most ``budget``.
+
+    Sums a prefix that doubles until the count falls short of it or it
+    covers ``values``, instead of the whole array.  ``np.cumsum`` adds in
+    sequence, so the prefix sums, and hence the count, are those of the
+    full running sum.  The values must be non-negative.
+    """
+    prefix = _CUT_PREFIX
+    while True:
+        count = int(np.searchsorted(np.cumsum(values[:prefix]), budget, side="right"))
+        if count < prefix or prefix >= values.size:
+            return count
+        prefix *= 2
+
+
 def _truncate(
     finite: np.ndarray,
     j0: int,
@@ -91,10 +111,8 @@ def _truncate(
     """
     if budget <= 0.0 or finite.size <= 1:
         return finite, j0, neg_mass, inf_mass, 0.0, 0.0
-    csum = np.cumsum(finite)
-    lo_cut = min(int(np.searchsorted(csum, budget, side="right")), finite.size - 1)
-    rsum = np.cumsum(finite[::-1])
-    hi_cut = min(int(np.searchsorted(rsum, budget, side="right")), finite.size - 1 - lo_cut)
+    lo_cut = min(_tail_count(finite, budget), finite.size - 1)
+    hi_cut = min(_tail_count(finite[::-1], budget), finite.size - 1 - lo_cut)
     if lo_cut == 0 and hi_cut == 0:
         return finite, j0, neg_mass, inf_mass, 0.0, 0.0
     hi_keep = finite.size - hi_cut

@@ -27,7 +27,7 @@ from .errors import NumericalValidityError, RequestError
 from .grid import DiscretizationGrid, default_epsilon_range
 from .optimistic import optimistic_pair, pb_optimistic_pld
 from .pessimistic import pb_pessimistic_pld, pessimistic_pair
-from .pld import curve_of, delta_at, epsilon_for_delta, pld_of
+from .pld import FinitePLD, curve_of, delta_at, epsilon_for_delta, pld_of
 
 __all__ = ["AccountingRequest", "BoundOutcome", "PrivacyBoundReport", "run_compute", "run_sweep", "run_curve"]
 
@@ -217,10 +217,32 @@ def _truncation_budget(request: AccountingRequest) -> float:
     return min(1e-6, max(1e-15, 1e-3 * anchor))
 
 
-def _compose_and_query(
-    request: AccountingRequest, method: str, curve, grid
-) -> BoundOutcome:
-    single = _SINGLE_STEP_BUILDERS[method](curve, grid)
+@dataclasses.dataclass(frozen=True)
+class _SetUp:
+    """What a request's answers share across composition counts."""
+
+    grid_epsilon_range: tuple[float, float]
+    singles: dict[str, FinitePLD]
+    runtime_ms: float
+
+
+def _set_up(request: AccountingRequest) -> _SetUp:
+    """Curve, grid and one single-step distribution per estimator."""
+    start = time.perf_counter()
+    curve = curve_for(request.mechanism)
+    grid = _build_grid(request, curve)
+    singles = {
+        method: _SINGLE_STEP_BUILDERS[method](curve, grid)
+        for method in _estimator_plan(request)
+    }
+    return _SetUp(
+        grid_epsilon_range=(float(grid.finite_epsilons[0]), float(grid.finite_epsilons[-1])),
+        singles=singles,
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+    )
+
+
+def _compose_and_query(request: AccountingRequest, method: str, single: FinitePLD) -> BoundOutcome:
     policy = CompositionPolicy(
         direction=_direction_of(method),
         truncation_tail_mass=_truncation_budget(request),
@@ -243,27 +265,32 @@ def _compose_and_query(
     )
 
 
-def run_compute(request: AccountingRequest) -> PrivacyBoundReport:
-    """Execute the full pipeline for one request."""
+def _answer(request: AccountingRequest, setup: _SetUp) -> PrivacyBoundReport:
+    """Compose and query each estimator at ``request.compositions``.
+
+    The report's runtime is the set-up's plus this answer's own.
+    """
     start = time.perf_counter()
-    curve = curve_for(request.mechanism)
-    grid = _build_grid(request, curve)
     outcomes = {
-        method: _compose_and_query(request, method, curve, grid)
-        for method in _estimator_plan(request)
+        method: _compose_and_query(request, method, single)
+        for method, single in setup.singles.items()
     }
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    eps_range = (float(grid.finite_epsilons[0]), float(grid.finite_epsilons[-1]))
+    runtime_ms = setup.runtime_ms + (time.perf_counter() - start) * 1e3
     return PrivacyBoundReport(
         query=request.query,
         delta_target=request.delta_target,
         epsilon_target=request.epsilon_target,
         compositions=request.compositions,
         discretization=request.discretization,
-        grid_epsilon_range=eps_range,
+        grid_epsilon_range=setup.grid_epsilon_range,
         outcomes=outcomes,
         runtime_ms=runtime_ms,
     )
+
+
+def run_compute(request: AccountingRequest) -> PrivacyBoundReport:
+    """Execute the full pipeline for one request."""
+    return _answer(request, _set_up(request))
 
 
 def run_sweep(
@@ -274,6 +301,12 @@ def run_sweep(
     Returns (column names, rows).  Rows carry one epsilon per estimator, the
     mean runtime in milliseconds, and with repeats > 1 also the 25th and
     75th runtime percentiles across the repeated runs.
+
+    The curve, grid and single-step distributions do not depend on the
+    count, so they are built once per sweep; every row equals
+    ``run_compute`` at its count.  A row's runtime is the time to answer it
+    from the request: the set-up time, measured once, plus that run's
+    composition and query time.  Repeats re-time only composition and query.
     """
     if request.delta_target is None:
         raise RequestError("sweeps invert delta to epsilon; set a delta target")
@@ -287,13 +320,14 @@ def run_sweep(
     columns = ["compositions"] + [f"eps_{m}" for m in methods] + ["runtime_ms"]
     if repeats > 1:
         columns += ["runtime_ms_p25", "runtime_ms_p75"]
+    setup = _set_up(request)
     rows = []
     for n in counts:
         row_request = dataclasses.replace(request, compositions=n)
         durations = []
         report = None
         for _ in range(repeats):
-            report = run_compute(row_request)
+            report = _answer(row_request, setup)
             durations.append(report.runtime_ms)
         row = {"compositions": n}
         for m in methods:

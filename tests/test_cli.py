@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +378,61 @@ class TestSweep:
         )
         assert code == 2
         assert "delta" in err
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``pldbounds`` commands of the README's CLI section, as argument lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("pldbounds ")]
+
+
+def readme_command(verb: str, mechanism: str) -> list[str]:
+    (args,) = [
+        a for a in readme_commands() if a[0] == verb and a[a.index("--mechanism") + 1] == mechanism
+    ]
+    return args
+
+
+def with_out(args: list[str], path: Path) -> list[str]:
+    """The command with ``--out`` (added or replaced) pointing at ``path``."""
+    if "--out" in args:
+        at = args.index("--out")
+        return [*args[: at + 1], str(path), *args[at + 2 :]]
+    return [*args, "--out", str(path)]
+
+
+class TestReadmeCommands:
+    def test_compute(self, tmp_path):
+        out = tmp_path / "compute.json"
+        assert cli.main(with_out(readme_command("compute", "gaussian"), out)) == 0
+        payload = json.loads(out.read_text())
+        assert payload["compositions"] == 1000
+        assert set(payload["bounds"]) == {"pessimistic", "optimistic"}
+        assert payload["eps_low"] <= payload["eps_high"]
+
+    def test_subsampled_gaussian_sweep(self, tmp_path):
+        args = readme_command("sweep", "subsampled-gaussian")
+        assert "--out" in args and "--repeats" in args
+        out = tmp_path / "sweep.csv"
+        assert cli.main(with_out(args, out)) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 10
+        assert list(rows[0]) == [
+            "compositions",
+            "eps_pessimistic",
+            "eps_optimistic",
+            "eps_pb_pessimistic",
+            "eps_pb_optimistic",
+            "runtime_ms",
+            "runtime_ms_p25",
+            "runtime_ms_p75",
+        ]
+        assert [int(r["compositions"]) for r in rows] == list(range(100, 1001, 100))
+        for r in rows:
+            low, high = float(r["eps_optimistic"]), float(r["eps_pessimistic"])
+            assert low <= high <= float(r["eps_pb_pessimistic"]) + 1e-9
 
 
 class TestCurveVerb:

@@ -1,9 +1,10 @@
-"""Composition hot path: one-transform squaring, fast mass totals, import weight.
+"""Composition hot path: one-transform squaring, fast mass totals, the
+truncation cut search, import weight.
 
 The FFT branch must give the bits ``scipy.signal.fftconvolve`` gives (followed
 by the same clip and flush), whether or not a square shares one transform,
-and the mass gates must reach exactly the verdict of an exactly rounded
-``math.fsum`` total.
+the mass gates must reach exactly the verdict of an exactly rounded
+``math.fsum`` total, and truncation must cut where full running sums cut.
 """
 
 import json
@@ -150,6 +151,74 @@ class TestMassGateParity:
         assert code == 3
         assert "PLD masses sum to 1.00000000001" in err
         assert len(calls) == 1
+
+
+def _truncate_full_cumsum(finite, j0, neg_mass, inf_mass, direction, budget):
+    """Reference truncation: cuts found on running sums over the whole array."""
+    if budget <= 0.0 or finite.size <= 1:
+        return finite, j0, neg_mass, inf_mass, 0.0, 0.0
+    csum = np.cumsum(finite)
+    lo_cut = min(int(np.searchsorted(csum, budget, side="right")), finite.size - 1)
+    rsum = np.cumsum(finite[::-1])
+    hi_cut = min(int(np.searchsorted(rsum, budget, side="right")), finite.size - 1 - lo_cut)
+    if lo_cut == 0 and hi_cut == 0:
+        return finite, j0, neg_mass, inf_mass, 0.0, 0.0
+    hi_keep = finite.size - hi_cut
+    moved_low = float(math.fsum(finite[:lo_cut].tolist()))
+    moved_high = float(math.fsum(finite[hi_keep:].tolist()))
+    finite = finite[lo_cut:hi_keep].copy()
+    if direction == "pessimistic":
+        finite[0] += moved_low
+        inf_mass += moved_high
+    else:
+        neg_mass += moved_low
+        finite[-1] += moved_high
+    return finite, j0 + lo_cut, neg_mass, inf_mass, moved_low, moved_high
+
+
+#: Sizes and running-sum positions on both sides of the doubling prefixes.
+PREFIX_EDGES = (4095, 4096, 4097, 8191, 8192, 8193)
+
+
+@st.composite
+def truncation_inputs(draw) -> tuple[np.ndarray, float]:
+    size = draw(st.one_of(st.sampled_from((1, 2, *PREFIX_EDGES)), st.integers(1, 20000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    finite = rng.random(size) ** rng.uniform(1.0, 40.0)
+    finite[rng.random(size) < draw(st.sampled_from((0.0, 0.3, 0.9)))] = 0.0
+    layout = draw(st.sampled_from(("spread", "low_tail", "high_tail")))
+    if layout != "spread":
+        # all the mass in one tail: the other end is a long run of zeros
+        heavy = max(1, size // 1000)
+        finite[:heavy] = rng.random(heavy) + 0.5
+        finite[heavy:] = 0.0
+        if layout == "high_tail":
+            finite = finite[::-1].copy()
+    finite /= max(finite.sum(), 1e-300)
+    kind = draw(st.sampled_from(("tie_low", "tie_high", "zero", "share")))
+    if kind == "zero":
+        return finite, 0.0
+    if kind == "share":
+        return finite, draw(st.floats(0.0, 1.0)) * float(finite.sum())
+    sums = np.cumsum(finite if kind == "tie_low" else finite[::-1])
+    at = draw(st.one_of(st.sampled_from((0, *(e - 1 for e in PREFIX_EDGES))), st.integers(0, size)))
+    return finite, float(sums[min(at, size - 1)])
+
+
+class TestTruncateCutSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        truncation_inputs(),
+        st.sampled_from(("pessimistic", "optimistic")),
+        st.sampled_from((0.0, 1e-9)),
+    )
+    def test_matches_full_running_sums(self, inputs, direction, neg_mass):
+        finite, budget = inputs
+        inf_mass = 0.0 if neg_mass else 1e-9
+        got = compose._truncate(finite.copy(), 7, neg_mass, inf_mass, direction, budget)
+        want = _truncate_full_cumsum(finite.copy(), 7, neg_mass, inf_mass, direction, budget)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
 
 
 def test_import_leaves_out_scipy_signal_and_stats():
