@@ -44,14 +44,8 @@ _MECHANISMS = (
 
 
 def _fmt(value) -> str:
-    """12-significant-digit formatting; infinities spelled out."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.12g}"
-    return str(value)
+    """12-significant-digit formatting; infinities spelled out ("inf", "-inf", "nan")."""
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def _json_ready(obj):
@@ -115,27 +109,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "mechanism",
-    "noise_scale",
-    "rr_epsilon",
-    "sampling_prob",
-    "adjacency",
-    "compositions",
-    "delta",
-    "epsilon",
-    "discretization",
-    "estimate",
-    "baseline",
-    "grid_range",
-    "output",
-    "out",
-    "repeats",
-)
+def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The verb's request flags by config key (argparse dest), without --config."""
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action
+        for action in verbs.choices[command]._actions
+        if action.dest not in ("help", "config")
+    }
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    merged: dict = {key: getattr(args, key) for key in _CONFIG_KEYS}
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    actions = _option_actions(parser, args.command)
+    merged: dict = {key: getattr(args, key) for key in actions}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -146,8 +132,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise RequestError("config file must hold a flat JSON object")
         for raw_key, value in config.items():
             key = raw_key.replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in actions:
                 raise RequestError(f"unknown config key {raw_key!r}")
+            choices = actions[key].choices
+            if choices is not None and value not in choices:
+                raise RequestError(
+                    f"config key {raw_key!r}: invalid choice {value!r} "
+                    f"(choose from {', '.join(choices)})"
+                )
             if merged[key] is None:
                 merged[key] = value
     return merged
@@ -157,21 +149,18 @@ def _mechanism_from(settings: dict) -> MechanismSpec:
     name = settings["mechanism"]
     if name is None:
         raise RequestError("--mechanism is required")
-    adjacency = settings["adjacency"] or "both"
-    if name == "gaussian":
-        return MechanismSpec.gaussian(_require(settings, "noise_scale"))
-    if name == "laplace":
-        return MechanismSpec.laplace(_require(settings, "noise_scale"))
     if name == "randomized-response":
         return MechanismSpec.randomized_response(_require(settings, "rr_epsilon"))
-    inner_name = "gaussian" if name == "subsampled-gaussian" else "laplace"
-    inner = (
-        MechanismSpec.gaussian(_require(settings, "noise_scale"))
-        if inner_name == "gaussian"
-        else MechanismSpec.laplace(_require(settings, "noise_scale"))
-    )
+    if name in ("gaussian", "subsampled-gaussian"):
+        base = MechanismSpec.gaussian(_require(settings, "noise_scale"))
+    elif name in ("laplace", "subsampled-laplace"):
+        base = MechanismSpec.laplace(_require(settings, "noise_scale"))
+    else:
+        raise RequestError(f"unknown mechanism {name!r}")
+    if not name.startswith("subsampled-"):
+        return base
     return MechanismSpec.poisson_subsampled(
-        inner, _require(settings, "sampling_prob"), adjacency
+        base, _require(settings, "sampling_prob"), settings["adjacency"] or "both"
     )
 
 
@@ -228,8 +217,7 @@ def _rows_to_csv(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer.writerows([_fmt(row[c]) for c in columns] for row in rows)
     return buf.getvalue()
 
 
@@ -264,8 +252,8 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run(args: argparse.Namespace) -> None:
-    settings = _merge_config(args)
+def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    settings = _merge_config(args, parser)
     if settings["output"] is None and args.command in ("sweep", "curve"):
         settings["output"] = "csv"
     counts = _parse_counts(settings["compositions"], args.command)
@@ -292,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _run(args)
+        _run(args, parser)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

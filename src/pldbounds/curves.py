@@ -24,8 +24,17 @@ information below one ulp of 1; downstream mass computations difference
 *slopes* of h, so they consume gap() (small alpha) or value() (large alpha)
 to keep full precision in both regimes.
 
-All evaluation methods are vectorised over numpy arrays and accept
-alpha = 0 and alpha = +inf where mathematically meaningful.
+Evaluation contract
+-------------------
+The four public methods ``value``, ``gap``, ``right_derivative`` and
+``left_derivative`` are defined once, on ``HockeyStickCurve``.  Each takes
+a scalar or an array, rejects NaN and negative alpha, and returns a float
+or an array of the input's shape; alpha = 0 and alpha = +inf are accepted
+where mathematically meaningful.  A curve implements array kernels on
+validated input: ``_value(a)``, ``_derivative(a, right)`` (the right
+derivative when ``right`` is true, else the left) and, where a
+cancellation-free form exists, ``_gap(a)``.  Composite curves call their
+parts' kernels, so every public call validates its input exactly once.
 
 Closed forms
 ------------
@@ -104,39 +113,66 @@ def _finish(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+def _before(a: np.ndarray, kink: float, right: bool) -> np.ndarray:
+    """Points whose one-sided derivative is the slope of the piece left of ``kink``.
+
+    At the kink itself the right derivative is the next piece's slope and
+    the left derivative this piece's.
+    """
+    return a < kink if right else a <= kink
+
+
 class HockeyStickCurve(abc.ABC):
-    """Evaluable trade-off curve h(alpha) with one-sided derivatives."""
+    """Evaluable trade-off curve h(alpha) with one-sided derivatives.
+
+    The four public methods take a scalar or an array, validate it once and
+    call the array kernels ``_value``, ``_derivative`` and ``_gap``.
+    """
 
     #: True when D_alpha(A||B) == D_alpha(B||A) for the underlying pair.
     symmetric_pair: bool = False
 
     @property
-    @abc.abstractmethod
     def value_at_infinity(self) -> float:
         """h(+inf), the probability mass A places where B has none."""
+        return 0.0
 
-    @abc.abstractmethod
     def value(self, alpha):
         """h(alpha) for alpha in [0, +inf]."""
-
-    @abc.abstractmethod
-    def right_derivative(self, alpha):
-        """h'_+(alpha) for alpha in [0, +inf)."""
-
-    @abc.abstractmethod
-    def left_derivative(self, alpha):
-        """h'_-(alpha) for alpha in (0, +inf)."""
+        a, scalar = _prepare(alpha)
+        return _finish(self._value(a), scalar)
 
     def gap(self, alpha):
-        """h(alpha) - (1 - alpha), non-negative and non-decreasing.
+        """h(alpha) - (1 - alpha), non-negative and non-decreasing."""
+        a, scalar = _prepare(alpha)
+        return _finish(self._gap(a), scalar)
+
+    def right_derivative(self, alpha):
+        """h'_+(alpha) for alpha in [0, +inf)."""
+        a, scalar = _prepare(alpha)
+        return _finish(self._derivative(a, right=True), scalar)
+
+    def left_derivative(self, alpha):
+        """h'_-(alpha) for alpha in (0, +inf)."""
+        a, scalar = _prepare(alpha)
+        return _finish(self._derivative(a, right=False), scalar)
+
+    @abc.abstractmethod
+    def _value(self, a: np.ndarray) -> np.ndarray:
+        """h over a validated array."""
+
+    @abc.abstractmethod
+    def _derivative(self, a: np.ndarray, right: bool) -> np.ndarray:
+        """h'_+ (``right``) or h'_- over a validated array."""
+
+    def _gap(self, a: np.ndarray) -> np.ndarray:
+        """Gap over a validated array.
 
         Subclasses override this with a cancellation-free form; the default
-        subtracts the affine part from ``value`` and is accurate only to one
+        subtracts the affine part from the value and is accurate only to one
         ulp of the curve value.
         """
-        a, scalar = _prepare(alpha)
-        g = np.asarray(self.value(a), dtype=float) - (1.0 - a)
-        return _finish(np.maximum(g, 0.0), scalar)
+        return np.maximum(self._value(a) - (1.0 - a), 0.0)
 
 
 class IdenticalPairCurve(HockeyStickCurve):
@@ -144,25 +180,14 @@ class IdenticalPairCurve(HockeyStickCurve):
 
     symmetric_pair = True
 
-    @property
-    def value_at_infinity(self) -> float:
-        return 0.0
+    def _value(self, a):
+        return np.maximum(1.0 - a, 0.0)
 
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(np.maximum(1.0 - a, 0.0), scalar)
+    def _gap(self, a):
+        return np.maximum(a - 1.0, 0.0)
 
-    def gap(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(np.maximum(a - 1.0, 0.0), scalar)
-
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(np.where(a < 1.0, -1.0, 0.0), scalar)
-
-    def left_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(np.where(a <= 1.0, -1.0, 0.0), scalar)
+    def _derivative(self, a, right):
+        return np.where(_before(a, 1.0, right), -1.0, 0.0)
 
 
 def identical_pair_curve() -> HockeyStickCurve:
@@ -181,17 +206,12 @@ class GaussianCurve(HockeyStickCurve):
         self.noise_scale = float(noise_scale)
         self._s = 1.0 / self.noise_scale
 
-    @property
-    def value_at_infinity(self) -> float:
-        return 0.0
-
     def _log_ratio_arg(self, a: np.ndarray) -> np.ndarray:
         # t = ln(alpha)/s; the likelihood-ratio threshold in standardised x.
         with np.errstate(divide="ignore"):
             return np.log(a) / self._s
 
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _value(self, a):
         s = self._s
         t = self._log_ratio_arg(a)
         out = np.empty_like(a)
@@ -202,7 +222,7 @@ class GaussianCurve(HockeyStickCurve):
             out[hi] = ndtr(0.5 * s - t[hi]) - a[hi] * ndtr(-0.5 * s - t[hi])
         out[np.isinf(a)] = 0.0
         np.clip(out, 0.0, 1.0, out=out)
-        return _finish(out, scalar)
+        return out
 
     def _gap_low(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
         # alpha * Phi(t + s/2) - Phi(t - s/2); both terms are left tails for
@@ -211,22 +231,18 @@ class GaussianCurve(HockeyStickCurve):
         g = a * ndtr(t + 0.5 * s) - ndtr(t - 0.5 * s)
         return np.maximum(g, 0.0)
 
-    def gap(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _gap(self, a):
         t = self._log_ratio_arg(a)
         out = np.empty_like(a)
         low = a <= 1.0
         out[low] = self._gap_low(a[low], t[low])
         hi = ~low
-        out[hi] = np.asarray(self.value(a[hi])) + (a[hi] - 1.0)
-        return _finish(out, scalar)
+        out[hi] = self._value(a[hi]) + (a[hi] - 1.0)
+        return out
 
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        t = self._log_ratio_arg(a)
-        return _finish(-ndtr(-0.5 * self._s - t), scalar)
-
-    left_derivative = right_derivative
+    def _derivative(self, a, right):
+        # smooth: both one-sided derivatives agree
+        return -ndtr(-0.5 * self._s - self._log_ratio_arg(a))
 
 
 class LaplaceCurve(HockeyStickCurve):
@@ -242,12 +258,7 @@ class LaplaceCurve(HockeyStickCurve):
         self._alpha_lo = math.exp(-self._inv_b)
         self._alpha_hi = math.exp(self._inv_b)
 
-    @property
-    def value_at_infinity(self) -> float:
-        return 0.0
-
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _value(self, a):
         out = np.empty_like(a)
         lo = a <= self._alpha_lo
         hi = a >= self._alpha_hi
@@ -257,10 +268,9 @@ class LaplaceCurve(HockeyStickCurve):
         # 1 - sqrt(alpha) e^{-1/(2b)} = -expm1(ln(alpha)/2 - 1/(2b)), exact to
         # full relative precision as the curve approaches its root.
         out[mid] = -np.expm1(0.5 * np.log(a[mid]) - 0.5 * self._inv_b)
-        return _finish(np.clip(out, 0.0, 1.0), scalar)
+        return np.clip(out, 0.0, 1.0)
 
-    def gap(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _gap(self, a):
         out = np.empty_like(a)
         lo = a <= self._alpha_lo
         hi = a >= self._alpha_hi
@@ -270,30 +280,17 @@ class LaplaceCurve(HockeyStickCurve):
         # alpha - sqrt(alpha) e^{-1/(2b)} = -alpha expm1(-ln(alpha)/2 - 1/(2b)),
         # exactly 0 at the lower kink.
         out[mid] = -a[mid] * np.expm1(-0.5 * np.log(a[mid]) - 0.5 * self._inv_b)
-        return _finish(np.maximum(out, 0.0), scalar)
+        return np.maximum(out, 0.0)
 
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _derivative(self, a, right):
         out = np.empty_like(a)
-        lo = a < self._alpha_lo
-        hi = a >= self._alpha_hi
-        mid = ~(lo | hi)
-        out[lo] = -1.0
-        out[hi] = 0.0
-        with np.errstate(divide="ignore"):
-            out[mid] = -0.5 * np.exp(-0.5 * self._inv_b - 0.5 * np.log(a[mid]))
-        return _finish(out, scalar)
-
-    def left_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        out = np.empty_like(a)
-        lo = a <= self._alpha_lo
-        hi = a > self._alpha_hi
+        lo = _before(a, self._alpha_lo, right)
+        hi = ~_before(a, self._alpha_hi, right)
         mid = ~(lo | hi)
         out[lo] = -1.0
         out[hi] = 0.0
         out[mid] = -0.5 * np.exp(-0.5 * self._inv_b - 0.5 * np.log(a[mid]))
-        return _finish(out, scalar)
+        return out
 
 
 class RandomizedResponseCurve(HockeyStickCurve):
@@ -309,12 +306,7 @@ class RandomizedResponseCurve(HockeyStickCurve):
         self._alpha_hi = math.exp(epsilon)
         self._den = self._alpha_hi + 1.0
 
-    @property
-    def value_at_infinity(self) -> float:
-        return 0.0
-
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _value(self, a):
         out = np.empty_like(a)
         lo = a <= self._alpha_lo
         hi = a >= self._alpha_hi
@@ -322,10 +314,9 @@ class RandomizedResponseCurve(HockeyStickCurve):
         out[lo] = 1.0 - a[lo]
         out[hi] = 0.0
         out[mid] = (self._alpha_hi - a[mid]) / self._den
-        return _finish(out, scalar)
+        return out
 
-    def gap(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _gap(self, a):
         out = np.empty_like(a)
         lo = a <= self._alpha_lo
         hi = a >= self._alpha_hi
@@ -333,21 +324,13 @@ class RandomizedResponseCurve(HockeyStickCurve):
         out[lo] = 0.0
         out[hi] = a[hi] - 1.0
         out[mid] = (a[mid] * self._alpha_hi - 1.0) / self._den
-        return _finish(np.maximum(out, 0.0), scalar)
+        return np.maximum(out, 0.0)
 
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _derivative(self, a, right):
         out = np.full_like(a, -1.0 / self._den)
-        out[a < self._alpha_lo] = -1.0
-        out[a >= self._alpha_hi] = 0.0
-        return _finish(out, scalar)
-
-    def left_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        out = np.full_like(a, -1.0 / self._den)
-        out[a <= self._alpha_lo] = -1.0
-        out[a > self._alpha_hi] = 0.0
-        return _finish(out, scalar)
+        out[_before(a, self._alpha_lo, right)] = -1.0
+        out[~_before(a, self._alpha_hi, right)] = 0.0
+        return out
 
 
 class PoissonSubsampledCurve(HockeyStickCurve):
@@ -395,61 +378,45 @@ class PoissonSubsampledCurve(HockeyStickCurve):
         beta = a[live] * self._q / w
         return live, w, beta
 
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _value(self, a):
         out = np.empty_like(a)
         if self.direction == "remove":
             lo = a <= self._keep
             out[lo] = 1.0 - a[lo]
-            out[~lo] = self._q * np.asarray(self.inner.value(self._beta_remove(a[~lo])))
+            out[~lo] = self._q * self.inner._value(self._beta_remove(a[~lo]))
         else:
             live, w, beta = self._split_add(a)
             out[~live] = 0.0
-            out[live] = w * np.asarray(self.inner.value(beta))
-        return _finish(np.clip(out, 0.0, 1.0), scalar)
+            out[live] = w * self.inner._value(beta)
+        return np.clip(out, 0.0, 1.0)
 
-    def gap(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _gap(self, a):
         out = np.empty_like(a)
         if self.direction == "remove":
             lo = a <= self._keep
             out[lo] = 0.0
             # q * h_in(beta) - (1 - alpha) == q * gap_in(beta), exactly.
-            out[~lo] = self._q * np.asarray(self.inner.gap(self._beta_remove(a[~lo])))
+            out[~lo] = self._q * self.inner._gap(self._beta_remove(a[~lo]))
         else:
             live, w, beta = self._split_add(a)
             out[~live] = a[~live] - 1.0
             # w * h_in(beta) - (1 - alpha) == w * gap_in(beta), exactly.
-            out[live] = w * np.asarray(self.inner.gap(beta))
-        return _finish(np.maximum(out, 0.0), scalar)
+            out[live] = w * self.inner._gap(beta)
+        return np.maximum(out, 0.0)
 
-    def _derivative(self, a: np.ndarray, side: str) -> np.ndarray:
-        inner_dv = (
-            self.inner.right_derivative if side == "right" else self.inner.left_derivative
-        )
+    def _derivative(self, a, right):
         out = np.empty_like(a)
         if self.direction == "remove":
-            if side == "right":
-                lo = a < self._keep
-            else:
-                lo = a <= self._keep
+            lo = _before(a, self._keep, right)
             out[lo] = -1.0
-            out[~lo] = np.asarray(inner_dv(self._beta_remove(a[~lo])))
+            out[~lo] = self.inner._derivative(self._beta_remove(a[~lo]), right)
         else:
             live, w, beta = self._split_add(a)
             out[~live] = 0.0
-            out[live] = -self._keep * np.asarray(self.inner.value(beta)) + (
+            out[live] = -self._keep * self.inner._value(beta) + (
                 self._q / w
-            ) * np.asarray(inner_dv(beta))
+            ) * self.inner._derivative(beta, right)
         return out
-
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(self._derivative(a, "right"), scalar)
-
-    def left_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(self._derivative(a, "left"), scalar)
 
 
 class PointwiseMaxCurve(HockeyStickCurve):
@@ -472,39 +439,24 @@ class PointwiseMaxCurve(HockeyStickCurve):
     def value_at_infinity(self) -> float:
         return max(c.value_at_infinity for c in self.curves)
 
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
-        vals = np.stack([np.asarray(c.value(a)) for c in self.curves])
-        return _finish(vals.max(axis=0), scalar)
+    def _value(self, a):
+        return np.stack([c._value(a) for c in self.curves]).max(axis=0)
 
-    def gap(self, alpha):
-        a, scalar = _prepare(alpha)
-        gaps = np.stack([np.asarray(c.gap(a)) for c in self.curves])
-        return _finish(gaps.max(axis=0), scalar)
+    def _gap(self, a):
+        return np.stack([c._gap(a) for c in self.curves]).max(axis=0)
 
-    def _derivative(self, a: np.ndarray, side: str) -> np.ndarray:
+    def _derivative(self, a, right):
         # activity is decided on curve values: their scale tracks where the
         # envelope still distinguishes the branches (gaps grow like alpha and
         # would drown tail-sized differences)
-        vals = np.stack([np.asarray(c.value(a)) for c in self.curves])
+        vals = np.stack([c._value(a) for c in self.curves])
         top = vals.max(axis=0)
         tol = self._ACTIVE_ATOL + self._ACTIVE_RTOL * np.abs(top)
         active = vals >= top - tol
-        if side == "right":
-            derivs = np.stack([np.asarray(c.right_derivative(a)) for c in self.curves])
-            derivs = np.where(active, derivs, -np.inf)
-            return derivs.max(axis=0)
-        derivs = np.stack([np.asarray(c.left_derivative(a)) for c in self.curves])
-        derivs = np.where(active, derivs, np.inf)
-        return derivs.min(axis=0)
-
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(self._derivative(a, "right"), scalar)
-
-    def left_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(self._derivative(a, "left"), scalar)
+        derivs = np.stack([c._derivative(a, right) for c in self.curves])
+        if right:
+            return np.where(active, derivs, -np.inf).max(axis=0)
+        return np.where(active, derivs, np.inf).min(axis=0)
 
 
 class PiecewiseLinearCurve(HockeyStickCurve):
@@ -532,26 +484,14 @@ class PiecewiseLinearCurve(HockeyStickCurve):
     def value_at_infinity(self) -> float:
         return float(self.node_values[-1])
 
-    def value(self, alpha):
-        a, scalar = _prepare(alpha)
+    def _value(self, a):
         out = np.interp(a, self.node_alphas, self.node_values)
-        out = np.where(a >= self.node_alphas[-1], self.node_values[-1], out)
-        return _finish(out, scalar)
+        return np.where(a >= self.node_alphas[-1], self.node_values[-1], out)
 
-    def _slope_at(self, a: np.ndarray, side: str) -> np.ndarray:
-        idx = np.searchsorted(self.node_alphas, a, side=side) - 1
+    def _derivative(self, a, right):
+        idx = np.searchsorted(self.node_alphas, a, side="right" if right else "left") - 1
         idx = np.clip(idx, 0, self._slopes.size - 1)
-        out = self._slopes[idx]
-        beyond = a >= self.node_alphas[-1] if side == "right" else a > self.node_alphas[-1]
-        return np.where(beyond, 0.0, out)
-
-    def right_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(self._slope_at(a, "right"), scalar)
-
-    def left_derivative(self, alpha):
-        a, scalar = _prepare(alpha)
-        return _finish(self._slope_at(a, "left"), scalar)
+        return np.where(_before(a, self.node_alphas[-1], right), self._slopes[idx], 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ from .pessimistic import _survival_from_curve
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
-    _pair_from_q,
+    _pair_from_kinks,
     discretize_from_curve,
 )
 
@@ -141,15 +141,11 @@ def _endpoint_lines(
     lo = np.empty(idx.size)
     hi = np.empty(idx.size)
     i = idx[left]
-    lo[left] = np.asarray(curve.gap(a[i]))
-    hi[left] = lo[left] + (a[i + 1] - a[i]) * (
-        1.0 + np.asarray(curve.right_derivative(a[i]))
-    )
+    lo[left] = curve.gap(a[i])
+    hi[left] = lo[left] + (a[i + 1] - a[i]) * (1.0 + curve.right_derivative(a[i]))
     i = idx[~left]
-    hi[~left] = np.asarray(curve.gap(a[i + 1]))
-    lo[~left] = hi[~left] - (a[i + 1] - a[i]) * (
-        1.0 + np.asarray(curve.left_derivative(a[i + 1]))
-    )
+    hi[~left] = curve.gap(a[i + 1])
+    lo[~left] = hi[~left] - (a[i + 1] - a[i]) * (1.0 + curve.left_derivative(a[i + 1]))
     return lo, hi
 
 
@@ -170,8 +166,8 @@ def _gap_candidates(
     # midpoint tangent of interval i, evaluated at a_i (lo) and a_{i+1} (hi);
     # distances run from the rounded midpoint, where the curve was evaluated
     mid = 0.5 * (a[:-1] + a[1:])
-    g_mid = np.asarray(curve.gap(mid))
-    slope = 1.0 + np.asarray(curve.right_derivative(mid))
+    g_mid = curve.gap(mid)
+    slope = 1.0 + curve.right_derivative(mid)
     lo = g_mid - (mid - a[:-1]) * slope
     hi = g_mid + (a[1:] - mid) * slope
     # endpoint tangents on the first and last interval and wherever the
@@ -235,11 +231,8 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
     # capped at 1 (curve coordinates: non-increasing), hence a non-decreasing
     # float sequence whose differences are the kink masses, all >= 0 exactly
     sigma = np.repeat(np.minimum(edge_slopes, 1.0), np.diff(vertices))
-    q_interior = np.empty(k - 1)
-    q_interior[:-1] = np.diff(sigma)
-    q_interior[-1] = 1.0 - sigma[-1]
-    q_full = np.concatenate(([sigma[0]], q_interior, [0.0]))
-    return _pair_from_q(grid, q_full, 0.0, clamp_count=0)
+    q_interior = np.append(np.diff(sigma), 1.0 - sigma[-1])
+    return _pair_from_kinks(grid, float(sigma[0]), q_interior, 0.0)
 
 
 def _bin_pair_atoms_down(pair: DiscreteDominatingPair, grid: DiscretizationGrid) -> np.ndarray:

@@ -42,29 +42,10 @@ from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
     _CLAMP_TOL,
-    _clamp_kink_masses,
-    _pair_from_q,
+    _pair_from_kinks,
 )
 
 __all__ = ["pessimistic_pair", "pb_pessimistic_pld"]
-
-
-def _stable_interval_slopes(
-    curve: HockeyStickCurve, grid: DiscretizationGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chord slopes of h per finite interval, in gap and in value form.
-
-    Returns (gap_slopes, value_slopes) where gap_slopes = value_slopes + 1
-    in exact arithmetic; each array is accurate in its own regime (gap form
-    below alpha = 1, value form above).
-    """
-    a = grid.alphas[: grid.k]
-    widths = np.diff(a)
-    gaps = np.asarray(curve.gap(a))
-    values = np.asarray(curve.value(a))
-    gap_slopes = np.diff(gaps) / widths
-    value_slopes = np.diff(values) / widths
-    return gap_slopes, value_slopes
 
 
 def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -75,32 +56,24 @@ def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discr
     """
     k = grid.k
     a = grid.alphas[:k]
-    values = np.asarray(curve.value(a))
+    values = curve.value(a)
     if abs(values[0] - 1.0) > _CLAMP_TOL:
         raise NumericalValidityError(
             f"curve value at alpha = 0 is {values[0]!r}, expected 1"
         )
-    gap_slopes, value_slopes = _stable_interval_slopes(curve, grid)
+    # Chord slopes in gap form (accurate below alpha = 1) and in value form
+    # (accurate above); they differ by exactly 1 in exact arithmetic.
+    widths = np.diff(a)
+    gap_slopes = np.diff(curve.gap(a)) / widths
+    value_slopes = np.diff(values) / widths
     # Kink mass at node i is the slope increase there; difference the slope
     # representation that is accurate around that node.
-    use_gap = a[1 : k - 1] <= 1.0
-    q_interior = np.empty(k - 1)
-    if k >= 2:
-        q_interior[:-1] = np.where(
-            use_gap, np.diff(gap_slopes), np.diff(value_slopes)
-        )
-        q_interior[-1] = -value_slopes[-1]
-    q_interior, clamps = _clamp_kink_masses(q_interior, first_index=1)
-    q_at_zero = float(gap_slopes[0])  # gap(a_1) / a_1 >= 0, exactly Q(0)
-    if q_at_zero < -_CLAMP_TOL:
-        raise NumericalValidityError(
-            f"curve drops below the line 1 - alpha near alpha = {a[1]!r}"
-        )
-    if q_at_zero < 0.0:
-        clamps += 1
-        q_at_zero = 0.0
-    q_full = np.concatenate(([q_at_zero], q_interior, [0.0]))
-    return _pair_from_q(grid, q_full, float(values[-1]), clamps)
+    q_interior = np.append(
+        np.where(a[1 : k - 1] <= 1.0, np.diff(gap_slopes), np.diff(value_slopes)),
+        -value_slopes[-1],
+    )
+    # gap(a_1) / a_1 >= 0 is exactly Q(0)
+    return _pair_from_kinks(grid, float(gap_slopes[0]), q_interior, float(values[-1]))
 
 
 def _survival_from_curve(curve: HockeyStickCurve, grid: DiscretizationGrid, side: str) -> np.ndarray:
@@ -110,12 +83,8 @@ def _survival_from_curve(curve: HockeyStickCurve, grid: DiscretizationGrid, side
     side = 'left' gives A(ratio >= alpha) (used for rounding mass down).
     """
     a = grid.alphas[1 : grid.k]
-    h = np.asarray(curve.value(a))
-    if side == "right":
-        dv = np.asarray(curve.right_derivative(a))
-    else:
-        dv = np.asarray(curve.left_derivative(a))
-    g = np.clip(h - a * dv, 0.0, 1.0)
+    dv = curve.right_derivative(a) if side == "right" else curve.left_derivative(a)
+    g = np.clip(curve.value(a) - a * dv, 0.0, 1.0)
     return np.concatenate(([1.0], g))
 
 

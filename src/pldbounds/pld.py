@@ -199,31 +199,34 @@ class FinitePLD:
 # ---------------------------------------------------------------------------
 
 
-def _clamp_kink_masses(q_interior: np.ndarray, first_index: int) -> tuple[np.ndarray, int]:
-    """Zero tiny negative kink masses, rejecting anything below -_CLAMP_TOL."""
-    worst = int(np.argmin(q_interior)) if q_interior.size else 0
-    if q_interior.size and q_interior[worst] < -_CLAMP_TOL:
+def _pair_from_kinks(
+    grid: DiscretizationGrid, q_at_zero: float, q_interior: np.ndarray, p_inf: float
+) -> DiscreteDominatingPair:
+    """Pair with Q = [q_at_zero, q_interior at a_1..a_{k-1}, 0] and P = alpha * Q.
+
+    Kink masses are slope increases of the curve, so a negative one means
+    non-convexity and a negative Q(0) a curve below 1 - alpha.  Negatives
+    within _CLAMP_TOL are rounding slack: they are zeroed and counted in
+    ``clamp_count``; anything more negative is rejected.  P(+inf) = p_inf.
+    """
+    worst = int(np.argmin(q_interior))
+    if q_interior[worst] < -_CLAMP_TOL:
         raise NumericalValidityError(
-            f"curve is non-convex at grid index {first_index + worst}: "
+            f"curve is non-convex at grid index {1 + worst}: "
             f"kink mass {q_interior[worst]:.3e}"
         )
-    negatives = int(np.count_nonzero(q_interior < 0.0))
-    return np.maximum(q_interior, 0.0), negatives
-
-
-def _pair_from_q(
-    grid: DiscretizationGrid,
-    q_full: np.ndarray,
-    p_inf: float,
-    clamp_count: int,
-) -> DiscreteDominatingPair:
+    if q_at_zero < -_CLAMP_TOL:
+        raise NumericalValidityError(
+            f"curve drops below the line 1 - alpha at grid index 1: "
+            f"Q(0) = {q_at_zero:.3e}"
+        )
+    clamps = int(np.count_nonzero(q_interior < 0.0)) + int(q_at_zero < 0.0)
+    q = np.concatenate(([max(q_at_zero, 0.0)], np.maximum(q_interior, 0.0), [0.0]))
     k = grid.k
-    p = np.zeros_like(q_full)
-    p[1:k] = grid.alphas[1:k] * q_full[1:k]
+    p = np.zeros_like(q)
+    p[1:k] = grid.alphas[1:k] * q[1:k]
     p[k] = p_inf
-    return DiscreteDominatingPair(
-        grid=grid, p_masses=p, q_masses=q_full, clamp_count=clamp_count
-    )
+    return DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
 
 
 def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -256,22 +259,10 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
             f"(got {h[k - 1]!r} vs {h[k]!r}): no finitely supported pair jumps there"
         )
     slopes = np.diff(h[:k]) / np.diff(grid.alphas[:k])
+    q_interior = np.append(np.diff(slopes), -slopes[-1])
     # Q(a_0) via the normalising form 1 - sum, which keeps the Q total exact.
-    q_interior = np.empty(k - 1)
-    q_interior[:-1] = np.diff(slopes)
-    q_interior[-1] = -slopes[-1]
-    q_interior, clamps = _clamp_kink_masses(q_interior, first_index=1)
-    q_at_zero = 1.0 - math.fsum(q_interior.tolist())
-    if q_at_zero < -_CLAMP_TOL:
-        raise NumericalValidityError(
-            f"curve drops below the line 1 - alpha at grid index 1: "
-            f"Q(0) = {q_at_zero:.3e}"
-        )
-    if q_at_zero < 0.0:
-        clamps += 1
-        q_at_zero = 0.0
-    q_full = np.concatenate(([q_at_zero], q_interior, [0.0]))
-    return _pair_from_q(grid, q_full, float(h[k]), clamps)
+    q_at_zero = 1.0 - math.fsum(np.maximum(q_interior, 0.0).tolist())
+    return _pair_from_kinks(grid, q_at_zero, q_interior, float(h[k]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pldbounds as pb
-from pldbounds import cli
+from pldbounds import cli, report
 
 LN2 = math.log(2.0)
 
@@ -260,6 +260,34 @@ class TestConfigFile:
         assert code == 2
         assert "mechanismm" in err
 
+    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    def test_misspelt_mechanism_rejected(self, capsys, tmp_path, command):
+        # used to run subsampled Laplace: every unknown name fell through to it
+        path = tmp_path / "req.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "mechanism": "subsampled-gausian",
+                    "noise_scale": 5,
+                    "sampling_prob": 0.01,
+                    "discretization": 0.05,
+                    "delta": 1e-5,
+                }
+            )
+        )
+        code, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert "mechanism" in err and "subsampled-gausian" in err
+
+    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    def test_unknown_output_format_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps({"output": "xml"}))
+        args = [command, "--config", str(path), *RR_ARGS, "--delta", "0.2"]
+        code, err = run_cli(args, capsys)
+        assert code == 2
+        assert "output" in err and "xml" in err
+
 
 class TestSweep:
     def test_columns_and_ordering(self, capsys):
@@ -495,6 +523,40 @@ class TestCurveVerb:
         for r in csv.DictReader(io.StringIO(out)):
             a = float(r["alpha"])
             assert float(r["h_true"]) == pytest.approx(max(1 - a, 0.0), abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "mechanism, spacing",
+    [
+        (pb.MechanismSpec.gaussian(2.0), 0.05),
+        (pb.MechanismSpec.laplace(1.0), 0.02),
+        (pb.MechanismSpec.randomized_response(1.0), 0.01),
+        (pb.MechanismSpec.poisson_subsampled(pb.MechanismSpec.gaussian(1.0), 0.01), 0.01),
+    ],
+)
+def test_curve_rows_match_per_sample_evaluation(mechanism, spacing):
+    """run_curve's columns against one scalar evaluation per sample."""
+    request = pb.AccountingRequest(mechanism=mechanism, discretization=spacing, delta_target=1e-5)
+    columns, rows = report.run_curve(request)
+    curve = pb.curve_for(mechanism)
+    lo, hi = pb.default_epsilon_range(curve, spacing)
+    grid = pb.DiscretizationGrid.uniform(spacing, lo, hi)
+    pess = pb.curve_of(pb.pessimistic_pair(curve, grid))
+    opt = pb.curve_of(pb.optimistic_pair(curve, grid))
+    pb_pld = pb.pb_pessimistic_pld(curve, grid)
+    finite = grid.alphas[: grid.k].tolist()
+    samples = []
+    for a, b in zip(finite, finite[1:]):
+        samples += [a, math.sqrt(a * b) if a > 0 else 0.5 * b]
+    samples.append(finite[-1])
+    assert [row["alpha"] for row in rows] == samples
+    references = {"h_true": curve, "h_pessimistic": pess, "h_optimistic": opt}
+    for row in rows:
+        a = row["alpha"]
+        for column, reference in references.items():
+            assert row[column].hex() == reference.value(a).hex(), (column, a)
+        expected = pb.delta_at(pb_pld, math.log(a) if a > 0 else -math.inf)
+        assert abs(row["h_pb_pessimistic"] - expected) <= 1e-12
 
 
 def test_twelve_significant_digits():

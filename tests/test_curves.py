@@ -220,3 +220,97 @@ def test_max_curve_derivative_uses_active_branch():
             if abs(float(c.value(alpha)) - top) <= 1e-12
         ]
         assert rd == pytest.approx(max(candidates), abs=1e-15)
+
+
+# -- the evaluation contract: one validation, scalar or array -----------------
+
+METHODS = ("value", "gap", "right_derivative", "left_derivative")
+PWL_NODES = [0.0, 0.3, 1.0, 2.5, 4.0]
+
+
+def subsampled_kinks(inner_kinks, q):
+    """Kinks of both subsampled directions: 1 - q, 1/(1 - q) and the inner kinks' images."""
+    keep = 1.0 - q
+    return (
+        [keep, 1.0 / keep]
+        + [keep + q * k for k in inner_kinks]
+        + [k / (q + k * keep) for k in inner_kinks]
+    )
+
+
+CONTRACT_KINKS = {
+    **KINKS,
+    "subgauss-both": subsampled_kinks([], 0.01),
+    "sublap-both": subsampled_kinks([math.exp(-0.2), math.exp(0.2)], 0.01),
+    "piecewise-linear": PWL_NODES,
+    "identical": [1.0],
+}
+
+
+def contract_curve(name: str) -> pb.HockeyStickCurve:
+    if name == "piecewise-linear":
+        return pb.PiecewiseLinearCurve(PWL_NODES, [1.0, 0.75, 0.3, 0.05, 0.02])
+    if name == "identical":
+        return pb.identical_pair_curve()
+    return curve_of_mech(name)
+
+
+CONTRACT_NAMES = sorted(MECHS) + ["piecewise-linear", "identical"]
+
+
+def with_neighbours(x: float, n: int = 2) -> list[float]:
+    """x and its n nearest floats on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(n):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("name", CONTRACT_NAMES)
+@pytest.mark.parametrize("method", METHODS)
+def test_public_methods_reject_nan_and_negative_alpha(name, method):
+    evaluate = getattr(contract_curve(name), method)
+    for bad in (math.nan, -1.0, -5e-324, -math.inf):
+        with pytest.raises(pb.RequestError):
+            evaluate(bad)
+        with pytest.raises(pb.RequestError):
+            evaluate(np.array([0.5, bad, 2.0]))
+
+
+@pytest.mark.parametrize("name", CONTRACT_NAMES)
+def test_scalar_call_equals_array_element(name):
+    curve = contract_curve(name)
+    points = [0.0, 1.0, math.inf]
+    for kink in CONTRACT_KINKS.get(name, []):
+        points += with_neighbours(kink)
+    alphas = np.array(sorted(p for p in points if p >= 0.0))
+    # right derivatives are defined on [0, +inf), left ones on (0, +inf)
+    domains = {
+        "value": alphas,
+        "gap": alphas,
+        "right_derivative": alphas[alphas < math.inf],
+        "left_derivative": alphas[alphas > 0.0],
+    }
+    for method, domain in domains.items():
+        evaluate = getattr(curve, method)
+        batch = evaluate(domain)
+        assert isinstance(batch, np.ndarray) and batch.shape == domain.shape
+        for alpha, expected in zip(domain.tolist(), batch.tolist()):
+            single = evaluate(alpha)
+            assert type(single) is float
+            assert single.hex() == expected.hex(), (method, alpha)
+
+
+@pytest.mark.parametrize("name", CONTRACT_NAMES)
+def test_public_call_validates_its_input_once(name, monkeypatch):
+    from pldbounds import curves
+
+    calls = []
+    prepare = curves._prepare
+    monkeypatch.setattr(curves, "_prepare", lambda alpha: calls.append(alpha) or prepare(alpha))
+    curve = contract_curve(name)
+    for method in METHODS:
+        calls.clear()
+        getattr(curve, method)(np.array([0.25, 0.99, 1.0, 1.5, 30.0]))
+        assert len(calls) == 1, method
