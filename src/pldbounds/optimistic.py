@@ -59,12 +59,16 @@ Candidate generation is vectorised (each line depends only on its own
 interval, so the evaluation order is free); the hull is a single
 monotone-chain sweep.
 
-Numerically everything runs in gap coordinates g = f - (1 - alpha), an
-affine shear that preserves hulls and kink masses while keeping full
-precision where the curve hugs 1 - alpha.  Interval slopes are read off
-hull edges (one float per edge), so kink masses are differences of a
-non-decreasing float sequence and the discretization accepts the hull
-without any clamping.
+Numerically the construction runs in local coordinates: the gap
+g = f - (1 - alpha) up to alpha = 1, which keeps full precision where the
+curve hugs 1 - alpha, and the value f past it, where the curve decays with
+full relative precision while 1 + h' rounds to 1.  The two differ by an
+affine shear, which preserves hulls and kink masses, and both have the
+floor 0 on their side.  The hull pass tests convexity at each vertex in its
+own coordinates, and each kink mass is the difference of its two edge
+slopes in those coordinates (one float per edge), so the kink masses are
+differences of a non-decreasing float sequence and the discretization
+accepts the hull without any clamping.
 
 Privacy-buckets baseline
 ------------------------
@@ -132,10 +136,11 @@ class CandidateSet:
 def _endpoint_lines(
     curve: HockeyStickCurve, a: np.ndarray, i_one: int, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint tangents over intervals ``idx`` in gap coordinates.
+    """Endpoint tangents over intervals ``idx`` in local coordinates.
 
     Returns each line's heights at the interval's left and right end: the
-    tangent at a_i for intervals left of 1, at a_{i+1} for those right of 1.
+    tangent at a_i in gap coordinates for intervals left of 1, at a_{i+1}
+    in value coordinates for those right of 1.
     """
     left = idx < i_one
     lo = np.empty(idx.size)
@@ -144,15 +149,21 @@ def _endpoint_lines(
     lo[left] = curve.gap(a[i])
     hi[left] = lo[left] + (a[i + 1] - a[i]) * (1.0 + curve.right_derivative(a[i]))
     i = idx[~left]
-    hi[~left] = curve.gap(a[i + 1])
-    lo[~left] = hi[~left] - (a[i + 1] - a[i]) * (1.0 + curve.left_derivative(a[i + 1]))
+    hi[~left] = curve.value(a[i + 1])
+    lo[~left] = hi[~left] - (a[i + 1] - a[i]) * curve.left_derivative(a[i + 1])
     return lo, hi
 
 
-def _gap_candidates(
+def _local_candidates(
     curve: HockeyStickCurve, grid: DiscretizationGrid
 ) -> tuple[np.ndarray, int]:
-    """Node candidates a_0..a_{k-1} in gap coordinates g = f - (1 - alpha)."""
+    """Node candidates a_0..a_{k-1} in local coordinates.
+
+    Local coordinates are the gap g = f - (1 - alpha) up to alpha = 1 and
+    the value f from there on; both have the floor 0 on their side and they
+    agree at alpha = 1.  Each interval's line is built in the coordinates of
+    its side, which every interval has because 1 is a grid point.
+    """
     i_one = grid.index_of_one
     if i_one is None:
         raise RequestError(
@@ -161,54 +172,74 @@ def _gap_candidates(
         )
     k = grid.k
     a = grid.alphas[:k]
-    # floor [1 - alpha]_+ in gap coordinates
-    floor = np.maximum(a - 1.0, 0.0)
+    left = np.arange(k - 1) < i_one
     # midpoint tangent of interval i, evaluated at a_i (lo) and a_{i+1} (hi);
     # distances run from the rounded midpoint, where the curve was evaluated
     mid = 0.5 * (a[:-1] + a[1:])
-    g_mid = curve.gap(mid)
-    slope = 1.0 + curve.right_derivative(mid)
-    lo = g_mid - (mid - a[:-1]) * slope
-    hi = g_mid + (a[1:] - mid) * slope
+    height = np.empty(k - 1)
+    height[left] = curve.gap(mid[left])
+    height[~left] = curve.value(mid[~left])
+    slope = curve.right_derivative(mid)
+    slope[left] += 1.0
+    lo = height - (mid - a[:-1]) * slope
+    hi = height + (a[1:] - mid) * slope
     # endpoint tangents on the first and last interval and wherever the
     # midpoint line dips below the floor
-    fallback = (lo < floor[:-1]) | (hi < floor[1:])
+    fallback = (lo < 0.0) | (hi < 0.0)
     fallback[0] = fallback[-1] = True
     idx = np.flatnonzero(fallback)
     lo[idx], hi[idx] = _endpoint_lines(curve, a, i_one, idx)
-    g = np.empty(k)
-    g[0] = 0.0
-    g[1:-1] = np.minimum(hi[:-1], lo[1:])
-    g[-1] = a[-1] - 1.0
-    # g >= floor holds for every line used; restore it in float
-    np.maximum(g, floor, out=g)
-    return g, i_one
+    c = np.empty(k)
+    c[0] = 0.0
+    c[1:-1] = np.minimum(hi[:-1], lo[1:])
+    c[-1] = 0.0
+    # c >= 0 holds for every line used; restore it in float
+    np.maximum(c, 0.0, out=c)
+    return c, i_one
+
+
+def _both_coordinates(
+    c: np.ndarray, a: np.ndarray, right: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gap and value heights of local-coordinate heights ``c``."""
+    gap = np.where(right, c + (a - 1.0), c)
+    value = np.where(right, c, c + (1.0 - a))
+    return gap, value
 
 
 def candidate_set(curve: HockeyStickCurve, grid: DiscretizationGrid) -> CandidateSet:
     """Node candidates in curve coordinates (before the hull pass)."""
-    g, i_one = _gap_candidates(curve, grid)
-    f = g + (1.0 - grid.alphas[: grid.k])
+    c, i_one = _local_candidates(curve, grid)
+    a = grid.alphas[: grid.k]
+    _, f = _both_coordinates(c, a, a > 1.0)
     return CandidateSet(forward=f[: i_one + 1], backward=f[i_one:], i_one=i_one)
 
 
-def _lower_hull_edges(xs: np.ndarray, gs: np.ndarray) -> tuple[list[int], list[float]]:
-    """Monotone-chain lower hull over points sorted by x.
+def _lower_hull(xs: list, gaps: list, values: list, right: list) -> list[int]:
+    """Monotone-chain lower hull over points sorted by x; returns vertex indices.
 
-    Returns vertex indices and edge slopes; the pop predicate is strict, so
-    the returned edge slopes strictly increase as floats.
+    Convexity at a vertex is tested on slopes in its own coordinates: gap
+    heights up to alpha = 1, value heights past it (``right``).  The slope
+    of each stack edge is kept in its right end's coordinates.  The pop
+    predicate is strict, so at every vertex the two edge slopes, in its
+    coordinates, strictly increase as floats.
     """
     stack = [0]
     slopes: list[float] = []
-    for idx in range(1, xs.size):
-        s_new = (gs[idx] - gs[stack[-1]]) / (xs[idx] - xs[stack[-1]])
-        while slopes and s_new <= slopes[-1]:
+    for idx in range(1, len(xs)):
+        heights = values if right[idx] else gaps
+        while slopes:
+            top = stack[-1]
+            ys = values if right[top] else gaps
+            s_new = (ys[idx] - ys[top]) / (xs[idx] - xs[top])
+            if s_new > slopes[-1]:
+                break
             stack.pop()
             slopes.pop()
-            s_new = (gs[idx] - gs[stack[-1]]) / (xs[idx] - xs[stack[-1]])
+        top = stack[-1]
+        slopes.append((heights[idx] - heights[top]) / (xs[idx] - xs[top]))
         stack.append(idx)
-        slopes.append(s_new)
-    return stack, slopes
+    return stack
 
 
 def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -223,16 +254,24 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
             "optimistic construction supports curves vanishing at +inf only; "
             f"this curve has tail value {curve.value_at_infinity}"
         )
-    gs, _ = _gap_candidates(curve, grid)
+    c, _ = _local_candidates(curve, grid)
     k = grid.k
-    xs = grid.alphas[:k]
-    vertices, edge_slopes = _lower_hull_edges(xs, gs)
-    # per-interval slopes in gap coordinates: constant along each hull edge,
-    # capped at 1 (curve coordinates: non-increasing), hence a non-decreasing
-    # float sequence whose differences are the kink masses, all >= 0 exactly
-    sigma = np.repeat(np.minimum(edge_slopes, 1.0), np.diff(vertices))
-    q_interior = np.append(np.diff(sigma), 1.0 - sigma[-1])
-    return _pair_from_kinks(grid, float(sigma[0]), q_interior, 0.0)
+    a = grid.alphas[:k]
+    right = a > 1.0
+    gap, value = _both_coordinates(c, a, right)
+    vertices = np.array(_lower_hull(a.tolist(), gap.tolist(), value.tolist(), right.tolist()))
+    u, w = vertices[:-1], vertices[1:]
+    width = a[w] - a[u]
+    spans = np.diff(vertices)
+    # per-interval slopes of the hull edges in both coordinates, capped where
+    # the curve would rise; in the coordinates of each vertex they are a
+    # non-decreasing float sequence, so the kink masses, slope increases
+    # taken in the coordinates accurate at each node, are all >= 0 exactly
+    sigma = np.repeat(np.minimum((gap[w] - gap[u]) / width, 1.0), spans)
+    tau = np.repeat(np.minimum((value[w] - value[u]) / width, 0.0), spans)
+    q_interior = np.where(right[1 : k - 1], np.diff(tau), np.diff(sigma))
+    q_last = -tau[-1] if right[k - 1] else 1.0 - sigma[-1]
+    return _pair_from_kinks(grid, float(sigma[0]), np.append(q_interior, q_last), 0.0)
 
 
 def _bin_pair_atoms_down(pair: DiscreteDominatingPair, grid: DiscretizationGrid) -> np.ndarray:

@@ -145,6 +145,33 @@ class TestOptimisticPair:
         assert np.all(cands.backward >= floor(nodes[cands.i_one :]))
         assert np.all(np.asarray(est.value(nodes)) >= floor(nodes) - 1e-15)
 
+    @pytest.mark.parametrize("sigma, spacing", [(0.1, 0.3), (0.1, 0.01), (0.5, 0.3), (0.5, 0.01)])
+    def test_kinks_far_right_of_one_keep_their_precision(self, sigma, spacing):
+        # past alpha = 1 the curve's slopes h' fall below 1e-16; as slopes of
+        # the gap, 1 + h', they rounded to 1, and P = alpha * Q summed to 2.1
+        # (sigma = 0.1) or to 1 + 2e-11 (sigma = 0.5) instead of 1
+        curve, grid = build({"kind": "gaussian", "noise_scale": sigma}, spacing)
+        pair = pb.optimistic_pair(curve, grid)
+        assert pair.clamp_count == 0
+        est = pb.curve_of(pair)
+        nodes = grid.alphas[: grid.k]
+        h = np.asarray(curve.value(nodes))
+        assert np.all(np.asarray(est.value(nodes)) <= h * (1.0 + 1e-9) + 1e-15)
+
+    def test_single_step_bracket_holds_at_small_delta(self):
+        # delta = 1e-9 sits at alpha = e^10.5; the rounded kinks there put the
+        # optimistic epsilon above the exact one and above the pessimistic one
+        from oracles import gaussian_epsilon_exact
+
+        request = pb.AccountingRequest(
+            mechanism=pb.MechanismSpec.gaussian(0.625),
+            discretization=1 / 128,
+            compositions=1,
+            delta_target=1e-9,
+        )
+        report = pb.run_compute(request)
+        assert report.eps_low <= gaussian_epsilon_exact(0.625, 1e-9) <= report.eps_high
+
     def test_requires_alpha_one(self):
         grid = pb.DiscretizationGrid.from_alphas([0.0, 0.5, 2.0, INF])
         with pytest.raises(pb.RequestError, match="alpha = 1"):
