@@ -147,6 +147,11 @@ class FinitePLD:
     pair, which forces masses[0] = 0; rounded-down baseline estimates and
     optimistically truncated compositions may carry mass at -inf and are
     flagged improper (they are used for divergence evaluation only).
+
+    ``truncated_low`` and ``truncated_high`` record the tail mass that
+    composition relocated from the low and the high end; ``rounding_charge``
+    records the mass it moved, or added at +inf, to cover a bound on its
+    round-off (see ``compose.self_compose``).
     """
 
     finite_epsilons: np.ndarray
@@ -155,6 +160,7 @@ class FinitePLD:
     proper: bool = True
     truncated_low: float = 0.0
     truncated_high: float = 0.0
+    rounding_charge: float = 0.0
 
     def __post_init__(self):
         eps = np.asarray(self.finite_epsilons, dtype=float)

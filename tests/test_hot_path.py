@@ -1,8 +1,8 @@
-"""Composition hot path: one-transform squaring, fast mass totals, the
+"""Composition hot path: two-operand FFT convolution, fast mass totals, the
 truncation cut search, import weight.
 
 The FFT branch must give the bits ``scipy.signal.fftconvolve`` gives (followed
-by the same clip and flush), whether or not a square shares one transform,
+by the same clip and flush), whether one operand is passed twice or as a copy,
 the mass gates must reach exactly the verdict of an exactly rounded
 ``math.fsum`` total, and truncation must cut where full running sums cut.
 """
@@ -122,16 +122,16 @@ class TestMassGateParity:
 
     def test_injected_excess_in_one_convolution_exits_3(self, capsys, monkeypatch):
         calls = []
-        fft_convolve = compose._fft_convolve
+        spectral_power = compose._spectral_power
 
-        def inject(fa, fb, square):
-            out = fft_convolve(fa, fb, square)
+        def inject(single, n, size):
+            out = spectral_power(single, n, size)
             if not calls:
                 out[int(np.argmax(out))] += 1.05e-11
-            calls.append(square)
+            calls.append(n)
             return out
 
-        monkeypatch.setattr(compose, "_fft_convolve", inject)
+        monkeypatch.setattr(compose, "_spectral_power", inject)
         code = cli.main(
             [
                 "compute",

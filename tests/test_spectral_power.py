@@ -1,0 +1,230 @@
+"""One-shot self-composition: one transform, one power of the spectrum, one inverse.
+
+The reference is ``method="direct"``: binary powering over ``np.convolve`` at
+full support, which is exact up to rounding.  With a zero budget the power
+must match it; with a positive budget the Chernoff window may let the tails
+wrap around, and the charge must keep each estimate on its own side of the
+reference at every epsilon.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pldbounds as pb
+from oracles import gaussian_epsilon_exact
+from pldbounds import compose
+
+SPACING = 0.1
+
+
+def _policy(direction: str, budget: float, method: str = "fft") -> pb.CompositionPolicy:
+    return pb.CompositionPolicy(direction, method=method, truncation_tail_mass=budget)
+
+
+def _pld(finite: np.ndarray, j0: int, neg: float = 0.0, inf: float = 0.0) -> pb.FinitePLD:
+    finite = finite * ((1.0 - neg - inf) / finite.sum())
+    return pb.FinitePLD(
+        finite_epsilons=(j0 + np.arange(finite.size)) * SPACING,
+        masses=np.concatenate(([neg], finite, [inf])),
+        spacing=SPACING,
+        proper=neg == 0.0,
+    )
+
+
+@st.composite
+def lattice_plds(draw) -> pb.FinitePLD:
+    """Random lattice PLDs: proper, with a +inf atom, or improper with a -inf atom."""
+    size = draw(st.integers(1, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # high powers concentrate the mass on a few points, so windows get narrow
+    finite = rng.random(size) ** rng.uniform(1.0, 30.0)
+    if not finite.any():
+        finite[0] = 1.0
+    atom = draw(st.sampled_from(("none", "inf", "neg")))
+    mass = draw(st.floats(1e-9, 0.2))
+    return _pld(
+        finite,
+        draw(st.integers(-300, 300)),
+        neg=mass if atom == "neg" else 0.0,
+        inf=mass if atom == "inf" else 0.0,
+    )
+
+
+def _on_its_side(out: pb.FinitePLD, exact: pb.FinitePLD, direction: str, epsilons) -> bool:
+    """Whether ``out`` bounds ``exact`` from its side at every epsilon, within 1e-15."""
+    for eps in epsilons:
+        got, want = pb.delta_at(out, float(eps)), pb.delta_at(exact, float(eps))
+        if (got < want - 1e-15) if direction == "pessimistic" else (got > want + 1e-15):
+            return False
+    return True
+
+
+def _eps_sweep(pld: pb.FinitePLD, n: int) -> np.ndarray:
+    lo = n * float(pld.finite_epsilons[0])
+    hi = n * float(pld.finite_epsilons[-1])
+    return np.linspace(lo - 1.0, hi + 1.0, 61)
+
+
+def _outside_window(exact: pb.FinitePLD, single: pb.FinitePLD, n: int, start: int, length: int):
+    """Finite masses of ``exact`` below and above the window, enumerated."""
+    j0 = n * round(float(single.finite_epsilons[0]) / SPACING)
+    first = round(float(exact.finite_epsilons[0]) / SPACING) - j0
+    finite = exact.masses[1:-1]
+    index = first + np.arange(finite.size)
+    below = math.fsum(finite[index < start].tolist())
+    above = math.fsum(finite[index >= start + length].tolist())
+    return below, above
+
+
+class TestAgainstDirect:
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_plds(), st.integers(2, 40), st.sampled_from(("pessimistic", "optimistic")))
+    def test_zero_budget_matches_direct(self, pld, n, direction):
+        fft = pb.self_compose(pld, n, _policy(direction, 0.0))
+        direct = pb.self_compose(pld, n, _policy(direction, 0.0, "direct"))
+        assert np.array_equal(fft.finite_epsilons, direct.finite_epsilons)
+        assert np.abs(fft.masses - direct.masses).sum() <= 1e-12
+        assert fft.truncated_low == fft.truncated_high == fft.rounding_charge == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice_plds(),
+        st.integers(2, 40),
+        st.sampled_from(("pessimistic", "optimistic")),
+        st.sampled_from((1e-12, 1e-9, 1e-6)),
+    )
+    def test_charge_keeps_each_side(self, pld, n, direction, budget):
+        out = pb.self_compose(pld, n, _policy(direction, budget))
+        exact = pb.self_compose(pld, n, _policy(direction, 0.0, "direct"))
+        assert out.truncated_low <= budget and out.truncated_high <= budget
+        assert _on_its_side(out, exact, direction, _eps_sweep(pld, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lattice_plds(), st.integers(2, 40), st.sampled_from((1e-12, 1e-9, 1e-6)))
+    def test_mass_outside_the_window_is_at_most_w(self, pld, n, budget):
+        single = pld.masses[1:-1]
+        full = n * (single.size - 1) + 1
+        w = budget / n
+        start, length = compose._window(single, n, w, full)
+        assert 0 <= start and start + length <= full
+        exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
+        below, above = _outside_window(exact, pld, n, start, length)
+        assert below <= w and above <= w
+
+
+def test_narrow_windows_charge_the_wrap():
+    # concentrated masses and many folds: the window is a small share of the support
+    rng = np.random.default_rng(11)
+    pld = _pld(rng.random(60) ** 20, -30)
+    n = 40
+    exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
+    for direction in ("pessimistic", "optimistic"):
+        out = pb.self_compose(pld, n, _policy(direction, 1e-6))
+        assert out.support_size < exact.support_size // 2
+        charged = out.truncated_high if direction == "pessimistic" else out.truncated_low
+        assert charged == pytest.approx(1e-6 / n, rel=1e-12)
+        assert _on_its_side(out, exact, direction, _eps_sweep(pld, n))
+
+
+def test_a_window_shorter_than_the_single_step_folds_it():
+    # a narrow bulk plus a flat floor of 1e-13 per point over 4001 points: the
+    # two-fold window is shorter than the single step, and dropping the
+    # entries beyond it (as rfft's cropping would) loses about 1e-10
+    offsets = np.arange(-2000, 2001)
+    finite = np.exp(-0.5 * (offsets / 3.0) ** 2)
+    finite /= finite.sum()
+    finite = finite * (1.0 - 4001e-13) + 1e-13
+    pld = _pld(finite, -2000)
+    single = pld.masses[1:-1]
+    n = 2
+    start, length = compose._window(single, n, 1e-6 / n, n * (single.size - 1) + 1)
+    assert length < single.size
+    exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
+    for direction in ("pessimistic", "optimistic"):
+        out = pb.self_compose(pld, n, _policy(direction, 1e-6))
+        assert abs(math.fsum(out.masses.tolist()) - 1.0) <= 1e-13
+        assert _on_its_side(out, exact, direction, _eps_sweep(pld, n))
+
+
+def test_a_heavy_extreme_atom_stays_in_the_window():
+    # two points 1000 lattice steps apart, 0.9 of the mass on the top one: the
+    # n-fold top point keeps 0.9^20 = 0.12 and must not wrap
+    finite = np.zeros(1001)
+    finite[0], finite[-1] = 0.1, 0.9
+    pld = _pld(finite, -500)
+    n = 20
+    single = pld.masses[1:-1]
+    full = n * (single.size - 1) + 1
+    start, length = compose._window(single, n, 1e-9 / n, full)
+    assert start + length == full
+    exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
+    for direction in ("pessimistic", "optimistic"):
+        out = pb.self_compose(pld, n, _policy(direction, 1e-9))
+        assert out.finite_epsilons[-1] == exact.finite_epsilons[-1]
+        # the wrapped low tail may land on the top point, by at most W, and
+        # the optimistic charge may take W plus the round-off charge from it
+        assert abs(out.masses[-2] - 0.9**n) <= 1e-9 / n + out.rounding_charge
+        assert _on_its_side(out, exact, direction, _eps_sweep(pld, n))
+
+
+def test_support_cap_is_checked_before_the_transform(monkeypatch):
+    def fail(*args):
+        raise AssertionError("transform ran")
+
+    monkeypatch.setattr(compose, "_spectral_power", fail)
+    pld = _pld(np.ones(64), 0)
+    with pytest.raises(pb.RequestError, match="max_support"):
+        pb.self_compose(pld, 8, pb.CompositionPolicy("pessimistic", max_support=64))
+
+
+def test_direct_self_composition_never_truncates():
+    # the budget sizes the fft window only; the reference keeps the full support
+    rng = np.random.default_rng(5)
+    pld = _pld(rng.random(60) ** 20, -30)
+    n = 40
+    full = n * (pld.support_size - 1) + 1
+    out = pb.self_compose(pld, n, _policy("pessimistic", 1e-6, "direct"))
+    assert out.support_size == full
+    assert out.truncated_low == out.truncated_high == out.rounding_charge == 0.0
+    capped = dataclasses.replace(_policy("pessimistic", 1e-6, "direct"), max_support=full - 1)
+    with pytest.raises(pb.RequestError, match="max_support"):
+        pb.self_compose(pld, n, capped)
+    fft = pb.self_compose(pld, n, dataclasses.replace(capped, method="fft"))
+    assert fft.support_size < full
+
+
+def test_cross_infinity_self_composition_rejected():
+    pld = _pld(np.ones(3), -1, neg=0.1, inf=0.1)
+    with pytest.raises(pb.RequestError, match="-inf mass against \\+inf"):
+        pb.self_compose(pld, 2, _policy("optimistic", 0.0))
+
+
+def test_atoms_compose_in_closed_form():
+    pld = _pld(np.ones(5), -2, inf=0.01)
+    out = pb.self_compose(pld, 300, _policy("pessimistic", 0.0))
+    assert out.mass_at_infinity == pytest.approx(1.0 - 0.99**300, rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.floats(0.6, 4.0),
+    n=st.integers(1, 3000),
+    spacing=st.floats(2e-3, 2e-2),
+    delta=st.floats(1e-9, 1e-3),
+)
+def test_gaussian_bracket_contains_the_closed_form(sigma, n, spacing, delta):
+    request = pb.AccountingRequest(
+        mechanism=pb.MechanismSpec.gaussian(sigma),
+        discretization=spacing,
+        compositions=n,
+        delta_target=delta,
+    )
+    report = pb.run_compute(request)
+    exact = gaussian_epsilon_exact(sigma / math.sqrt(n), delta)
+    assert report.eps_low <= exact + 1e-9
+    assert exact <= report.eps_high + 1e-9
