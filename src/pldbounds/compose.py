@@ -38,7 +38,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NumericalValidityError, RequestError
-from .pld import FinitePLD
+from .pld import FinitePLD, _lattice
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
 
@@ -150,8 +150,8 @@ def _truncate(
     if lo_cut == 0 and hi_cut == 0:
         return finite, j0, neg_mass, inf_mass, 0.0, 0.0
     hi_keep = finite.size - hi_cut
-    moved_low = float(math.fsum(finite[:lo_cut].tolist()))
-    moved_high = float(math.fsum(finite[hi_keep:].tolist()))
+    moved_low = float(math.fsum(memoryview(finite[:lo_cut])))
+    moved_high = float(math.fsum(memoryview(finite[hi_keep:])))
     finite = finite[lo_cut:hi_keep].copy()
     if direction == "pessimistic":
         finite[0] += moved_low
@@ -212,7 +212,7 @@ def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD
         )
     masses = np.concatenate(([neg_mass], finite, [inf_mass]))
     return FinitePLD(
-        finite_epsilons=(j0 + np.arange(finite.size)) * spacing,
+        finite_epsilons=_lattice(j0, finite.size, spacing),
         masses=masses,
         spacing=spacing,
         proper=a.proper and b.proper and neg_mass == 0.0,
@@ -385,7 +385,7 @@ def _charge(finite: np.ndarray, budget: float, direction: str) -> tuple[np.ndarr
     """
     tail = finite if direction == "pessimistic" else finite[::-1]
     cut = _tail_count(tail, budget)
-    taken = math.fsum(tail[:cut].tolist())
+    taken = math.fsum(memoryview(tail[:cut]))
     tail[:cut] = 0.0
     if cut < tail.size:
         part = min(max(budget - taken, 0.0), float(tail[cut]))
@@ -479,9 +479,16 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         size = next_fast_len(length, True)
         power = _spectral_power(single, n, size)
         if budget > 0.0:
-            mass = math.fsum(single.tolist())
+            mass = math.fsum(memoryview(single))
             rounding = _rounding_bound(single, mass, n, size, power)
-        finite = np.roll(power, -start)[:length]
+        # the window starts at start modulo the transform size; a window that
+        # wraps past the end is copied, and the transform is then released
+        first = start % size
+        if first + length <= size:
+            finite = power[first : first + length]
+        else:
+            finite = np.concatenate((power[first:], power[: first + length - size]))
+        del power
         worst = float(finite.min())
         if worst < -_FFT_NEG_TOL:
             raise NumericalValidityError(f"fft power went negative ({worst:.3e})")
@@ -504,7 +511,7 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     truncated = min(wrap, taken)
     j0 = n * round(float(pld.finite_epsilons[0]) / spacing) + start
     return FinitePLD(
-        finite_epsilons=(j0 + np.arange(finite.size)) * spacing,
+        finite_epsilons=_lattice(j0, finite.size, spacing),
         masses=np.concatenate(([neg_mass], finite, [inf_mass])),
         spacing=spacing,
         proper=pld.proper and neg_mass == 0.0,

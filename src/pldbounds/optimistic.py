@@ -56,8 +56,10 @@ reproduces piecewise-linear curves exactly when their kinks lie on the
 grid: there the midpoint line is the curve's own segment.
 
 Candidate generation is vectorised (each line depends only on its own
-interval, so the evaluation order is free); the hull is a single
-monotone-chain sweep.
+interval, so the evaluation order is free).  The hull is a monotone-chain
+sweep that pushes each run of nodes it would keep without a pop in one
+step, from slopes computed vectorised by the sweep's own float operations,
+so its vertices are exactly those of the plain sweep (see ``_lower_hull``).
 
 Numerically the construction runs in local coordinates: the gap
 g = f - (1 - alpha) up to alpha = 1, which keeps full precision where the
@@ -215,7 +217,9 @@ def candidate_set(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Candidat
     return CandidateSet(forward=f[: i_one + 1], backward=f[i_one:], i_one=i_one)
 
 
-def _lower_hull(xs: list, gaps: list, values: list, right: list) -> list[int]:
+def _lower_hull(
+    xs: np.ndarray, gaps: np.ndarray, values: np.ndarray, right: np.ndarray
+) -> list[int]:
     """Monotone-chain lower hull over points sorted by x; returns vertex indices.
 
     Convexity at a vertex is tested on slopes in its own coordinates: gap
@@ -223,10 +227,50 @@ def _lower_hull(xs: list, gaps: list, values: list, right: list) -> list[int]:
     of each stack edge is kept in its right end's coordinates.  The pop
     predicate is strict, so at every vertex the two edge slopes, in its
     coordinates, strictly increase as floats.
+
+    Runs that the sweep would push without a pop are pushed in one step.
+    For each node i, s_in[i] is the slope from i - 1 to i and s_out[i] the
+    slope from i to i + 1, both in i's coordinates and computed vectorised
+    by the sweep's own IEEE operations (a difference of heights over a
+    difference of xs); node i is good when s_out[i] > s_in[i].  Say the
+    stack ends in idx - 2, idx - 1 and node idx - 1 is good.  The top slope
+    is then s_in[idx - 1], the sweep's first test at idx compares it with
+    s_out[idx - 1] and keeps idx - 1, and the sweep pushes idx with slope
+    s_in[idx], so the stack again ends in two consecutive nodes.  By
+    induction the sweep pushes idx..j without a pop, with slopes
+    s_in[idx..j], where j is the first node from idx on that is not good
+    (or the last node); that is what the fast-forward pushes.  Every other
+    node takes the sweep's step as written, so the vertices are exactly the
+    sweep's.
     """
+    k = xs.size
+    dx = xs[1:] - xs[:-1]
+    s_gap = (gaps[1:] - gaps[:-1]) / dx
+    s_value = (values[1:] - values[:-1]) / dx
+    # s_in[i - 1] is node i's in-slope, s_out[i] its out-slope
+    s_in = np.where(right[1:], s_value, s_gap)
+    s_out = np.where(right[:-1], s_value, s_gap)
+    good = np.zeros(k, dtype=bool)
+    np.greater(s_out[1:], s_in[:-1], out=good[1:-1])
+    # nodes that are not good; the two end nodes never are
+    stops = np.flatnonzero(~good).tolist()
+    stop = 0
+    # a list reads faster than a memoryview but costs a conversion per node,
+    # which pays off where the sweep's own steps are frequent
+    view = np.ndarray.tolist if 8 * len(stops) > k else memoryview
+    xs, gaps, values, right, good, s_in = map(view, (xs, gaps, values, right, good, s_in))
     stack = [0]
     slopes: list[float] = []
-    for idx in range(1, len(xs)):
+    idx = 1
+    while idx < k:
+        if good[idx - 1] and stack[-2] == idx - 2:
+            while stops[stop] < idx:
+                stop += 1
+            end = stops[stop] + 1
+            stack += range(idx, end)
+            slopes += s_in[idx - 1 : end - 1]
+            idx = end
+            continue
         heights = values if right[idx] else gaps
         while slopes:
             top = stack[-1]
@@ -239,6 +283,7 @@ def _lower_hull(xs: list, gaps: list, values: list, right: list) -> list[int]:
         top = stack[-1]
         slopes.append((heights[idx] - heights[top]) / (xs[idx] - xs[top]))
         stack.append(idx)
+        idx += 1
     return stack
 
 
@@ -259,7 +304,7 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
     a = grid.alphas[:k]
     right = a > 1.0
     gap, value = _both_coordinates(c, a, right)
-    vertices = np.array(_lower_hull(a.tolist(), gap.tolist(), value.tolist(), right.tolist()))
+    vertices = np.array(_lower_hull(a, gap, value, right))
     u, w = vertices[:-1], vertices[1:]
     width = a[w] - a[u]
     spans = np.diff(vertices)

@@ -85,14 +85,14 @@ def _mass_total(masses: np.ndarray, *cuts: float) -> float:
     bound = (depth + 2) * 2.0**-52 * total
     if all(abs(total - cut) > bound for cut in cuts):
         return total
-    return math.fsum(masses.tolist())
+    return math.fsum(memoryview(masses))
 
 
 def _require_unit_mass(masses: np.ndarray, name: str) -> None:
-    """Reject masses whose fsum total is off 1 by more than _MASS_ATOL."""
-    if abs(_mass_total(masses, 1.0 - _MASS_ATOL, 1.0 + _MASS_ATOL) - 1.0) > _MASS_ATOL:
+    """Reject masses whose fsum total is off 1 by more than _MASS_ATOL, or NaN."""
+    if not abs(_mass_total(masses, 1.0 - _MASS_ATOL, 1.0 + _MASS_ATOL) - 1.0) <= _MASS_ATOL:
         raise NumericalValidityError(
-            f"{name} masses sum to {math.fsum(masses.tolist())!r}, expected 1"
+            f"{name} masses sum to {math.fsum(memoryview(masses))!r}, expected 1"
         )
 
 
@@ -175,11 +175,9 @@ class FinitePLD:
         else:
             if not (self.spacing > 0 and math.isfinite(self.spacing)):
                 raise RequestError(f"spacing must be positive and finite, got {self.spacing}")
-            j0 = round(float(eps[0]) / self.spacing)
-            lattice = (j0 + np.arange(eps.size)) * self.spacing
-            if np.max(np.abs(eps - lattice)) > _SPACING_ATOL:
+            if _lattice_deviation(eps, self.spacing) > _SPACING_ATOL:
                 raise RequestError("finite epsilons are not consecutive multiples of the spacing")
-        if np.any(m < -1e-15):
+        if m.min() < -1e-15:
             raise NumericalValidityError("negative probability mass in PLD")
         m = np.maximum(m, 0.0)
         object.__setattr__(self, "finite_epsilons", eps)
@@ -198,6 +196,24 @@ class FinitePLD:
     def support_size(self) -> int:
         """Number of finite support points."""
         return int(self.finite_epsilons.size)
+
+
+def _lattice(j0: int, size: int, spacing: float) -> np.ndarray:
+    """Epsilons (j0 + i) * spacing for i < size, one array scaled in place.
+
+    The float ``arange`` holds integers below 2^53 exactly, so this equals
+    ``(j0 + np.arange(size)) * spacing``.
+    """
+    epsilons = np.arange(j0, j0 + size, dtype=float)
+    epsilons *= spacing
+    return epsilons
+
+
+def _lattice_deviation(epsilons: np.ndarray, spacing: float) -> float:
+    """Largest distance of ``epsilons`` from the lattice through the first one, in one temporary."""
+    off = _lattice(round(float(epsilons[0]) / spacing), epsilons.size, spacing)
+    off -= epsilons
+    return float(np.abs(off, out=off).max())
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +283,7 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
     slopes = np.diff(h[:k]) / np.diff(grid.alphas[:k])
     q_interior = np.append(np.diff(slopes), -slopes[-1])
     # Q(a_0) via the normalising form 1 - sum, which keeps the Q total exact.
-    q_at_zero = 1.0 - math.fsum(np.maximum(q_interior, 0.0).tolist())
+    q_at_zero = 1.0 - math.fsum(memoryview(np.maximum(q_interior, 0.0)))
     return _pair_from_kinks(grid, q_at_zero, q_interior, float(h[k]))
 
 
@@ -291,7 +307,7 @@ def delta_at(pld: FinitePLD, epsilon: float) -> float:
     if epsilon == math.inf:
         return m_inf
     if epsilon == -math.inf:
-        return float(math.fsum(m[1:].tolist()))
+        return float(math.fsum(memoryview(m[1:])))
     eps_f = pld.finite_epsilons
     first = int(np.searchsorted(eps_f, epsilon, side="right"))
     if first == eps_f.size:
@@ -343,7 +359,7 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     )
     top = float(eps_f[k])
     above = pld.masses[1 + k :]
-    a = math.fsum(above.tolist())
+    a = math.fsum(memoryview(above))
     t = float(np.dot(above[:-1], np.exp(top - eps_f[k:])))
     lower = float(eps_f[k - 1]) if k else -math.inf
     if a > delta_target and t > 0.0:
@@ -391,7 +407,7 @@ def pld_from_json_dict(payload: dict) -> FinitePLD:
     neg = float(payload.get("mass_at_neg_infinity", 0.0))
     masses = np.concatenate(([neg], finite, [float(payload["mass_at_infinity"])]))
     return FinitePLD(
-        finite_epsilons=(np.arange(finite.size) - offset) * spacing,
+        finite_epsilons=_lattice(-offset, finite.size, spacing),
         masses=masses,
         spacing=spacing,
         proper=(neg == 0.0),

@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -17,6 +18,7 @@ from scipy.optimize import brentq
 import pldbounds as pb
 from oracles import gaussian_epsilon_exact, random_grid, random_pair, rr_product_delta
 from pldbounds import cli
+from pldbounds.grid import _SPACING_ATOL
 
 
 @st.composite
@@ -119,3 +121,45 @@ def test_gaussian_epsilon_beyond_alpha_range(capsys):
     assert cli.main(["compute", *flags]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["eps_low"] <= exact <= payload["eps_high"]
+
+
+def _five_point(masses: np.ndarray, epsilons: np.ndarray | None = None) -> pb.FinitePLD:
+    if epsilons is None:
+        epsilons = np.arange(-2, 3) * 0.1
+    return pb.FinitePLD(finite_epsilons=epsilons, masses=masses, spacing=0.1)
+
+
+_MASSES = np.array([0.0, 0.1, 0.2, 0.4, 0.2, 0.1, 0.0])
+
+
+def test_epsilons_off_the_lattice_are_rejected():
+    epsilons = np.arange(-2, 3) * 0.1
+    epsilons[3] += 0.5 * _SPACING_ATOL
+    assert _five_point(_MASSES.copy(), epsilons.copy()).support_size == 5
+    epsilons[3] += _SPACING_ATOL
+    with pytest.raises(pb.RequestError, match="not consecutive multiples of the spacing"):
+        _five_point(_MASSES.copy(), epsilons)
+
+
+def test_masses_below_the_slack_are_rejected_and_nan_masses_too():
+    masses = _MASSES.copy()
+    masses[2] = -3e-15
+    masses[3] += 0.2 + 3e-15
+    with pytest.raises(pb.NumericalValidityError, match="negative probability mass in PLD"):
+        _five_point(masses)
+    masses[2] = np.nan
+    with pytest.raises(pb.NumericalValidityError, match="PLD masses sum to nan"):
+        _five_point(masses)
+
+
+def test_the_callers_masses_stay_writable_and_unchanged():
+    masses = _MASSES.copy()
+    masses[2] = -5e-16
+    masses[3] += 0.2 + 5e-16
+    before = masses.copy()
+    pld = _five_point(masses)
+    assert masses.flags.writeable
+    assert np.array_equal(masses, before)
+    assert pld.masses is not masses and not pld.masses.flags.writeable
+    # the slack is clamped in the PLD's own copy only
+    assert pld.masses[2] == 0.0 and masses[2] == -5e-16

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 import pldbounds as pb
 from oracles import gaussian_epsilon_exact
@@ -228,3 +229,45 @@ def test_gaussian_bracket_contains_the_closed_form(sigma, n, spacing, delta):
     exact = gaussian_epsilon_exact(sigma / math.sqrt(n), delta)
     assert report.eps_low <= exact + 1e-9
     assert exact <= report.eps_high + 1e-9
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+@pytest.mark.parametrize(
+    "center, n, budget, placement",
+    [
+        (50.0, 40, 1e-6, "starts past the transform size and wraps"),
+        (10.0, 4, 1e-6, "starts inside the transform and wraps"),
+        (30.0, 3, 0.0, "covers the whole support and starts at 0"),
+    ],
+)
+def test_the_window_is_the_rolled_power(monkeypatch, center, n, budget, placement, direction):
+    # the window is taken from the circular power at start modulo its size;
+    # compare it with np.roll, which takes the same modulo itself
+    offsets = np.arange(61.0)
+    pld = _pld(np.exp(-0.5 * ((offsets - center) / 3.0) ** 2), -20)
+    single = pld.masses[1:-1]
+    full = n * (single.size - 1) + 1
+    start, length = compose._window(single, n, budget / n, full)
+    size = next_fast_len(length, True)
+    wraps = start % size + length > size
+    assert (start >= size, wraps) == {
+        "starts past the transform size and wraps": (True, True),
+        "starts inside the transform and wraps": (False, True),
+        "covers the whole support and starts at 0": (False, False),
+    }[placement]
+    expected = np.roll(compose._spectral_power(single, n, size), -start)[:length]
+    np.maximum(expected, 0.0, out=expected)
+    expected[expected < compose._MASS_FLOOR] = 0.0
+    charged = []
+    charge = compose._charge
+
+    def record(finite, *args):
+        charged.append(finite.copy())
+        return charge(finite, *args)
+
+    monkeypatch.setattr(compose, "_charge", record)
+    out = pb.self_compose(pld, n, _policy(direction, budget))
+    # a positive budget charges the window; a zero one returns it as is
+    window = charged[0] if budget > 0.0 else out.masses[1:-1]
+    assert len(charged) == (budget > 0.0)
+    assert np.array_equal(window, expected)
