@@ -21,12 +21,15 @@ estimate survives:
 ``self_compose`` computes an n-fold composition with one transform, one
 n-th power of the spectrum and one inverse transform (Koskela, Jalko and
 Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
-AISTATS 2020).  The transform covers a window of the n-fold lattice sized by
-Chernoff bounds so that at most truncation_tail_mass / n of the mass lies
-outside it on each side; that mass wraps around into the window.  The wrap
-and a bound on the transform's round-off are charged on the safe side inside
-the result (see ``self_compose``).  ``convolve`` does not charge its
-round-off.
+AISTATS 2020).  Spectrum entries whose n-th power would underflow, those
+with |s| < 2^(-1022 / n), are set to 0 instead of powered (see
+``_spectral_power``).  The transform covers a window of the n-fold lattice
+sized by Chernoff bounds so that at most truncation_tail_mass / n of the mass
+lies outside it on each side; that mass wraps around into the window.  The
+wrap and a bound on the transform's round-off, which includes the powers the
+zeroed entries leave out (see ``_rounding_bound``), are charged on the safe
+side inside the result (see ``self_compose``).  ``convolve`` does not charge
+its round-off.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NumericalValidityError, RequestError
-from .pld import FinitePLD, _lattice
+from .pld import FinitePLD, _exact_sum, _lattice
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
 
@@ -150,8 +153,8 @@ def _truncate(
     if lo_cut == 0 and hi_cut == 0:
         return finite, j0, neg_mass, inf_mass, 0.0, 0.0
     hi_keep = finite.size - hi_cut
-    moved_low = float(math.fsum(memoryview(finite[:lo_cut])))
-    moved_high = float(math.fsum(memoryview(finite[hi_keep:])))
+    moved_low = _exact_sum(finite[:lo_cut])
+    moved_high = _exact_sum(finite[hi_keep:])
     finite = finite[lo_cut:hi_keep].copy()
     if direction == "pessimistic":
         finite[0] += moved_low
@@ -305,16 +308,44 @@ def _window(single: np.ndarray, n: int, budget: float, full: int) -> tuple[int, 
     return min(lo, full - length), length
 
 
+def _times_in_place(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b into a: a fresh array per product would pay its page faults again."""
+    return np.multiply(a, b, out=a)
+
+
+def _live_threshold(n: int) -> float:
+    """tau = 2^(-1022 / n): an entry below it has an n-th power below 2^-1022."""
+    return 2.0 ** (-1022.0 / n)
+
+
 def _spectral_power(single: np.ndarray, n: int, size: int) -> np.ndarray:
     """Circular n-fold self-convolution at length ``size``: one rfft, one power, one irfft.
 
     Entries beyond ``size`` are first folded onto their index modulo
-    ``size``; ``rfft`` would silently drop them.
+    ``size``; ``rfft`` would silently drop them.  Spectrum entries with
+    |s| < tau (``_live_threshold``) are set to 0 instead of powered: their
+    n-th powers are below 2^-1022, and the chain of squarings that would
+    reach them runs through subnormals, which cost tens of times a normal
+    product.  ``_rounding_bound`` charges what the zeros leave out.  The
+    live entries are gathered into a compact band when they are at most
+    half of the spectrum, and powered in place otherwise.
     """
     if single.size > size:
         single = np.pad(single, (0, -single.size % size)).reshape(-1, size).sum(axis=0)
-    # in-place products: a fresh array per product pays its page faults again
-    spectrum = _binary_power(rfft(single, size), n, lambda a, b: np.multiply(a, b, out=a))
+    spectrum = rfft(single, size)
+    live = np.abs(spectrum) >= _live_threshold(n)
+    count = int(np.count_nonzero(live))
+    if 2 * count > live.size:
+        if count < live.size:
+            spectrum[~live] = 0.0
+        spectrum = _binary_power(spectrum, n, _times_in_place)
+    else:
+        # numpy multiplies a one-entry array on a scalar path whose last bit
+        # can differ from its vector loop's, so a lone entry goes in twice
+        at = np.flatnonzero(live).repeat(2 if count == 1 else 1)
+        band = _binary_power(spectrum[at], n, _times_in_place)
+        spectrum.fill(0.0)
+        spectrum[at] = band
     return irfft(spectrum, size)
 
 
@@ -343,11 +374,17 @@ def _rounding_bound(single: np.ndarray, mass: float, n: int, size: int, power: n
     - the power maps that to n (mass + d)^(n - 1) d, as |s_k| <= mass;
     - every complex product errs by at most 3u relatively, and a power is
       n - 1 products deep: a relative (1 + 3u)^(n - 1) - 1;
-    - the inverse transform errs by eta ||P||_2.
+    - the inverse transform errs by eta ||P||_2;
+    - the entries ``_spectral_power`` set to 0 instead of powering have
+      |s_k| < tau' (1 + u), tau' the threshold it applied and the factor the
+      rounding of |s_k|.  The powers they leave out total at most
+      sqrt(size + 2) tau'^n in the 2-norm: the rfft's size // 2 + 1
+      entries, each counted with its conjugate, are at most size + 2.
+      Their distance to the exact powers is already in the power's term.
 
     ||P||_2, the norm of the spectrum's power, is read back from ``power``
     by Parseval.  Entries flushed below ``_MASS_FLOOR`` add at most that
-    much each.
+    much each.  The final slack covers (1 + u)^n and the rounding of tau'^n.
     """
     eta = _fft_error(size)
     rows = -(-single.size // size)
@@ -357,6 +394,7 @@ def _rounding_bound(single: np.ndarray, mass: float, n: int, size: int, power: n
     p_norm = math.sqrt(size * float(power @ power)) / (1.0 - eta)
     products = math.expm1((n - 1) * math.log1p(3.0 * _U))
     bound = n * (mass + d) ** (n - 1) * d + (products / (1.0 - products) + eta) * p_norm
+    bound += math.sqrt(size + 2) * _live_threshold(n) ** n
     # slack for evaluating the bound itself
     return (bound + size * _MASS_FLOOR) * (1.0 + 1e-6)
 
@@ -385,7 +423,7 @@ def _charge(finite: np.ndarray, budget: float, direction: str) -> tuple[np.ndarr
     """
     tail = finite if direction == "pessimistic" else finite[::-1]
     cut = _tail_count(tail, budget)
-    taken = math.fsum(memoryview(tail[:cut]))
+    taken = _exact_sum(tail[:cut])
     tail[:cut] = 0.0
     if cut < tail.size:
         part = min(max(budget - taken, 0.0), float(tail[cut]))
@@ -479,7 +517,7 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         size = next_fast_len(length, True)
         power = _spectral_power(single, n, size)
         if budget > 0.0:
-            mass = math.fsum(memoryview(single))
+            mass = _exact_sum(single)
             rounding = _rounding_bound(single, mass, n, size, power)
         # the window starts at start modulo the transform size; a window that
         # wraps past the end is copied, and the transform is then released

@@ -62,22 +62,86 @@ _CLAMP_TOL = 1e-12
 #: Tolerance on total probability mass after construction or composition.
 _MASS_ATOL = 1e-11
 
+#: ``_exact_sum`` adds at most this many values: a binade's sum of 27-bit
+#: mantissa halves then stays an integer below 2^53, so float adds are exact.
+_EXACT_SUM_MAX = 1 << 26
+
+#: ``np.frexp`` exponents of finite doubles lie in [-1073, 1024].
+_FREXP_LOW = -1073
+_FREXP_BINS = 1024 - _FREXP_LOW + 1
+
+#: Values ``_exact_sum`` splits per pass, so that its temporaries stay small.
+_SUM_BLOCK = 1 << 14
+
+#: Below this many values ``math.fsum``'s loop is faster than the bins' set-up.
+_EXACT_SUM_MIN = 2048
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of ``values``, bit for bit ``math.fsum``'s.
+
+    Each value is M * 2^(e - 53) with an integer M = H * 2^26 + L, |H| < 2^27
+    and |L| < 2^26 (``np.frexp``, then exact scalings and one exact
+    subtraction).  ``np.bincount`` sums H and L per exponent e, block by
+    block; at most ``_EXACT_SUM_MAX`` values keep every partial sum an
+    integer below 2^53, so the bins are exact.  The bins combine as Python
+    integers into one integer T with sum = T * 2^(-1073 - 53), and one
+    correctly rounded integer division gives the float.  fsum also rounds
+    its exact sum correctly, to the same float, and returns +0.0 for an
+    exact zero, as this does.  Short and long arrays, non-finite values,
+    and sums whose magnitude could overflow fsum's partials (it raises
+    then) are left to ``math.fsum``.
+    """
+    size = values.size
+    if not _EXACT_SUM_MIN <= size <= _EXACT_SUM_MAX:
+        return math.fsum(memoryview(values))
+    high_bins = np.zeros(_FREXP_BINS)
+    low_bins = np.zeros(_FREXP_BINS)
+    top = _FREXP_LOW
+    for begin in range(0, size, _SUM_BLOCK):
+        block = values[begin : begin + _SUM_BLOCK]
+        if not np.isfinite(block).all():
+            return math.fsum(memoryview(values))
+        mantissas, exponents = np.frexp(block)
+        top = max(top, int(exponents.max()))
+        exponents -= _FREXP_LOW
+        mantissas *= 2.0**27
+        high = np.trunc(mantissas)
+        mantissas -= high
+        high_bins += np.bincount(exponents, high, _FREXP_BINS)
+        low_bins += np.bincount(exponents, mantissas, _FREXP_BINS)
+    if top + size.bit_length() >= 1023:
+        return math.fsum(memoryview(values))
+    used = np.flatnonzero((high_bins != 0.0) | (low_bins != 0.0))
+    # the fractions L / 2^26 are multiples of 2^-26, so their bins scale exactly
+    low_bins *= 2.0**26
+    total = sum(
+        ((high << 26) + low) << shift
+        for shift, high, low in zip(
+            used.tolist(),
+            high_bins[used].astype(np.int64).tolist(),
+            low_bins[used].astype(np.int64).tolist(),
+        )
+    )
+    return total / (1 << (53 - _FREXP_LOW))
+
 
 def _mass_total(masses: np.ndarray, *cuts: float) -> float:
     """Total of non-negative masses, on the same side of every cut as the fsum total.
 
-    Returns ``np.sum`` unless its error bound reaches a cut, and the exactly
-    rounded ``math.fsum`` total otherwise.  numpy documents (partial) pairwise
-    summation for a float sum without an axis; its implementation adds blocks
-    of at most 128 values pairwise and may add buffer chunks of 8192 values in
-    sequence, so no value passes through more than
+    Returns ``np.sum`` unless its error bound reaches a cut, and the
+    correctly rounded total (``_exact_sum``, which is fsum's) otherwise.
+    numpy documents (partial) pairwise summation for a float sum without an
+    axis; its implementation adds blocks of at most 128 values pairwise and
+    may add buffer chunks of 8192 values in sequence, so no value passes
+    through more than
     d = 128 + ceil(log2 n) + ceil(n / 8192) roundings.  For non-negative
     values |np.sum - sum| <= d u sum / (1 - d u) with u = 2^-53 (Higham,
     Accuracy and Stability of Numerical Algorithms, section 4.2); with fsum's
     half-ulp and the rounding of a cut such as 1 + 1e-11, |np.sum - fsum| stays
     below the (d + 2) * 2^-52 * np.sum used here.  Its slack of about d u also
     covers entries down to -1e-15, which a pair admits, for n below 10^14.
-    A NaN or inf total always falls back to fsum.
+    A NaN or inf total always falls back to the exact sum.
     """
     total = float(np.sum(masses))
     n = max(masses.size, 1)
@@ -85,15 +149,13 @@ def _mass_total(masses: np.ndarray, *cuts: float) -> float:
     bound = (depth + 2) * 2.0**-52 * total
     if all(abs(total - cut) > bound for cut in cuts):
         return total
-    return math.fsum(memoryview(masses))
+    return _exact_sum(masses)
 
 
 def _require_unit_mass(masses: np.ndarray, name: str) -> None:
     """Reject masses whose fsum total is off 1 by more than _MASS_ATOL, or NaN."""
     if not abs(_mass_total(masses, 1.0 - _MASS_ATOL, 1.0 + _MASS_ATOL) - 1.0) <= _MASS_ATOL:
-        raise NumericalValidityError(
-            f"{name} masses sum to {math.fsum(memoryview(masses))!r}, expected 1"
-        )
+        raise NumericalValidityError(f"{name} masses sum to {_exact_sum(masses)!r}, expected 1")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,6 +214,10 @@ class FinitePLD:
     composition relocated from the low and the high end; ``rounding_charge``
     records the mass it moved, or added at +inf, to cover a bound on its
     round-off (see ``compose.self_compose``).
+
+    A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
+    read-only view of it, and the caller's array stays writable, so writing
+    to it later changes the PLD's epsilons.  The masses are copied.
     """
 
     finite_epsilons: np.ndarray
@@ -163,7 +229,8 @@ class FinitePLD:
     rounding_charge: float = 0.0
 
     def __post_init__(self):
-        eps = np.asarray(self.finite_epsilons, dtype=float)
+        # a view, so that freezing it leaves the caller's array writable
+        eps = np.asarray(self.finite_epsilons, dtype=float).view()
         m = np.asarray(self.masses, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps)):
             raise RequestError("need a non-empty 1-D array of finite epsilons")
@@ -283,7 +350,7 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
     slopes = np.diff(h[:k]) / np.diff(grid.alphas[:k])
     q_interior = np.append(np.diff(slopes), -slopes[-1])
     # Q(a_0) via the normalising form 1 - sum, which keeps the Q total exact.
-    q_at_zero = 1.0 - math.fsum(memoryview(np.maximum(q_interior, 0.0)))
+    q_at_zero = 1.0 - _exact_sum(np.maximum(q_interior, 0.0))
     return _pair_from_kinks(grid, q_at_zero, q_interior, float(h[k]))
 
 
@@ -307,7 +374,7 @@ def delta_at(pld: FinitePLD, epsilon: float) -> float:
     if epsilon == math.inf:
         return m_inf
     if epsilon == -math.inf:
-        return float(math.fsum(memoryview(m[1:])))
+        return _exact_sum(m[1:])
     eps_f = pld.finite_epsilons
     first = int(np.searchsorted(eps_f, epsilon, side="right"))
     if first == eps_f.size:
@@ -359,7 +426,7 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     )
     top = float(eps_f[k])
     above = pld.masses[1 + k :]
-    a = math.fsum(memoryview(above))
+    a = _exact_sum(above)
     t = float(np.dot(above[:-1], np.exp(top - eps_f[k:])))
     lower = float(eps_f[k - 1]) if k else -math.inf
     if a > delta_target and t > 0.0:

@@ -163,3 +163,15 @@ def test_the_callers_masses_stay_writable_and_unchanged():
     assert pld.masses is not masses and not pld.masses.flags.writeable
     # the slack is clamped in the PLD's own copy only
     assert pld.masses[2] == 0.0 and masses[2] == -5e-16
+
+
+def test_the_callers_epsilons_stay_writable_and_the_plds_are_frozen():
+    epsilons = np.arange(-2, 3) * 0.1
+    pld = _five_point(_MASSES.copy(), epsilons)
+    assert epsilons.flags.writeable
+    assert not pld.finite_epsilons.flags.writeable
+    # a view, not a copy
+    assert np.shares_memory(pld.finite_epsilons, epsilons)
+    epsilons[0] = -0.2
+    with pytest.raises(ValueError, match="read-only"):
+        pld.finite_epsilons[0] = -0.2

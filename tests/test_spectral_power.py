@@ -5,6 +5,11 @@ full support, which is exact up to rounding.  With a zero budget the power
 must match it; with a positive budget the Chernoff window may let the tails
 wrap around, and the charge must keep each estimate on its own side of the
 reference at every epsilon.
+
+``_spectral_power`` sets spectrum entries whose n-th power underflows to 0
+instead of powering them.  The plain power of the whole spectrum, kept below
+as the oracle, must give the same masses wherever they reach ``_MASS_FLOOR``,
+unless the n-fold finite mass itself nears underflow.
 """
 
 import dataclasses
@@ -14,13 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len
+from scipy.fft import irfft, next_fast_len, rfft
 
 import pldbounds as pb
 from oracles import gaussian_epsilon_exact
 from pldbounds import compose
 
 SPACING = 0.1
+_M = pb.MechanismSpec
 
 
 def _policy(direction: str, budget: float, method: str = "fft") -> pb.CompositionPolicy:
@@ -271,3 +277,104 @@ def test_the_window_is_the_rolled_power(monkeypatch, center, n, budget, placemen
     window = charged[0] if budget > 0.0 else out.masses[1:-1]
     assert len(charged) == (budget > 0.0)
     assert np.array_equal(window, expected)
+
+
+#: taken before any test patches ``compose._binary_power``
+_plain_binary_power = compose._binary_power
+
+
+def plain_power(single: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The circular n-fold power with every spectrum entry powered, in place."""
+    if single.size > size:
+        single = np.pad(single, (0, -single.size % size)).reshape(-1, size).sum(axis=0)
+    spectrum = _plain_binary_power(rfft(single, size), n, lambda a, b: np.multiply(a, b, out=a))
+    return irfft(spectrum, size)
+
+
+def _kept(power: np.ndarray) -> np.ndarray:
+    """The masses ``self_compose`` keeps from a power: clipped at 0, flushed below the floor."""
+    power = np.maximum(power, 0.0)
+    power[power < compose._MASS_FLOOR] = 0.0
+    return power
+
+
+def _assert_flush_keeps_the_masses(single: np.ndarray, n: int, size: int) -> None:
+    flushed = _kept(compose._spectral_power(single, n, size))
+    plain = _kept(plain_power(single, n, size))
+    if float(single.sum()) ** n >= 2.0**-900:
+        # the largest power, mass^n at frequency 0, rounds far above the
+        # powers the flush leaves out (below 2^-1022), so they vanish
+        assert np.array_equal(flushed, plain)
+    else:
+        # near underflow the masses may move by less than the floor's charge
+        assert np.abs(flushed - plain).sum() <= size * compose._MASS_FLOOR
+
+
+def _transform_size(single: np.ndarray, n: int, budget: float) -> int:
+    full = n * (single.size - 1) + 1
+    _, length = compose._window(single, n, budget / n, full)
+    return next_fast_len(length, True)
+
+
+class TestUnderflowFlush:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_plds(), st.integers(2, 3000), st.sampled_from((0.0, 1e-9, 1e-6)))
+    def test_the_masses_equal_the_plain_power(self, pld, n, budget):
+        single = pld.masses[1:-1]
+        _assert_flush_keeps_the_masses(single, n, _transform_size(single, n, budget))
+
+    def test_near_underflow_the_masses_move_less_than_the_floor_charge(self):
+        # a +inf atom of 0.2 leaves 0.8^3000 = 1e-291 of finite mass
+        pld = _pld(np.random.default_rng(3).random(40) ** 5, -20, inf=0.2)
+        single = pld.masses[1:-1]
+        for n in (2500, 3000):
+            _assert_flush_keeps_the_masses(single, n, _transform_size(single, n, 0.0))
+
+    @pytest.mark.parametrize(
+        "spec, spacing",
+        [
+            (_M.gaussian(2.0), 1e-4),
+            (_M.gaussian(1.0), 1e-3),
+            (_M.poisson_subsampled(_M.gaussian(1.0), 0.01), 1e-4),
+            (_M.poisson_subsampled(_M.gaussian(1.0), 0.01), 0.005),
+            (_M.poisson_subsampled(_M.laplace(5.0), 0.01), 2e-4),
+            (_M.randomized_response(1.0), 0.01),
+        ],
+        ids=["gaussian-2-1e-4", "gaussian-1-1e-3", "subsampled-gaussian-1e-4",
+             "subsampled-gaussian-5e-3", "subsampled-laplace-2e-4", "rr-1-0.01"],
+    )
+    @pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+    def test_real_grids_keep_their_masses_and_power_no_underflowing_entry(
+        self, monkeypatch, spec, spacing, direction
+    ):
+        curve = pb.curve_for(spec)
+        grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+        build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
+        single = pb.pld_of(build(curve, grid)).masses[1:-1]
+        bases = []
+
+        def record(base, n, times):
+            bases.append(base.copy())
+            return _plain_binary_power(base, n, times)
+
+        monkeypatch.setattr(compose, "_binary_power", record)
+        for n in (16, 100, 1000):
+            bases.clear()
+            size = _transform_size(single, n, 1e-9)
+            _assert_flush_keeps_the_masses(single, n, size)
+            (base,) = bases
+            live = np.abs(base) >= compose._live_threshold(n)
+            if base.size == size // 2 + 1:  # powered in place: the rest are zeros
+                assert np.all(live | (base == 0.0))
+            else:  # a gathered band
+                assert np.all(live)
+
+
+@pytest.mark.parametrize("n", [2, 100, 10**5])
+def test_the_bound_charges_the_entries_set_to_zero(n):
+    # a step without mass leaves no power and no error of it: what remains
+    # is the output floor's charge and the zeroed entries' sqrt(size + 2) tau^n
+    size = 4096
+    bound = compose._rounding_bound(np.zeros(8), 0.0, n, size, np.zeros(size))
+    zeroed = math.sqrt(size + 2) * compose._live_threshold(n) ** n
+    assert bound >= (size * compose._MASS_FLOOR + zeroed) * (1.0 + 1e-6)
