@@ -5,7 +5,9 @@ loss distribution of a product pair is the convolution of the loss
 distributions.  Finite masses convolve on the shared epsilon lattice
 (indices add); atoms at +inf (and, for improper rounded-down estimates, at
 -inf) are absorbing, so they combine by inclusion-exclusion while the finite
-parts convolve at their complementary weight.
+parts convolve at their complementary weight.  Both compositions clean their
+finite masses with ``_guard`` and build their result with
+``pld._lattice_pld`` at their operands' ``FinitePLD.lattice_offset``.
 
 ``convolve`` composes two distributions by one linear FFT convolution and
 truncates its tails direction-aware, so that the one-sided meaning of an
@@ -21,15 +23,13 @@ estimate survives:
 ``self_compose`` computes an n-fold composition with one transform, one
 n-th power of the spectrum and one inverse transform (Koskela, Jalko and
 Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
-AISTATS 2020).  Spectrum entries whose n-th power would underflow, those
-with |s| < 2^(-1022 / n), are set to 0 instead of powered (see
-``_spectral_power``).  The transform covers a window of the n-fold lattice
-sized by Chernoff bounds so that at most truncation_tail_mass / n of the mass
-lies outside it on each side; that mass wraps around into the window.  The
-wrap and a bound on the transform's round-off, which includes the powers the
-zeroed entries leave out (see ``_rounding_bound``), are charged on the safe
-side inside the result (see ``self_compose``).  ``convolve`` does not charge
-its round-off.
+AISTATS 2020) on a window of the n-fold lattice sized by Chernoff bounds;
+spectrum entries whose n-th power would underflow are set to 0
+(``_spectral_power``).  It charges on the safe side, inside the result, the
+mass that wraps around the window, a bound on its round-off
+(``_rounding_bound``) and, when pessimistic, the mass it may have lost by
+the ``np.sum`` bound ``pld._sum_error`` (see ``self_compose``).  ``convolve``
+does not charge its round-off.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NumericalValidityError, RequestError
-from .pld import FinitePLD, _exact_sum, _lattice
+from .pld import _U, FinitePLD, _exact_sum, _lattice_pld, _sum_error
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
 
@@ -55,16 +55,9 @@ _MASS_FLOOR = 1e-300
 #: indicates a real problem.
 _FFT_NEG_TOL = 1e-13
 
-#: Unit roundoff of binary64.
-_U = 2.0**-53
-
 #: Normwise relative error of one radix-2 FFT pass: Higham's
 #: eta = mu + gamma_4 (sqrt(2) + mu) is below 7u for twiddles within mu <= u.
 _FFT_PASS_ERR = 8.0 * _U
-
-#: Relative error bound of a pairwise ``np.sum`` over 2^k entries is
-#: gamma_(k + this): 128-entry blocks summed by eight accumulators.
-_SUM_DEPTH = 20
 
 #: Longest full support that a budgeted self-composition computes directly
 #: when its window would cover it: binary powering over ``np.convolve``
@@ -109,9 +102,30 @@ class CompositionPolicy:
 
 def point_mass_pld(spacing: float) -> FinitePLD:
     """Loss distribution of an empty composition: all mass at epsilon = 0."""
-    return FinitePLD(
-        finite_epsilons=np.array([0.0]), masses=np.array([0.0, 1.0, 0.0]), spacing=spacing
-    )
+    return _lattice_pld(spacing, 0, np.array([1.0]), 0.0, 0.0)
+
+
+def _require_no_clash(a: FinitePLD, b: FinitePLD) -> None:
+    """Reject composing a -inf atom with a +inf atom: their product has no loss value."""
+    if (a.masses[0] > 0.0 and b.masses[-1] > 0.0) or (b.masses[0] > 0.0 and a.masses[-1] > 0.0):
+        raise RequestError("cannot compose -inf mass against +inf mass")
+
+
+def _require_support(size: int, policy: CompositionPolicy) -> None:
+    if size > policy.max_support:
+        raise RequestError(
+            f"composed support {size} exceeds max_support "
+            f"{policy.max_support}; raise the cap or allow more truncation"
+        )
+
+
+def _guard(finite: np.ndarray, what: str) -> None:
+    """Clip FFT round-off at 0, failing beyond ``_FFT_NEG_TOL``, and flush below ``_MASS_FLOOR``."""
+    worst = float(finite.min())
+    if worst < -_FFT_NEG_TOL:
+        raise NumericalValidityError(f"fft {what} went negative ({worst:.3e})")
+    np.maximum(finite, 0.0, out=finite)
+    finite[finite < _MASS_FLOOR] = 0.0
 
 
 #: Length of the first prefix ``_tail_count`` sums; supports up to this size take one pass.
@@ -165,60 +179,39 @@ def _truncate(
     return finite, j0 + lo_cut, neg_mass, inf_mass, moved_low, moved_high
 
 
-def _fft_convolve(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Full linear convolution by real FFT at the next fast length.
-
-    The length and arithmetic are those of ``scipy.signal.fftconvolve``.  A
-    one-point operand scales the other exactly, as ``fftconvolve`` does.
-    """
-    if fa.size == 1 or fb.size == 1:
-        return fa * fb
-    size = fa.size + fb.size - 1
-    length = next_fast_len(size, True)
-    spectrum = rfft(fa, length)
-    spectrum *= rfft(fb, length)
-    return irfft(spectrum, length)[:size]
-
-
 def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD:
-    """Compose two loss distributions on a shared lattice."""
+    """Compose two loss distributions on a shared lattice; FFT as ``scipy.signal.fftconvolve``."""
     spacing = a.spacing
     if spacing is None or spacing != b.spacing:
         raise RequestError(
             f"composition needs one lattice spacing, got {spacing} and {b.spacing}"
         )
-    neg_a, inf_a = float(a.masses[0]), float(a.masses[-1])
-    neg_b, inf_b = float(b.masses[0]), float(b.masses[-1])
-    if (neg_a > 0.0 and inf_b > 0.0) or (neg_b > 0.0 and inf_a > 0.0):
-        raise RequestError("cannot compose -inf mass against +inf mass")
+    _require_no_clash(a, b)
     fa = a.masses[1:-1]
     fb = b.masses[1:-1]
     if policy.method == "direct":
         finite = np.convolve(fa, fb)
+    elif fa.size == 1 or fb.size == 1:
+        finite = fa * fb
     else:
-        finite = _fft_convolve(fa, fb)
-        worst = float(finite.min()) if finite.size else 0.0
-        if worst < -_FFT_NEG_TOL:
-            raise NumericalValidityError(f"fft convolution went negative ({worst:.3e})")
-        np.maximum(finite, 0.0, out=finite)
-    finite[finite < _MASS_FLOOR] = 0.0
+        size = fa.size + fb.size - 1
+        length = next_fast_len(size, True)
+        spectrum = rfft(fa, length)
+        spectrum *= rfft(fb, length)
+        finite = irfft(spectrum, length)[:size]
+    _guard(finite, "convolution")
+    neg_a, inf_a = float(a.masses[0]), float(a.masses[-1])
+    neg_b, inf_b = float(b.masses[0]), float(b.masses[-1])
     inf_mass = inf_a + inf_b - inf_a * inf_b
     neg_mass = neg_a + neg_b - neg_a * neg_b
-    j0 = round(float(a.finite_epsilons[0]) / spacing) + round(float(b.finite_epsilons[0]) / spacing)
+    j0 = a.lattice_offset + b.lattice_offset
     finite, j0, neg_mass, inf_mass, moved_low, moved_high = _truncate(
         finite, j0, neg_mass, inf_mass, policy.direction, policy.truncation_tail_mass
     )
-    if finite.size > policy.max_support:
-        raise RequestError(
-            f"composed support {finite.size} exceeds max_support "
-            f"{policy.max_support}; raise the cap or allow more truncation"
-        )
-    masses = np.concatenate(([neg_mass], finite, [inf_mass]))
-    return FinitePLD(
-        finite_epsilons=_lattice(j0, finite.size, spacing),
-        masses=masses,
-        spacing=spacing,
-        proper=a.proper and b.proper and neg_mass == 0.0,
+    _require_support(finite.size, policy)
+    return _lattice_pld(
+        spacing, j0, finite, neg_mass, inf_mass,
+        proper=a.proper and b.proper,
         truncated_low=a.truncated_low + b.truncated_low + moved_low,
         truncated_high=a.truncated_high + b.truncated_high + moved_high,
         rounding_charge=a.rounding_charge + b.rounding_charge,
@@ -497,18 +490,12 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         return point_mass_pld(spacing)
     if n == 1:
         return pld
-    single_neg, single_inf = float(pld.masses[0]), float(pld.masses[-1])
-    if single_neg > 0.0 and single_inf > 0.0:
-        raise RequestError("cannot compose -inf mass against +inf mass")
+    _require_no_clash(pld, pld)
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
     budget = policy.truncation_tail_mass / n
     start, length = _window(single, n, budget, full) if policy.method == "fft" else (0, full)
-    if length > policy.max_support:
-        raise RequestError(
-            f"composed support {length} exceeds max_support "
-            f"{policy.max_support}; raise the cap or allow more truncation"
-        )
+    _require_support(length, policy)
     pessimistic = policy.direction == "pessimistic"
     exact = policy.method == "direct" or (0.0 < budget and length == full <= _DIRECT_MAX)
     rounding = lacking = taken = 0.0
@@ -528,17 +515,13 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         else:
             finite = np.concatenate((power[first:], power[: first + length - size]))
         del power
-        worst = float(finite.min())
-        if worst < -_FFT_NEG_TOL:
-            raise NumericalValidityError(f"fft power went negative ({worst:.3e})")
-        np.maximum(finite, 0.0, out=finite)
-    finite[finite < _MASS_FLOOR] = 0.0
+    _guard(finite, "power")
     if rounding and pessimistic:
-        # mass^n rounds within (n + 2) u; the sum within gamma of its depth
-        total = float(finite.sum()) / (1.0 + (math.ceil(math.log2(length)) + _SUM_DEPTH) * _U)
+        # mass^n rounds within (n + 2) u; the contiguous sum within _sum_error
+        total = float(finite.sum()) / (1.0 + _sum_error(length))
         lacking = max(mass**n * (1.0 + (n + 2) * _U) - total, 0.0)
-    neg_mass = -math.expm1(n * math.log1p(-single_neg))
-    inf_mass = -math.expm1(n * math.log1p(-single_inf))
+    neg_mass = -math.expm1(n * math.log1p(-float(pld.masses[0])))
+    inf_mass = -math.expm1(n * math.log1p(-float(pld.masses[-1])))
     wrap = budget if length < full else 0.0
     if wrap + rounding > 0.0:
         finite, dropped, taken = _charge(finite, wrap + rounding, policy.direction)
@@ -548,12 +531,9 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         else:
             neg_mass += taken
     truncated = min(wrap, taken)
-    j0 = n * round(float(pld.finite_epsilons[0]) / spacing) + start
-    return FinitePLD(
-        finite_epsilons=_lattice(j0, finite.size, spacing),
-        masses=np.concatenate(([neg_mass], finite, [inf_mass])),
-        spacing=spacing,
-        proper=pld.proper and neg_mass == 0.0,
+    return _lattice_pld(
+        spacing, n * pld.lattice_offset + start, finite, neg_mass, inf_mass,
+        proper=pld.proper,
         truncated_low=n * pld.truncated_low + (0.0 if pessimistic else truncated),
         truncated_high=n * pld.truncated_high + (truncated if pessimistic else 0.0),
         rounding_charge=n * pld.rounding_charge + taken - truncated + lacking,

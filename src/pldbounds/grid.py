@@ -21,11 +21,41 @@ from .errors import NumericalValidityError, RequestError
 
 __all__ = ["DiscretizationGrid", "default_epsilon_range"]
 
+#: Largest distance of a finite epsilon from its lattice point j * spacing.
 _SPACING_ATOL = 1e-9
 
 #: Curve values below this are treated as numerically negligible when the
 #: default grid range is chosen.
 CURVE_TAIL_THRESHOLD = 1e-20
+
+#: Largest lattice index the default grid range searches on either side.
+_RANGE_MAX_STEPS = 1 << 26
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 view of ``values``; a float64 array is not copied and keeps its flags."""
+    view = np.asarray(values, dtype=float).view()
+    view.setflags(write=False)
+    return view
+
+
+def _lattice(j0: int, size: int, spacing: float) -> np.ndarray:
+    """Epsilons (j0 + i) * spacing, i < size: a float arange, exact below 2^53, scaled in place."""
+    epsilons = np.arange(j0, j0 + size, dtype=float)
+    epsilons *= spacing
+    return epsilons
+
+
+def _lattice_offset(epsilons: np.ndarray, spacing: float) -> int:
+    """The j0 that puts each epsilon within ``_SPACING_ATOL`` of ``_lattice``; else RequestError."""
+    if not (spacing > 0 and math.isfinite(spacing)):
+        raise RequestError(f"spacing must be positive and finite, got {spacing}")
+    j0 = round(float(epsilons[0]) / spacing)
+    off = _lattice(j0, epsilons.size, spacing)
+    off -= epsilons
+    if np.abs(off, out=off).max() > _SPACING_ATOL:
+        raise RequestError("finite epsilons are not consecutive multiples of the spacing")
+    return j0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,8 +67,8 @@ class DiscretizationGrid:
     spacing: float | None = None
 
     def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        epsilons = np.asarray(self.epsilons, dtype=float)
+        alphas = _frozen(self.alphas)
+        epsilons = _frozen(self.epsilons)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "epsilons", epsilons)
         if alphas.ndim != 1 or alphas.shape != epsilons.shape or alphas.size < 3:
@@ -53,15 +83,9 @@ class DiscretizationGrid:
         if not np.allclose(np.log(interior), epsilons[1:-1], rtol=0, atol=1e-9):
             raise RequestError("epsilons must be the logs of the interior alphas")
         if self.spacing is not None:
-            if self.spacing <= 0:
-                raise RequestError(f"spacing must be positive, got {self.spacing}")
-            diffs = np.diff(epsilons[1:-1])
-            if diffs.size and np.max(np.abs(diffs - self.spacing)) > _SPACING_ATOL:
-                raise RequestError("grid epsilons are not uniformly spaced")
+            _lattice_offset(epsilons[1:-1], self.spacing)
             if not np.any(epsilons[1:-1] == 0.0):
                 raise RequestError("uniform grids must contain epsilon = 0")
-        alphas.setflags(write=False)
-        epsilons.setflags(write=False)
 
     # -- constructors --------------------------------------------------------
 
@@ -102,8 +126,7 @@ class DiscretizationGrid:
             raise RequestError(f"bad epsilon range [{eps_min}, {eps_max}]")
         j_min = min(math.floor(eps_min / spacing + 1e-9), 0)
         j_max = max(math.ceil(eps_max / spacing - 1e-9), 0)
-        finite = np.arange(j_min, j_max + 1, dtype=float) * spacing
-        return cls.from_epsilons(finite, spacing=spacing)
+        return cls.from_epsilons(_lattice(j_min, j_max - j_min + 1, spacing), spacing=spacing)
 
     # -- views ----------------------------------------------------------------
 
@@ -127,22 +150,14 @@ class DiscretizationGrid:
         """Integer j of the first finite epsilon on a uniform grid."""
         if self.spacing is None:
             raise RequestError("lattice offset is defined for uniform grids only")
-        j0 = round(float(self.epsilons[1]) / self.spacing)
-        if abs(self.epsilons[1] - j0 * self.spacing) > _SPACING_ATOL:
-            raise RequestError("grid epsilons do not sit on the spacing lattice")
-        return int(j0)
+        return _lattice_offset(self.finite_epsilons, self.spacing)
 
 
-def default_epsilon_range(
-    curve: HockeyStickCurve,
-    spacing: float,
-    tail_threshold: float = CURVE_TAIL_THRESHOLD,
-    max_steps: int = 1 << 26,
-) -> tuple[float, float]:
+def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[float, float]:
     """Pick [eps_min, eps_max] multiples of spacing covering the curve.
 
     eps_max is the smallest positive multiple of spacing with
-    h(e^eps) < tail_threshold; the curve beyond contributes negligibly and is
+    h(e^eps) < ``CURVE_TAIL_THRESHOLD``; the curve beyond contributes negligibly and is
     folded into the tail value.  eps_min is chosen symmetrically through the
     gap h(alpha) - (1 - alpha), which decays to 0 as alpha -> 0; below it the
     curve is indistinguishable from the line 1 - alpha and carries no mass
@@ -155,7 +170,7 @@ def default_epsilon_range(
         j = 1
         while not predicate(j):
             j *= 2
-            if j > max_steps:
+            if j > _RANGE_MAX_STEPS:
                 raise NumericalValidityError(
                     "curve tail does not decay within the searchable range"
                 )
@@ -168,6 +183,6 @@ def default_epsilon_range(
                 lo = mid
         return hi
 
-    j_hi = smallest_step(lambda j: curve.value(math.exp(j * spacing)) < tail_threshold)
-    j_lo = smallest_step(lambda j: curve.gap(math.exp(-j * spacing)) < tail_threshold)
+    j_hi = smallest_step(lambda j: curve.value(math.exp(j * spacing)) < CURVE_TAIL_THRESHOLD)
+    j_lo = smallest_step(lambda j: curve.gap(math.exp(-j * spacing)) < CURVE_TAIL_THRESHOLD)
     return (-j_lo * spacing, j_hi * spacing)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .curves import PiecewiseLinearCurve
 from .errors import NumericalValidityError, RequestError
-from .grid import _SPACING_ATOL, DiscretizationGrid
+from .grid import DiscretizationGrid, _frozen, _lattice, _lattice_offset
 
 __all__ = [
     "DiscreteDominatingPair",
@@ -58,6 +58,12 @@ __all__ = [
 #: Negative masses in [-_CLAMP_TOL, 0) are floating-point convexity slack and
 #: are clamped to zero; anything more negative is a hard validity failure.
 _CLAMP_TOL = 1e-12
+
+#: Masses down to -_MASS_SLACK are rounding slack, which a ``FinitePLD`` zeroes.
+_MASS_SLACK = 1e-15
+
+#: Unit roundoff of binary64.
+_U = 2.0**-53
 
 #: Tolerance on total probability mass after construction or composition.
 _MASS_ATOL = 1e-11
@@ -115,29 +121,34 @@ def _exact_sum(values: np.ndarray) -> float:
     return total / (1 << (53 - _FREXP_LOW))
 
 
-def _mass_total(masses: np.ndarray, *cuts: float) -> float:
-    """Total of non-negative masses, on the same side of every cut as the fsum total.
+def _sum_error(size: int) -> float:
+    """Relative error bound e of ``np.sum`` over a contiguous float64 array of ``size`` entries.
 
-    Returns ``np.sum`` unless its error bound reaches a cut, and the
-    correctly rounded total (``_exact_sum``, which is fsum's) otherwise.
-    numpy documents (partial) pairwise summation for a float sum without an
-    axis; its implementation adds blocks of at most 128 values pairwise and
-    may add buffer chunks of 8192 values in sequence, so no value passes
-    through more than
-    d = 128 + ceil(log2 n) + ceil(n / 8192) roundings.  For non-negative
-    values |np.sum - sum| <= d u sum / (1 - d u) with u = 2^-53 (Higham,
-    Accuracy and Stability of Numerical Algorithms, section 4.2); with fsum's
-    half-ulp and the rounding of a cut such as 1 + 1e-11, |np.sum - fsum| stays
-    below the (d + 2) * 2^-52 * np.sum used here.  Its slack of about d u also
-    covers entries down to -1e-15, which a pair admits, for n below 10^14.
-    A NaN or inf total always falls back to the exact sum.
+    numpy sums such an array pairwise as a whole (a strided one in chunks of
+    8192 added in sequence, which this does not cover): no entry passes
+    through more than D = ceil(log2 n) + 17 roundings, so for the exact sum S
+    |np.sum(x) - S| <= gamma_D sum |x_i| (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 4.2).  e = (ceil(log2 n) + 20) u keeps three
+    levels spare for fsum's rounding and for evaluating these bounds:
+
+    - non-negative entries: S >= np.sum(x) / (1 + e);
+    - entries at least -``_MASS_SLACK``, so |x_i| <= x_i + 2 ``_MASS_SLACK``:
+      |np.sum(x) - fsum(x)| <= e (np.sum(x) + 2 n ``_MASS_SLACK``).
     """
-    total = float(np.sum(masses))
-    n = max(masses.size, 1)
-    depth = 128 + math.ceil(math.log2(n)) + math.ceil(n / 8192)
-    bound = (depth + 2) * 2.0**-52 * total
-    if all(abs(total - cut) > bound for cut in cuts):
-        return total
+    return (math.ceil(math.log2(max(size, 1))) + 20) * _U
+
+
+def _mass_total(masses: np.ndarray, *cuts: float) -> float:
+    """Total of masses of at least -_MASS_SLACK, on the same side of every cut as the fsum total.
+
+    ``np.sum`` where the ``_sum_error`` bound keeps it off every cut, else
+    ``_exact_sum`` (fsum's total), as for strided masses or a NaN or inf total.
+    """
+    if masses.flags.c_contiguous:
+        total = float(np.sum(masses))
+        bound = _sum_error(masses.size) * (total + 2 * masses.size * _MASS_SLACK)
+        if all(abs(total - cut) > bound for cut in cuts):
+            return total
     return _exact_sum(masses)
 
 
@@ -153,7 +164,8 @@ class DiscreteDominatingPair:
 
     ``clamp_count`` records how many negative kink masses within the clamping
     tolerance were zeroed while the pair was built (0 means the construction
-    was accepted without any convexity slack).
+    was accepted without any convexity slack).  The masses are read-only
+    views; float64 arrays are not copied.
     """
 
     grid: DiscretizationGrid
@@ -162,14 +174,14 @@ class DiscreteDominatingPair:
     clamp_count: int = 0
 
     def __post_init__(self):
-        p = np.asarray(self.p_masses, dtype=float)
-        q = np.asarray(self.q_masses, dtype=float)
+        p = _frozen(self.p_masses)
+        q = _frozen(self.q_masses)
         object.__setattr__(self, "p_masses", p)
         object.__setattr__(self, "q_masses", q)
         n = self.grid.alphas.size
         if p.shape != (n,) or q.shape != (n,):
             raise RequestError("mass arrays must match the grid size")
-        if np.any(p < -1e-15) or np.any(q < -1e-15):
+        if np.any(p < -_MASS_SLACK) or np.any(q < -_MASS_SLACK):
             raise NumericalValidityError("negative probability mass in pair")
         if q[-1] != 0.0:
             raise NumericalValidityError("Q must place no mass at +inf")
@@ -180,8 +192,6 @@ class DiscreteDominatingPair:
             raise NumericalValidityError("P(alpha) = alpha * Q(alpha) violated")
         _require_unit_mass(p, "P")
         _require_unit_mass(q, "Q")
-        p.setflags(write=False)
-        q.setflags(write=False)
 
     @property
     def mass_at_infinity(self) -> float:
@@ -192,8 +202,9 @@ class DiscreteDominatingPair:
 class FinitePLD:
     """Masses [-inf atom, one per finite epsilon..., +inf atom], the object that composes.
 
-    With ``spacing`` set, the strictly increasing ``finite_epsilons`` are
-    consecutive multiples j * spacing (a lattice that need not contain 0).  A
+    With ``spacing`` set, ``finite_epsilons`` are (lattice_offset + i) * spacing
+    within ``_SPACING_ATOL``, a lattice that need not contain 0; the check finds
+    the integer ``lattice_offset``, and no caller passes it.  A
     ``proper`` distribution is one realisable as the loss distribution of a
     pair, which forces masses[0] = 0; rounded-down baseline estimates and
     optimistically truncated compositions may carry mass at -inf and are
@@ -205,9 +216,8 @@ class FinitePLD:
     round-off (see ``compose.self_compose``).
 
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
-    read-only view of it, and the caller's array stays writable.  Writing to
-    that array afterwards is unsupported: it would change epsilons whose
-    order and lattice were checked here.  The masses are copied.
+    read-only view of it, and the caller's array stays writable.  The masses
+    are copied, with negatives down to ``_MASS_SLACK`` set to 0.
     """
 
     finite_epsilons: np.ndarray
@@ -217,33 +227,27 @@ class FinitePLD:
     truncated_low: float = 0.0
     truncated_high: float = 0.0
     rounding_charge: float = 0.0
+    lattice_offset: int | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
-        # a view, so that freezing it leaves the caller's array writable
-        eps = np.asarray(self.finite_epsilons, dtype=float).view()
+        eps = _frozen(self.finite_epsilons)
         m = np.asarray(self.masses, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps)):
             raise RequestError("need a non-empty 1-D array of finite epsilons")
         if m.shape != (eps.size + 2,):
             raise RequestError("mass array must hold the finite epsilons plus both atoms")
-        if self.spacing is None:
-            if not np.all(np.diff(eps) > 0):
-                raise RequestError("finite epsilons must be strictly increasing")
-        else:
-            if not (self.spacing > 0 and math.isfinite(self.spacing)):
-                raise RequestError(f"spacing must be positive and finite, got {self.spacing}")
-            if _lattice_deviation(eps, self.spacing) > _SPACING_ATOL:
-                raise RequestError("finite epsilons are not consecutive multiples of the spacing")
-        if m.min() < -1e-15:
+        if self.spacing is not None:
+            object.__setattr__(self, "lattice_offset", _lattice_offset(eps, self.spacing))
+        elif not np.all(np.diff(eps) > 0):
+            raise RequestError("finite epsilons must be strictly increasing")
+        if m.min() < -_MASS_SLACK:
             raise NumericalValidityError("negative probability mass in PLD")
-        m = np.maximum(m, 0.0)
+        m = _frozen(np.maximum(m, 0.0))
         object.__setattr__(self, "finite_epsilons", eps)
         object.__setattr__(self, "masses", m)
         _require_unit_mass(m, "PLD")
         if self.proper and m[0] != 0.0:
             raise NumericalValidityError("a proper PLD carries no mass at -inf")
-        eps.setflags(write=False)
-        m.setflags(write=False)
 
     @property
     def mass_at_infinity(self) -> float:
@@ -255,22 +259,21 @@ class FinitePLD:
         return int(self.finite_epsilons.size)
 
 
-def _lattice(j0: int, size: int, spacing: float) -> np.ndarray:
-    """Epsilons (j0 + i) * spacing for i < size, one array scaled in place.
+def _lattice_pld(
+    spacing: float, j0: int, finite: np.ndarray, neg_mass: float, inf_mass: float,
+    proper: bool = True, **bookkeeping: float,
+) -> FinitePLD:
+    """Lattice PLD [neg_mass, ``finite`` at (j0 + i) * spacing, inf_mass], improper if neg_mass > 0.
 
-    The float ``arange`` holds integers below 2^53 exactly, so this equals
-    ``(j0 + np.arange(size)) * spacing``.
+    ``bookkeeping`` holds ``FinitePLD``'s truncation and rounding records.
     """
-    epsilons = np.arange(j0, j0 + size, dtype=float)
-    epsilons *= spacing
-    return epsilons
-
-
-def _lattice_deviation(epsilons: np.ndarray, spacing: float) -> float:
-    """Largest distance of ``epsilons`` from the lattice through the first one, in one temporary."""
-    off = _lattice(round(float(epsilons[0]) / spacing), epsilons.size, spacing)
-    off -= epsilons
-    return float(np.abs(off, out=off).max())
+    return FinitePLD(
+        finite_epsilons=_lattice(j0, finite.size, spacing),
+        masses=np.concatenate(([neg_mass], finite, [inf_mass])),
+        spacing=spacing,
+        proper=proper and neg_mass == 0.0,
+        **bookkeeping,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +451,7 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
         raise RequestError("only uniform-lattice distributions serialise")
     payload = {
         "discretization": float(spacing),
-        "epsilon_offset": -round(float(pld.finite_epsilons[0]) / spacing),
+        "epsilon_offset": -pld.lattice_offset,
         "masses": [float(x) for x in pld.masses[1:-1]],
         "mass_at_infinity": float(pld.masses[-1]),
     }
@@ -458,16 +461,12 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
 
 
 def pld_from_json_dict(payload: dict) -> FinitePLD:
-    spacing = float(payload["discretization"])
-    offset = int(payload["epsilon_offset"])
-    finite = np.asarray(payload["masses"], dtype=float)
-    neg = float(payload.get("mass_at_neg_infinity", 0.0))
-    masses = np.concatenate(([neg], finite, [float(payload["mass_at_infinity"])]))
-    return FinitePLD(
-        finite_epsilons=_lattice(-offset, finite.size, spacing),
-        masses=masses,
-        spacing=spacing,
-        proper=(neg == 0.0),
+    return _lattice_pld(
+        float(payload["discretization"]),
+        -int(payload["epsilon_offset"]),
+        np.asarray(payload["masses"], dtype=float),
+        float(payload.get("mass_at_neg_infinity", 0.0)),
+        float(payload["mass_at_infinity"]),
     )
 
 

@@ -4,7 +4,8 @@ truncation cut search, import weight.
 The FFT branch must give the bits ``scipy.signal.fftconvolve`` gives (followed
 by the same clip and flush), whether one operand is passed twice or as a copy,
 the mass gates must reach exactly the verdict of an exactly rounded
-``math.fsum`` total, and truncation must cut where full running sums cut.
+``math.fsum`` total, ``np.sum`` must stay within the one bound they and
+``self_compose`` use, and truncation must cut where full running sums cut.
 """
 
 import json
@@ -22,7 +23,7 @@ from scipy.signal import fftconvolve
 
 import pldbounds as pb
 from pldbounds import cli, compose
-from pldbounds.pld import _MASS_ATOL, _mass_total
+from pldbounds.pld import _MASS_ATOL, _MASS_SLACK, _mass_total, _sum_error
 
 NO_TRUNC = pb.CompositionPolicy(direction="pessimistic", truncation_tail_mass=0.0)
 
@@ -151,6 +152,90 @@ class TestMassGateParity:
         assert code == 3
         assert "PLD masses sum to 1.00000000001" in err
         assert len(calls) == 1
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise summation of a contiguous float64 array, as a plain loop."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    if n <= 128:
+        acc = values[:8]
+        i = 8
+        while i < n - n % 8:
+            acc = [a + x for a, x in zip(acc, values[i : i + 8])]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for x in values[i:]:
+            total += x
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+
+
+@st.composite
+def contiguous_sums(draw) -> np.ndarray:
+    """Contiguous arrays of 1 to 2e5 entries spread over hundreds of decades.
+
+    Some entries are negative down to ``_MASS_SLACK``; sizes cluster around
+    the pairwise sum's block edges 8 and 128 and the buffer length 8192.
+    """
+    edge = st.sampled_from((8, 128, 8192)).flatmap(lambda e: st.integers(e - 2, e + 2))
+    size = draw(st.one_of(st.integers(1, 200_000), edge))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.floats(-300.0, 290.0))
+    values = 10.0 ** rng.uniform(low, min(low + draw(st.floats(0.0, 400.0)), 300.0), size)
+    negative = rng.random(size) < draw(st.floats(0.0, 0.5))
+    values[negative] = -_MASS_SLACK * rng.random(int(negative.sum()))
+    order = draw(st.sampled_from(("shuffled", "ascending", "descending")))
+    if order != "shuffled":
+        values.sort()
+    return values[::-1].copy() if order == "descending" else values
+
+
+class TestSumBound:
+    @settings(max_examples=200, deadline=None)
+    @given(contiguous_sums())
+    def test_np_sum_stays_within_the_bound(self, x):
+        total = float(np.sum(x))
+        error = _sum_error(x.size)
+        assert abs(total - math.fsum(x.tolist())) <= error * (total + 2 * x.size * _MASS_SLACK)
+        # the non-negative form that self_compose's missing-mass charge uses
+        kept = np.maximum(x, 0.0)
+        assert math.fsum(kept.tolist()) >= float(np.sum(kept)) / (1.0 + error)
+
+    def test_np_sum_is_one_pairwise_sum_over_the_whole_array(self):
+        # the bound's premise: a numpy that summed in 8192-entry chunks fails here
+        rng = np.random.default_rng(31)
+        for size in (7, 127, 129, 8191, 8193, 20_000, 50_000, 200_000):
+            x = rng.random(size) * np.exp(rng.normal(0.0, 5.0, size))
+            assert float(np.sum(x)) == _pairwise_sum(x.tolist())
+
+    def test_no_entry_passes_through_more_roundings_than_the_bound_allows(self):
+        # depth[n]: the most roundings an entry of an n-entry pairwise sum
+        # passes through; the bound assumes ceil(log2 n) + 17 and 3 spare
+        depth = [0] * 200_001
+        for n in range(1, len(depth)):
+            if n < 8:
+                depth[n] = n - 1
+            elif n <= 128:
+                depth[n] = n // 8 - 1 + 3 + n % 8
+            else:
+                half = n // 2 - (n // 2) % 8
+                depth[n] = 1 + max(depth[half], depth[n - half])
+        assert max(depth[n] - math.ceil(math.log2(n)) for n in range(1, len(depth))) == 17
+        assert all(_sum_error(n) >= (depth[n] + 3) * 2.0**-53 for n in range(1, len(depth)))
+
+    def test_strided_masses_take_the_exact_sum(self):
+        rng = np.random.default_rng(0)
+        m = rng.random(20_000) * np.exp(rng.normal(0.0, 5.0, 20_000))
+        exact = math.fsum(m.tolist())
+        assert float(np.sum(m)) != exact
+        assert _mass_total(m, -1.0) == float(np.sum(m))
+        assert _mass_total(np.repeat(m, 2)[::2], -1.0) == exact
 
 
 def _truncate_full_cumsum(finite, j0, neg_mass, inf_mass, direction, budget):

@@ -141,6 +141,23 @@ def test_epsilons_off_the_lattice_are_rejected():
         _five_point(_MASSES.copy(), epsilons)
 
 
+def test_the_grid_and_the_pld_share_one_lattice_check():
+    # each gap is 5e-10 off the spacing, within the tolerance, but the
+    # epsilons drift 1.95e-8 off the lattice by j = 39
+    drifted = np.arange(40) * 0.1 + np.arange(40) * 5e-10
+    with pytest.raises(pb.RequestError, match="not consecutive multiples of the spacing"):
+        pb.DiscretizationGrid.from_epsilons(drifted, spacing=0.1)
+    masses = np.concatenate(([0.0], np.full(40, 0.025), [0.0]))
+    with pytest.raises(pb.RequestError, match="not consecutive multiples of the spacing"):
+        pb.FinitePLD(finite_epsilons=drifted, masses=masses, spacing=0.1)
+    nudged = np.arange(-2, 3) * 0.1
+    nudged[3] += 0.5 * _SPACING_ATOL
+    grid = pb.DiscretizationGrid.from_epsilons(nudged, spacing=0.1)
+    assert grid.lattice_offset() == -2
+    pair = pb.discretize_from_curve(np.maximum(1.0 - grid.alphas, 0.0), grid)
+    assert pb.pld_of(pair).lattice_offset == -2
+
+
 def test_masses_below_the_slack_are_rejected_and_nan_masses_too():
     masses = _MASSES.copy()
     masses[2] = -3e-15
@@ -174,3 +191,22 @@ def test_the_callers_epsilons_stay_writable_and_the_plds_are_frozen():
     assert np.shares_memory(pld.finite_epsilons, epsilons)
     with pytest.raises(ValueError, match="read-only"):
         pld.finite_epsilons[0] = -0.2
+    # the grid and the pair keep read-only views of their inputs too
+    finite = np.arange(-2, 3) * 0.1
+    alphas = np.concatenate(([0.0], np.exp(finite), [math.inf]))
+    grid_epsilons = np.concatenate(([-math.inf], finite, [math.inf]))
+    grid = pb.DiscretizationGrid(alphas=alphas, epsilons=grid_epsilons, spacing=0.1)
+    q = _MASSES.copy()
+    q /= float(q[1:-1] @ alphas[1:-1])
+    q[0] = 1.0 - q.sum()
+    p = np.concatenate(([0.0], alphas[1:-1] * q[1:-1], [0.0]))
+    pair = pb.DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q)
+    for caller, kept in (
+        (alphas, grid.alphas),
+        (grid_epsilons, grid.epsilons),
+        (p, pair.p_masses),
+        (q, pair.q_masses),
+    ):
+        assert caller.flags.writeable
+        assert not kept.flags.writeable
+        assert np.shares_memory(kept, caller)
