@@ -41,7 +41,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NumericalValidityError, RequestError
-from .pld import _U, FinitePLD, _exact_sum, _lattice_pld, _sum_error
+from .pld import _U, FinitePLD, _exact_sum, _lattice_pld, _sum_error, _tail_count
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
 
@@ -128,26 +128,6 @@ def _guard(finite: np.ndarray, what: str) -> None:
     finite[finite < _MASS_FLOOR] = 0.0
 
 
-#: Length of the first prefix ``_tail_count`` sums; supports up to this size take one pass.
-_CUT_PREFIX = 4096
-
-
-def _tail_count(values: np.ndarray, budget: float) -> int:
-    """Number of leading entries whose running sum stays at most ``budget``.
-
-    Sums a prefix that doubles until the count falls short of it or it
-    covers ``values``, instead of the whole array.  ``np.cumsum`` adds in
-    sequence, so the prefix sums, and hence the count, are those of the
-    full running sum.  The values must be non-negative.
-    """
-    prefix = _CUT_PREFIX
-    while True:
-        count = int(np.searchsorted(np.cumsum(values[:prefix]), budget, side="right"))
-        if count < prefix or prefix >= values.size:
-            return count
-        prefix *= 2
-
-
 def _truncate(
     finite: np.ndarray,
     j0: int,
@@ -218,11 +198,14 @@ def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD
     )
 
 
-def _log_mgf(log_f: np.ndarray, offsets: np.ndarray, t: float) -> tuple[float, float, float]:
+def _log_mgf(
+    log_f: np.ndarray, offsets: np.ndarray, squares: np.ndarray, t: float
+) -> tuple[float, float, float]:
     """log M(t) and its first two derivatives, M(t) = sum of e^(log_f + t * offsets).
 
-    Terms below e^-700 of the largest are raised to it, which keeps denormals
-    out of the sums and can only overstate M.
+    ``squares`` holds the squared offsets.  Terms below e^-700 of the
+    largest are raised to it, which keeps denormals out of the sums and can
+    only overstate M.
     """
     exponents = log_f + t * offsets
     top = float(exponents.max())
@@ -230,15 +213,56 @@ def _log_mgf(log_f: np.ndarray, offsets: np.ndarray, t: float) -> tuple[float, f
     weights = np.exp(np.maximum(exponents, -700.0, out=exponents), out=exponents)
     total = float(weights.sum())
     mean = float(weights @ offsets) / total
-    var = max(float(weights @ (offsets * offsets)) / total - mean * mean, 0.0)
+    var = max(float(weights @ squares) / total - mean * mean, 0.0)
     return top + math.log(total), mean, var
 
 
-def _tail_edge(log_f: np.ndarray, offsets: np.ndarray, n: int, log_inv_w: float) -> float:
+@dataclasses.dataclass(frozen=True)
+class _Step:
+    """What every n-fold power of one single step shares, computed once per ``FinitePLD``.
+
+    ``mass`` is the exact total of the finite masses.  The positive ones
+    have logs ``log_f`` and lie at ``offsets`` from ``center``, their
+    mass-weighted mean index rounded; ``squares`` are the squared offsets.
+    log M(0) and the variance at t = 0 (``_log_mgf``) are the same for
+    ``offsets`` and their negation, so one evaluation serves both window
+    edges and every n.  Without positive finite masses the moments are NaN
+    and no window is sought.
+    """
+
+    mass: float
+    center: int
+    log_f: np.ndarray
+    offsets: np.ndarray
+    flipped: np.ndarray
+    squares: np.ndarray
+    log_m0: float
+    var0: float
+
+
+def _step(pld: FinitePLD) -> _Step:
+    """``pld``'s ``_Step``, kept in its memo after the first call."""
+    step = pld._memo.get(_Step)
+    if step is None:
+        single = pld.masses[1:-1]
+        at = np.flatnonzero(single)
+        positive = single[at]
+        center = round(float(at @ positive) / float(positive.sum())) if at.size else 0
+        offsets = (at - center).astype(float)
+        log_f = np.log(positive)
+        squares = offsets * offsets
+        log_m0, _, var0 = _log_mgf(log_f, offsets, squares, 0.0) if at.size else (math.nan,) * 3
+        step = _Step(_exact_sum(single), center, log_f, offsets, -offsets, squares, log_m0, var0)
+        pld._memo[_Step] = step
+    return step
+
+
+def _tail_edge(step: _Step, offsets: np.ndarray, n: int, log_inv_w: float) -> float:
     """A b with mass{S >= s} <= W for every s >= b, S the sum of n single-step offsets.
 
-    ``log_f`` holds the logs of the positive single-step masses at
-    ``offsets`` and ``log_inv_w`` is -log W.  For every t > 0 Chernoff's
+    ``offsets`` are ``step.offsets`` for the high edge and ``step.flipped``
+    for the low one, at the masses e^``step.log_f``; ``log_inv_w`` is
+    -log W.  For every t > 0 Chernoff's
     bound mass{S >= s} <= e^(-ts) M(t)^n meets W at
     g(t) = (n log M(t) - log W) / t, so every g(t) is a valid b.  Safeguarded
     Newton steps solve g'(t) = 0, that is n (t (log M)'(t) - log M(t)) = -log W,
@@ -246,10 +270,11 @@ def _tail_edge(log_f: np.ndarray, offsets: np.ndarray, n: int, log_inv_w: float)
     alone keeps f^n >= W and g falls to n max(offsets), or the n-fold mass is
     at most W and any b will do.
     """
+    log_f, squares = step.log_f, step.squares
     top = int(np.argmax(offsets))
     if -n * float(log_f[top]) <= log_inv_w:
         return n * float(offsets[top])
-    log_m, _, var = _log_mgf(log_f, offsets, 0.0)
+    log_m, var = step.log_m0, step.var0
     if -n * log_m >= log_inv_w:
         return n * float(offsets.min())
     # the Gaussian approximation log M(t) = log M(0) + mean t + var t^2 / 2
@@ -259,7 +284,7 @@ def _tail_edge(log_f: np.ndarray, offsets: np.ndarray, n: int, log_inv_w: float)
     lo, hi = 0.0, math.inf
     best = math.inf
     for _ in range(_NEWTON_STEPS):
-        log_m, mean, var = _log_mgf(log_f, offsets, t)
+        log_m, mean, var = _log_mgf(log_f, offsets, squares, t)
         best = min(best, (n * log_m + log_inv_w) / t)
         h = n * (t * mean - log_m)
         if abs(h - log_inv_w) <= _NEWTON_RTOL * log_inv_w:
@@ -268,15 +293,15 @@ def _tail_edge(log_f: np.ndarray, offsets: np.ndarray, n: int, log_inv_w: float)
             lo = t
         else:
             hi = t
-        step = math.nan
+        newton = math.nan
         if var > 0.0 and h > 0.0:
-            step = t - math.log(h / log_inv_w) * h / (n * t * var)
-        t = step if lo < step < hi else (2.0 * t if hi == math.inf else 0.5 * (lo + hi))
+            newton = t - math.log(h / log_inv_w) * h / (n * t * var)
+        t = newton if lo < newton < hi else (2.0 * t if hi == math.inf else 0.5 * (lo + hi))
     return best
 
 
-def _window(single: np.ndarray, n: int, budget: float, full: int) -> tuple[int, int]:
-    """Start and length of the index window the n-fold power is computed on.
+def _window(pld: FinitePLD, n: int, budget: float, full: int) -> tuple[int, int]:
+    """Start and length of the index window the n-fold power of ``pld`` is computed on.
 
     Indices count from n times the single step's first index, so the n-fold
     support is [0, full).  At most ``budget`` of the n-fold finite mass lies
@@ -284,16 +309,15 @@ def _window(single: np.ndarray, n: int, budget: float, full: int) -> tuple[int, 
     rounded outward and the length is a fast transform length.  The whole
     support is returned when that is no longer, or when ``budget`` is 0.
     """
-    at = np.flatnonzero(single)
-    if budget <= 0.0 or not at.size:
+    if budget <= 0.0:
         return 0, full
-    positive = single[at]
-    center = round(float(at @ positive) / float(positive.sum()))
-    offsets = (at - center).astype(float)
-    log_f = np.log(positive)
+    step = _step(pld)
+    if not step.log_f.size:
+        return 0, full
     log_inv_w = -math.log(budget)
-    hi = math.floor(n * center + _tail_edge(log_f, offsets, n, log_inv_w)) + 1
-    lo = math.ceil(n * center - _tail_edge(log_f, -offsets, n, log_inv_w))
+    center = step.center
+    hi = math.floor(n * center + _tail_edge(step, step.offsets, n, log_inv_w)) + 1
+    lo = math.ceil(n * center - _tail_edge(step, step.flipped, n, log_inv_w))
     lo, hi = max(lo, 0), min(hi, full)
     length = next_fast_len(max(hi - lo, 1), True)
     if length >= full:
@@ -494,7 +518,7 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
     budget = policy.truncation_tail_mass / n
-    start, length = _window(single, n, budget, full) if policy.method == "fft" else (0, full)
+    start, length = _window(pld, n, budget, full) if policy.method == "fft" else (0, full)
     _require_support(length, policy)
     pessimistic = policy.direction == "pessimistic"
     exact = policy.method == "direct" or (0.0 < budget and length == full <= _DIRECT_MAX)
@@ -505,7 +529,7 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         size = next_fast_len(length, True)
         power = _spectral_power(single, n, size)
         if budget > 0.0:
-            mass = _exact_sum(single)
+            mass = _step(pld).mass
             rounding = _rounding_bound(single, mass, n, size, power)
         # the window starts at start modulo the transform size; a window that
         # wraps past the end is copied, and the transform is then released

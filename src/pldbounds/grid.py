@@ -31,6 +31,12 @@ CURVE_TAIL_THRESHOLD = 1e-20
 #: Largest lattice index the default grid range searches on either side.
 _RANGE_MAX_STEPS = 1 << 26
 
+#: Most points of a uniform grid: the widest default range, both sides and 0.
+_GRID_MAX_POINTS = 2 * _RANGE_MAX_STEPS + 1
+
+#: Levels of the bisection tree ``default_epsilon_range`` probes per curve call.
+_PROBE_LEVELS = 5
+
 
 def _frozen(values) -> np.ndarray:
     """A read-only float64 view of ``values``; a float64 array is not copied and keeps its flags."""
@@ -60,11 +66,15 @@ def _lattice_offset(epsilons: np.ndarray, spacing: float) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class DiscretizationGrid:
-    """Ordered alpha grid with endpoints exactly 0 and +inf."""
+    """Ordered alpha grid with endpoints exactly 0 and +inf.
+
+    A uniform grid keeps the lattice offset its check found in ``_offset``.
+    """
 
     alphas: np.ndarray
     epsilons: np.ndarray
     spacing: float | None = None
+    _offset: int | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alphas = _frozen(self.alphas)
@@ -83,7 +93,7 @@ class DiscretizationGrid:
         if not np.allclose(np.log(interior), epsilons[1:-1], rtol=0, atol=1e-9):
             raise RequestError("epsilons must be the logs of the interior alphas")
         if self.spacing is not None:
-            _lattice_offset(epsilons[1:-1], self.spacing)
+            object.__setattr__(self, "_offset", _lattice_offset(epsilons[1:-1], self.spacing))
             if not np.any(epsilons[1:-1] == 0.0):
                 raise RequestError("uniform grids must contain epsilon = 0")
 
@@ -118,15 +128,24 @@ class DiscretizationGrid:
     def uniform(cls, spacing: float, eps_min: float, eps_max: float) -> "DiscretizationGrid":
         """Lattice {j * spacing : j_min <= j <= j_max} covering [eps_min, eps_max].
 
-        The lattice is widened if necessary so that it always contains 0.
+        The lattice is widened if necessary so that it always contains 0.  It
+        holds at most ``_GRID_MAX_POINTS`` points; a longer one is refused
+        before anything is allocated.
         """
         if not (spacing > 0 and math.isfinite(spacing)):
             raise RequestError(f"spacing must be positive and finite, got {spacing}")
         if not (math.isfinite(eps_min) and math.isfinite(eps_max) and eps_min <= eps_max):
             raise RequestError(f"bad epsilon range [{eps_min}, {eps_max}]")
-        j_min = min(math.floor(eps_min / spacing + 1e-9), 0)
-        j_max = max(math.ceil(eps_max / spacing - 1e-9), 0)
-        return cls.from_epsilons(_lattice(j_min, j_max - j_min + 1, spacing), spacing=spacing)
+        low, high = min(eps_min / spacing + 1e-9, 0.0), max(eps_max / spacing - 1e-9, 0.0)
+        # the quotients can overflow to inf, which floor and ceil reject
+        points = math.ceil(high) - math.floor(low) + 1 if math.isfinite(high - low) else math.inf
+        if points > _GRID_MAX_POINTS:
+            raise RequestError(
+                f"a lattice over [{eps_min}, {eps_max}] at spacing {spacing} holds "
+                f"{points} points, more than {_GRID_MAX_POINTS}"
+            )
+        j_min = math.floor(low)
+        return cls.from_epsilons(_lattice(j_min, points, spacing), spacing=spacing)
 
     # -- views ----------------------------------------------------------------
 
@@ -150,7 +169,15 @@ class DiscretizationGrid:
         """Integer j of the first finite epsilon on a uniform grid."""
         if self.spacing is None:
             raise RequestError("lattice offset is defined for uniform grids only")
-        return _lattice_offset(self.finite_epsilons, self.spacing)
+        return self._offset
+
+
+def _exp(x: float) -> float:
+    """``math.exp(x)``, or +inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[float, float]:
@@ -162,27 +189,40 @@ def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[floa
     gap h(alpha) - (1 - alpha), which decays to 0 as alpha -> 0; below it the
     curve is indistinguishable from the line 1 - alpha and carries no mass
     information.  Both searches exploit monotonicity (value non-increasing,
-    gap non-decreasing) via doubling plus bisection.
+    gap non-decreasing) and give what doubling plus bisection gives: one
+    curve call evaluates every power of two j up to ``_RANGE_MAX_STEPS``,
+    and the first one below the threshold brackets the step in (j / 2, j].
+    Each further call evaluates the next ``_PROBE_LEVELS`` levels of the
+    bisection's tree over that bracket, and the bisection then runs on
+    those values.  The alphas e^(+-j spacing) are ``math.exp``'s, +inf
+    where it overflows.
     """
 
-    def smallest_step(predicate) -> int:
-        # smallest j >= 1 with predicate(j) true; predicate monotone in j
-        j = 1
-        while not predicate(j):
-            j *= 2
-            if j > _RANGE_MAX_STEPS:
-                raise NumericalValidityError(
-                    "curve tail does not decay within the searchable range"
-                )
-        lo, hi = j // 2, j  # predicate(lo) False (or lo == 0), predicate(hi) True
+    def smallest_step(evaluate, sign: float) -> int:
+        # smallest j >= 1 with evaluate(e^(sign j spacing)) below the threshold
+        def probe(steps: np.ndarray) -> list[bool]:
+            alphas = np.array([_exp(x) for x in (sign * spacing * steps).tolist()])
+            return (evaluate(alphas) < CURVE_TAIL_THRESHOLD).tolist()
+
+        powers = 1 << np.arange(_RANGE_MAX_STEPS.bit_length())
+        meets = probe(powers)
+        if not any(meets):
+            raise NumericalValidityError("curve tail does not decay within the searchable range")
+        hi = int(powers[meets.index(True)])
+        lo = hi // 2  # lo fails (or is 0), hi meets the threshold
         while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if predicate(mid):
-                hi = mid
-            else:
-                lo = mid
+            levels = min((hi - lo).bit_length() - 1, _PROBE_LEVELS)
+            stride = (hi - lo) >> levels
+            nodes = range(lo + stride, hi, stride)
+            tree = dict(zip(nodes, probe(np.array(nodes))))
+            for _ in range(levels):
+                mid = (lo + hi) // 2
+                if tree[mid]:
+                    hi = mid
+                else:
+                    lo = mid
         return hi
 
-    j_hi = smallest_step(lambda j: curve.value(math.exp(j * spacing)) < CURVE_TAIL_THRESHOLD)
-    j_lo = smallest_step(lambda j: curve.gap(math.exp(-j * spacing)) < CURVE_TAIL_THRESHOLD)
+    j_hi = smallest_step(curve.value, 1.0)
+    j_lo = smallest_step(curve.gap, -1.0)
     return (-j_lo * spacing, j_hi * spacing)

@@ -106,6 +106,7 @@ from .pessimistic import _survival_from_curve
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
+    _grid_pld,
     _pair_from_kinks,
     discretize_from_curve,
 )
@@ -348,9 +349,7 @@ def pb_optimistic_pld(
         masses = np.zeros(grid.alphas.size)
         masses[0 : grid.k] = interval  # interval i lands at its left endpoint
         masses[-1] = tail
-    return FinitePLD(
-        finite_epsilons=grid.finite_epsilons, masses=masses, spacing=grid.spacing, proper=False
-    )
+    return _grid_pld(grid, masses, proper=False)
 
 
 def non_uniqueness_fixture(

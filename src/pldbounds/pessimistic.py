@@ -42,6 +42,7 @@ from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
     _CLAMP_TOL,
+    _grid_pld,
     _pair_from_kinks,
 )
 
@@ -116,4 +117,4 @@ def pb_pessimistic_pld(
         masses = np.zeros(grid.alphas.size)
         masses[1:-1] = interval
         masses[-1] = g[-1]  # everything above a_{k-1}, including the +inf atom
-    return FinitePLD(finite_epsilons=grid.finite_epsilons, masses=masses, spacing=grid.spacing)
+    return _grid_pld(grid, masses)

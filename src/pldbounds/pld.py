@@ -152,6 +152,26 @@ def _mass_total(masses: np.ndarray, *cuts: float) -> float:
     return _exact_sum(masses)
 
 
+#: Length of the first prefix ``_tail_count`` sums; supports up to this size take one pass.
+_CUT_PREFIX = 4096
+
+
+def _tail_count(values: np.ndarray, budget: float) -> int:
+    """Number of leading entries whose running sum stays at most ``budget``.
+
+    Sums a prefix that doubles until the count falls short of it or it
+    covers ``values``, instead of the whole array.  ``np.cumsum`` adds in
+    sequence, so the prefix sums, and hence the count, are those of the
+    full running sum.  The values must be non-negative.
+    """
+    prefix = _CUT_PREFIX
+    while True:
+        count = int(np.searchsorted(np.cumsum(values[:prefix]), budget, side="right"))
+        if count < prefix or prefix >= values.size:
+            return count
+        prefix *= 2
+
+
 def _require_unit_mass(masses: np.ndarray, name: str) -> None:
     """Reject masses whose fsum total is off 1 by more than _MASS_ATOL, or NaN."""
     if not abs(_mass_total(masses, 1.0 - _MASS_ATOL, 1.0 + _MASS_ATOL) - 1.0) <= _MASS_ATOL:
@@ -218,6 +238,13 @@ class FinitePLD:
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
     read-only view of it, and the caller's array stays writable.  The masses
     are copied, with negatives down to ``_MASS_SLACK`` set to 0.
+
+    The library's own builders pass ``_checked_offset``, the j0 of epsilons
+    that ``_lattice`` built or that a grid checked against it, and the
+    lattice is then not checked again; every other call checks it.
+    ``_memo`` holds what other modules derive from the distribution alone
+    (``compose`` keeps its single-step window there); the masses are
+    read-only, so it cannot go stale.
     """
 
     finite_epsilons: np.ndarray
@@ -228,8 +255,10 @@ class FinitePLD:
     truncated_high: float = 0.0
     rounding_charge: float = 0.0
     lattice_offset: int | None = dataclasses.field(default=None, init=False)
+    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
+    _checked_offset: dataclasses.InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _checked_offset):
         eps = _frozen(self.finite_epsilons)
         m = np.asarray(self.masses, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps)):
@@ -237,7 +266,9 @@ class FinitePLD:
         if m.shape != (eps.size + 2,):
             raise RequestError("mass array must hold the finite epsilons plus both atoms")
         if self.spacing is not None:
-            object.__setattr__(self, "lattice_offset", _lattice_offset(eps, self.spacing))
+            if _checked_offset is None:
+                _checked_offset = _lattice_offset(eps, self.spacing)
+            object.__setattr__(self, "lattice_offset", _checked_offset)
         elif not np.all(np.diff(eps) > 0):
             raise RequestError("finite epsilons must be strictly increasing")
         if m.min() < -_MASS_SLACK:
@@ -272,7 +303,19 @@ def _lattice_pld(
         masses=np.concatenate(([neg_mass], finite, [inf_mass])),
         spacing=spacing,
         proper=proper and neg_mass == 0.0,
+        _checked_offset=j0,
         **bookkeeping,
+    )
+
+
+def _grid_pld(grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True) -> FinitePLD:
+    """PLD with ``masses`` on the grid's epsilons, whose lattice the grid checked when built."""
+    return FinitePLD(
+        finite_epsilons=grid.finite_epsilons,
+        masses=masses,
+        spacing=grid.spacing,
+        proper=proper,
+        _checked_offset=grid._offset,
     )
 
 
@@ -354,10 +397,7 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
 
 def pld_of(pair: DiscreteDominatingPair) -> FinitePLD:
     """Loss distribution of the pair: mass P(a_i) at eps_i, none at -inf."""
-    grid = pair.grid
-    return FinitePLD(
-        finite_epsilons=grid.finite_epsilons, masses=pair.p_masses.copy(), spacing=grid.spacing
-    )
+    return _grid_pld(pair.grid, pair.p_masses.copy())
 
 
 def delta_at(pld: FinitePLD, epsilon: float) -> float:
@@ -393,14 +433,49 @@ def curve_of(pair: DiscreteDominatingPair) -> PiecewiseLinearCurve:
     return PiecewiseLinearCurve(a, np.clip(values, 0.0, 1.0))
 
 
+def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
+    """The first support index k with delta(eps_k) <= delta_target, by one vectorised pass.
+
+    A point eps_i at least ln 2 above eps_k adds at least m_i / 2 to
+    delta(eps_k), so where the top masses first sum past 2 delta_target
+    (``_tail_count``), no point ln 2 or more below can meet the target.
+    Over the support above that, delta(eps_k) = m(+inf) + S_k - e^(eps_k) T_k
+    with suffix sums S_k = sum_{i > k} m_i and T_k = sum_{i > k} m_i e^(-eps_i),
+    taken relative to the tail's first point.  The result is an estimate
+    that ``epsilon_for_delta`` confirms: an overflow of e^(eps_k) on a tail
+    wider than about 700, or rounding where delta is flat, can misplace it.
+    """
+    eps_f = pld.finite_epsilons
+    finite = pld.masses[1:-1]
+    count = _tail_count(finite[::-1], 2.0 * delta_target)
+    first = 0
+    if count < finite.size:
+        bound = float(eps_f[finite.size - 1 - count]) - math.log(2.0)
+        first = int(np.searchsorted(eps_f, bound, side="right"))
+    eps = eps_f[first:]
+    m = finite[first:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = m * np.exp(eps[0] - eps)
+        above = np.cumsum(m[:0:-1])[::-1]
+        weighted = np.cumsum(scaled[:0:-1])[::-1]
+        delta = pld.mass_at_infinity + above - np.exp(eps[:-1] - eps[0]) * weighted
+    # the top point meets every target the +inf atom meets
+    return first + int(np.argmax(np.append(delta <= delta_target, True)))
+
+
 def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     """Smallest epsilon with delta_at(pld, epsilon) <= delta_target.
 
     Returns +inf when the +inf atom already exceeds the target (the floor of
-    delta) and -inf when every epsilon meets the target.  Otherwise bisection
-    over support indices finds the first support point eps_k meeting the
-    target.  On [eps_{k-1}, eps_k] the points above epsilon are those from k
-    on, so delta(epsilon) = A - e^(epsilon - eps_k) * T with
+    delta) and -inf when every epsilon meets the target.  Otherwise it finds
+    the first support point eps_k meeting the target: one vectorised pass
+    over the top of the support proposes k (``_first_meeting``), and
+    ``delta_at`` confirms that eps_k meets the target and eps_{k-1} does
+    not, each by more than ``delta_at``'s rounding, so that no other index
+    can read on the other side.  Where that check fails, bisection over the
+    support indices finds k, as it did before the proposal was added.  On
+    [eps_{k-1}, eps_k] the points above epsilon are those from k on, so
+    delta(epsilon) = A - e^(epsilon - eps_k) * T with
     A = m(+inf) + sum_{i >= k} m_i and T = sum_{i >= k} m_i e^(eps_k - eps_i),
     whose root is stepped up (one ulp, then doubling strides) until
     ``delta_at`` meets the target.
@@ -413,10 +488,18 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     if _mass_total(pld.masses[1:], delta_target) <= delta_target:
         return -math.inf
     eps_f = pld.finite_epsilons
-    # delta at the top support point is the +inf atom, which meets the target
-    k = bisect.bisect_left(
-        range(eps_f.size), True, key=lambda i: delta_at(pld, float(eps_f[i])) <= delta_target
-    )
+    # delta_at adds non-negative terms, so it errs by a relative (size + 8) u
+    # at most.  The true delta does not increase, so when the reads at a
+    # proposed k and at k - 1 clear the target by twice that (and some), no
+    # other index reads on the other side, and bisection would give k too.
+    slack = 1.0 + 6.0 * (eps_f.size + 8) * _U
+    k = _first_meeting(pld, delta_target)
+    confirmed = delta_at(pld, float(eps_f[k])) * slack <= delta_target
+    if not (confirmed and (k == 0 or delta_at(pld, float(eps_f[k - 1])) > delta_target * slack)):
+        # delta at the top support point is the +inf atom, which meets the target
+        k = bisect.bisect_left(
+            range(eps_f.size), True, key=lambda i: delta_at(pld, float(eps_f[i])) <= delta_target
+        )
     top = float(eps_f[k])
     above = pld.masses[1 + k :]
     a = _exact_sum(above)

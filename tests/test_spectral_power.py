@@ -117,7 +117,7 @@ class TestAgainstDirect:
         single = pld.masses[1:-1]
         full = n * (single.size - 1) + 1
         w = budget / n
-        start, length = compose._window(single, n, w, full)
+        start, length = compose._window(pld, n, w, full)
         assert 0 <= start and start + length <= full
         exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
         below, above = _outside_window(exact, pld, n, start, length)
@@ -149,7 +149,7 @@ def test_a_window_shorter_than_the_single_step_folds_it():
     pld = _pld(finite, -2000)
     single = pld.masses[1:-1]
     n = 2
-    start, length = compose._window(single, n, 1e-6 / n, n * (single.size - 1) + 1)
+    start, length = compose._window(pld, n, 1e-6 / n, n * (single.size - 1) + 1)
     assert length < single.size
     exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
     for direction in ("pessimistic", "optimistic"):
@@ -167,7 +167,7 @@ def test_a_heavy_extreme_atom_stays_in_the_window():
     n = 20
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
-    start, length = compose._window(single, n, 1e-9 / n, full)
+    start, length = compose._window(pld, n, 1e-9 / n, full)
     assert start + length == full
     exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
     for direction in ("pessimistic", "optimistic"):
@@ -253,7 +253,7 @@ def test_the_window_is_the_rolled_power(monkeypatch, center, n, budget, placemen
     pld = _pld(np.exp(-0.5 * ((offsets - center) / 3.0) ** 2), -20)
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
-    start, length = compose._window(single, n, budget / n, full)
+    start, length = compose._window(pld, n, budget / n, full)
     size = next_fast_len(length, True)
     wraps = start % size + length > size
     assert (start >= size, wraps) == {
@@ -310,9 +310,9 @@ def _assert_flush_keeps_the_masses(single: np.ndarray, n: int, size: int) -> Non
         assert np.abs(flushed - plain).sum() <= size * compose._MASS_FLOOR
 
 
-def _transform_size(single: np.ndarray, n: int, budget: float) -> int:
-    full = n * (single.size - 1) + 1
-    _, length = compose._window(single, n, budget / n, full)
+def _transform_size(pld: pb.FinitePLD, n: int, budget: float) -> int:
+    full = n * (pld.support_size - 1) + 1
+    _, length = compose._window(pld, n, budget / n, full)
     return next_fast_len(length, True)
 
 
@@ -321,14 +321,14 @@ class TestUnderflowFlush:
     @given(lattice_plds(), st.integers(2, 3000), st.sampled_from((0.0, 1e-9, 1e-6)))
     def test_the_masses_equal_the_plain_power(self, pld, n, budget):
         single = pld.masses[1:-1]
-        _assert_flush_keeps_the_masses(single, n, _transform_size(single, n, budget))
+        _assert_flush_keeps_the_masses(single, n, _transform_size(pld, n, budget))
 
     def test_near_underflow_the_masses_move_less_than_the_floor_charge(self):
         # a +inf atom of 0.2 leaves 0.8^3000 = 1e-291 of finite mass
         pld = _pld(np.random.default_rng(3).random(40) ** 5, -20, inf=0.2)
         single = pld.masses[1:-1]
         for n in (2500, 3000):
-            _assert_flush_keeps_the_masses(single, n, _transform_size(single, n, 0.0))
+            _assert_flush_keeps_the_masses(single, n, _transform_size(pld, n, 0.0))
 
     @pytest.mark.parametrize(
         "spec, spacing",
@@ -350,7 +350,8 @@ class TestUnderflowFlush:
         curve = pb.curve_for(spec)
         grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
         build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
-        single = pb.pld_of(build(curve, grid)).masses[1:-1]
+        pld = pb.pld_of(build(curve, grid))
+        single = pld.masses[1:-1]
         bases = []
 
         def record(base, n, times):
@@ -360,7 +361,7 @@ class TestUnderflowFlush:
         monkeypatch.setattr(compose, "_binary_power", record)
         for n in (16, 100, 1000):
             bases.clear()
-            size = _transform_size(single, n, 1e-9)
+            size = _transform_size(pld, n, 1e-9)
             _assert_flush_keeps_the_masses(single, n, size)
             (base,) = bases
             live = np.abs(base) >= compose._live_threshold(n)
