@@ -234,15 +234,14 @@ class _Step:
     center: int
     log_f: np.ndarray
     offsets: np.ndarray
-    flipped: np.ndarray
     squares: np.ndarray
     log_m0: float
     var0: float
 
 
 def _step(pld: FinitePLD) -> _Step:
-    """``pld``'s ``_Step``, kept in its memo after the first call."""
-    step = pld._memo.get(_Step)
+    """``pld``'s ``_Step``, kept in its ``_window_step`` after the first call."""
+    step = pld._window_step
     if step is None:
         single = pld.masses[1:-1]
         at = np.flatnonzero(single)
@@ -252,15 +251,15 @@ def _step(pld: FinitePLD) -> _Step:
         log_f = np.log(positive)
         squares = offsets * offsets
         log_m0, _, var0 = _log_mgf(log_f, offsets, squares, 0.0) if at.size else (math.nan,) * 3
-        step = _Step(_exact_sum(single), center, log_f, offsets, -offsets, squares, log_m0, var0)
-        pld._memo[_Step] = step
+        step = _Step(_exact_sum(single), center, log_f, offsets, squares, log_m0, var0)
+        object.__setattr__(pld, "_window_step", step)
     return step
 
 
 def _tail_edge(step: _Step, offsets: np.ndarray, n: int, log_inv_w: float) -> float:
     """A b with mass{S >= s} <= W for every s >= b, S the sum of n single-step offsets.
 
-    ``offsets`` are ``step.offsets`` for the high edge and ``step.flipped``
+    ``offsets`` are ``step.offsets`` for the high edge and their negation
     for the low one, at the masses e^``step.log_f``; ``log_inv_w`` is
     -log W.  For every t > 0 Chernoff's
     bound mass{S >= s} <= e^(-ts) M(t)^n meets W at
@@ -317,7 +316,7 @@ def _window(pld: FinitePLD, n: int, budget: float, full: int) -> tuple[int, int]
     log_inv_w = -math.log(budget)
     center = step.center
     hi = math.floor(n * center + _tail_edge(step, step.offsets, n, log_inv_w)) + 1
-    lo = math.ceil(n * center - _tail_edge(step, step.flipped, n, log_inv_w))
+    lo = math.ceil(n * center - _tail_edge(step, -step.offsets, n, log_inv_w))
     lo, hi = max(lo, 0), min(hi, full)
     length = next_fast_len(max(hi - lo, 1), True)
     if length >= full:

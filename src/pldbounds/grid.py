@@ -52,10 +52,14 @@ def _lattice(j0: int, size: int, spacing: float) -> np.ndarray:
     return epsilons
 
 
-def _lattice_offset(epsilons: np.ndarray, spacing: float) -> int:
-    """The j0 that puts each epsilon within ``_SPACING_ATOL`` of ``_lattice``; else RequestError."""
+def _require_spacing(spacing: float) -> None:
     if not (spacing > 0 and math.isfinite(spacing)):
         raise RequestError(f"spacing must be positive and finite, got {spacing}")
+
+
+def _lattice_offset(epsilons: np.ndarray, spacing: float) -> int:
+    """The j0 that puts each epsilon within ``_SPACING_ATOL`` of ``_lattice``; else RequestError."""
+    _require_spacing(spacing)
     j0 = round(float(epsilons[0]) / spacing)
     off = _lattice(j0, epsilons.size, spacing)
     off -= epsilons
@@ -132,8 +136,7 @@ class DiscretizationGrid:
         holds at most ``_GRID_MAX_POINTS`` points; a longer one is refused
         before anything is allocated.
         """
-        if not (spacing > 0 and math.isfinite(spacing)):
-            raise RequestError(f"spacing must be positive and finite, got {spacing}")
+        _require_spacing(spacing)
         if not (math.isfinite(eps_min) and math.isfinite(eps_max) and eps_min <= eps_max):
             raise RequestError(f"bad epsilon range [{eps_min}, {eps_max}]")
         low, high = min(eps_min / spacing + 1e-9, 0.0), max(eps_max / spacing - 1e-9, 0.0)

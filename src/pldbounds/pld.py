@@ -39,7 +39,7 @@ import numpy as np
 
 from .curves import PiecewiseLinearCurve
 from .errors import NumericalValidityError, RequestError
-from .grid import DiscretizationGrid, _frozen, _lattice, _lattice_offset
+from .grid import DiscretizationGrid, _frozen, _lattice, _lattice_offset, _require_spacing
 
 __all__ = [
     "DiscreteDominatingPair",
@@ -239,12 +239,13 @@ class FinitePLD:
     read-only view of it, and the caller's array stays writable.  The masses
     are copied, with negatives down to ``_MASS_SLACK`` set to 0.
 
-    The library's own builders pass ``_checked_offset``, the j0 of epsilons
-    that ``_lattice`` built or that a grid checked against it, and the
-    lattice is then not checked again; every other call checks it.
-    ``_memo`` holds what other modules derive from the distribution alone
-    (``compose`` keeps its single-step window there); the masses are
-    read-only, so it cannot go stale.
+    Every ``FinitePLD(...)`` call, ``dataclasses.replace`` included, checks
+    the lattice.  The library's own builders go through the private
+    ``_on_checked_lattice`` instead, with the j0 of epsilons that
+    ``_lattice`` built or that a grid checked against it; only the spacing
+    is checked then.  ``_window_step`` is ``compose``'s single-step window
+    cache (``compose._step``); the masses are read-only, so it cannot go
+    stale.
     """
 
     finite_epsilons: np.ndarray
@@ -255,20 +256,31 @@ class FinitePLD:
     truncated_high: float = 0.0
     rounding_charge: float = 0.0
     lattice_offset: int | None = dataclasses.field(default=None, init=False)
-    _memo: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
-    _checked_offset: dataclasses.InitVar[int | None] = None
+    _window_step: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, _checked_offset):
+    @classmethod
+    def _on_checked_lattice(cls, offset: int, **fields) -> "FinitePLD":
+        """``FinitePLD(**fields)`` whose epsilons are known to lie on the lattice at ``offset``."""
+        # __post_init__ pops the offset, so the constructor takes data fields only
+        pld = cls.__new__(cls)
+        pld.__dict__["_known_offset"] = offset
+        pld.__init__(**fields)
+        return pld
+
+    def __post_init__(self):
         eps = _frozen(self.finite_epsilons)
         m = np.asarray(self.masses, dtype=float)
         if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps)):
             raise RequestError("need a non-empty 1-D array of finite epsilons")
         if m.shape != (eps.size + 2,):
             raise RequestError("mass array must hold the finite epsilons plus both atoms")
+        offset = self.__dict__.pop("_known_offset", None)
         if self.spacing is not None:
-            if _checked_offset is None:
-                _checked_offset = _lattice_offset(eps, self.spacing)
-            object.__setattr__(self, "lattice_offset", _checked_offset)
+            if offset is None:
+                offset = _lattice_offset(eps, self.spacing)
+            else:
+                _require_spacing(self.spacing)
+            object.__setattr__(self, "lattice_offset", offset)
         elif not np.all(np.diff(eps) > 0):
             raise RequestError("finite epsilons must be strictly increasing")
         if m.min() < -_MASS_SLACK:
@@ -298,24 +310,24 @@ def _lattice_pld(
 
     ``bookkeeping`` holds ``FinitePLD``'s truncation and rounding records.
     """
-    return FinitePLD(
+    return FinitePLD._on_checked_lattice(
+        j0,
         finite_epsilons=_lattice(j0, finite.size, spacing),
         masses=np.concatenate(([neg_mass], finite, [inf_mass])),
         spacing=spacing,
         proper=proper and neg_mass == 0.0,
-        _checked_offset=j0,
         **bookkeeping,
     )
 
 
 def _grid_pld(grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True) -> FinitePLD:
     """PLD with ``masses`` on the grid's epsilons, whose lattice the grid checked when built."""
-    return FinitePLD(
+    return FinitePLD._on_checked_lattice(
+        grid._offset,
         finite_epsilons=grid.finite_epsilons,
         masses=masses,
         spacing=grid.spacing,
         proper=proper,
-        _checked_offset=grid._offset,
     )
 
 

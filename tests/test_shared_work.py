@@ -9,6 +9,7 @@ code is kept here as the reference: the bisection over support indices for
 
 import bisect
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -262,3 +263,29 @@ def test_the_public_constructor_still_checks_every_lattice():
         pb.FinitePLD(shifted, single.masses, spacing=0.1)
     with pytest.raises(pb.RequestError, match="not consecutive multiples of the spacing"):
         dataclasses.replace(single, finite_epsilons=shifted)
+
+
+@pytest.mark.parametrize(
+    "spacing, message",
+    [
+        (0.0, "spacing must be positive and finite"),
+        (-0.1, "spacing must be positive and finite"),
+        (math.nan, "finite epsilons"),
+        (math.inf, "finite epsilons"),
+    ],
+)
+def test_a_trusted_lattice_still_needs_a_positive_finite_spacing(spacing, message):
+    payload = pb.pld_to_json_dict(compose.point_mass_pld(0.1))
+    payload["discretization"] = spacing
+    payload["epsilon_offset"] = 3
+    with pytest.raises(pb.RequestError, match=message):
+        pb.pld_from_json_dict(payload)
+
+
+def test_the_public_constructor_takes_no_offset():
+    public = [f.name for f in dataclasses.fields(pb.FinitePLD) if f.init]
+    assert public == [
+        "finite_epsilons", "masses", "spacing", "proper",
+        "truncated_low", "truncated_high", "rounding_charge",
+    ]
+    assert list(inspect.signature(pb.FinitePLD).parameters) == public
