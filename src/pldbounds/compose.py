@@ -1,40 +1,26 @@
 """Composition of finitely supported loss distributions by convolution.
 
-Running two mechanisms side by side multiplies the dominating pairs, and the
+Running mechanisms side by side multiplies the dominating pairs, and the
 loss distribution of a product pair is the convolution of the loss
 distributions.  Finite masses convolve on the shared epsilon lattice
 (indices add); atoms at +inf (and, for improper rounded-down estimates, at
 -inf) are absorbing, so they combine by inclusion-exclusion while the finite
-parts convolve at their complementary weight.  Both compositions clean their
-finite masses with ``_guard`` and build their result with
-``pld._lattice_pld`` at their operands' ``FinitePLD.lattice_offset``.
+parts convolve at their complementary weight.
 
-``convolve`` composes two distributions by one linear FFT convolution and
-truncates its tails direction-aware, so that the one-sided meaning of an
-estimate survives:
-
-- pessimistic: low-tail mass moves up to the lowest retained finite epsilon
-  and high-tail mass to +inf; both moves are upward in epsilon, so the
-  divergence can only grow;
-- optimistic: high-tail mass moves down to the highest retained finite
-  epsilon and low-tail mass to -inf (where it contributes nothing); both
-  moves are downward, so the divergence can only shrink.
-
-``self_compose`` computes an n-fold composition with one transform, one
-n-th power of the spectrum and one inverse transform (Koskela, Jalko and
-Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
-AISTATS 2020) on a window of the n-fold lattice sized by Chernoff bounds;
-spectrum entries whose n-th power would underflow are set to 0
-(``_spectral_power``).  It charges on the safe side, inside the result, the
-mass that wraps around the window, a bound on its round-off
-(``_rounding_bound``) and, when pessimistic, the mass it may have lost by
-the ``np.sum`` bound ``pld._sum_error`` (see ``self_compose``).  ``convolve``
-does not charge its round-off.
+One engine, ``_compose``, composes n_f copies of each factor f:
+``self_compose(pld, n)`` is the factor (pld, n), ``convolve(a, b)`` the
+factors (a, 1) and (b, 1).  It multiplies the factors' n_f-th spectral
+powers on a Chernoff-sized window of the composed lattice (Koskela, Jalko
+and Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
+AISTATS 2020), charges the wrap and the round-off on the safe side inside
+the result, cleans the masses with ``_guard`` and builds the result with
+``pld._lattice_pld`` at the factors' ``FinitePLD.lattice_offset``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -59,7 +45,7 @@ _FFT_NEG_TOL = 1e-13
 #: eta = mu + gamma_4 (sqrt(2) + mu) is below 7u for twiddles within mu <= u.
 _FFT_PASS_ERR = 8.0 * _U
 
-#: Longest full support that a budgeted self-composition computes directly
+#: Longest full support that a budgeted composition computes directly
 #: when its window would cover it: binary powering over ``np.convolve``
 #: takes about full^2 / 3 products there, a few milliseconds.
 _DIRECT_MAX = 1 << 13
@@ -72,13 +58,14 @@ _NEWTON_RTOL = 1e-2
 
 @dataclasses.dataclass(frozen=True)
 class CompositionPolicy:
-    """How to compose: direction-aware truncation, method, support cap.
+    """How to compose: direction, method, per-side budget, support cap.
 
     ``truncation_tail_mass`` is the mass one composition may relocate per
-    side.  ``convolve`` truncates by it under either method.
-    ``self_compose`` sizes its transform window by it, but with
-    ``method="direct"`` it never truncates: the exact reference works at the
-    full n-fold support and raises on ``max_support`` when that is longer.
+    side: its transform window leaves at most W = truncation_tail_mass / N
+    outside on each side, N the total count of single steps, and charges
+    it (see ``_compose``).  With ``method="direct"`` a composition never
+    truncates: the exact reference works at the full composed support and
+    raises on ``max_support`` when that is longer.
     """
 
     direction: str
@@ -111,123 +98,58 @@ def _require_no_clash(a: FinitePLD, b: FinitePLD) -> None:
         raise RequestError("cannot compose -inf mass against +inf mass")
 
 
-def _require_support(size: int, policy: CompositionPolicy) -> None:
-    if size > policy.max_support:
-        raise RequestError(
-            f"composed support {size} exceeds max_support "
-            f"{policy.max_support}; raise the cap or allow more truncation"
-        )
-
-
-def _guard(finite: np.ndarray, what: str) -> None:
+def _guard(finite: np.ndarray) -> None:
     """Clip FFT round-off at 0, failing beyond ``_FFT_NEG_TOL``, and flush below ``_MASS_FLOOR``."""
     worst = float(finite.min())
     if worst < -_FFT_NEG_TOL:
-        raise NumericalValidityError(f"fft {what} went negative ({worst:.3e})")
+        raise NumericalValidityError(f"fft composition went negative ({worst:.3e})")
     np.maximum(finite, 0.0, out=finite)
     finite[finite < _MASS_FLOOR] = 0.0
 
 
-def _truncate(
-    finite: np.ndarray,
-    j0: int,
-    neg_mass: float,
-    inf_mass: float,
-    direction: str,
-    budget: float,
-) -> tuple[np.ndarray, int, float, float, float, float]:
-    """Relocate up to ``budget`` mass per tail, keeping at least one point.
-
-    Returns (finite, j0, neg_mass, inf_mass, moved_low, moved_high).
-    """
-    if budget <= 0.0 or finite.size <= 1:
-        return finite, j0, neg_mass, inf_mass, 0.0, 0.0
-    lo_cut = min(_tail_count(finite, budget), finite.size - 1)
-    hi_cut = min(_tail_count(finite[::-1], budget), finite.size - 1 - lo_cut)
-    if lo_cut == 0 and hi_cut == 0:
-        return finite, j0, neg_mass, inf_mass, 0.0, 0.0
-    hi_keep = finite.size - hi_cut
-    moved_low = _exact_sum(finite[:lo_cut])
-    moved_high = _exact_sum(finite[hi_keep:])
-    finite = finite[lo_cut:hi_keep].copy()
-    if direction == "pessimistic":
-        finite[0] += moved_low
-        inf_mass += moved_high
-    else:
-        neg_mass += moved_low
-        finite[-1] += moved_high
-    return finite, j0 + lo_cut, neg_mass, inf_mass, moved_low, moved_high
-
-
 def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD:
-    """Compose two loss distributions on a shared lattice; FFT as ``scipy.signal.fftconvolve``."""
-    spacing = a.spacing
-    if spacing is None or spacing != b.spacing:
-        raise RequestError(
-            f"composition needs one lattice spacing, got {spacing} and {b.spacing}"
-        )
-    _require_no_clash(a, b)
-    fa = a.masses[1:-1]
-    fb = b.masses[1:-1]
-    if policy.method == "direct":
-        finite = np.convolve(fa, fb)
-    elif fa.size == 1 or fb.size == 1:
-        finite = fa * fb
-    else:
-        size = fa.size + fb.size - 1
-        length = next_fast_len(size, True)
-        spectrum = rfft(fa, length)
-        spectrum *= rfft(fb, length)
-        finite = irfft(spectrum, length)[:size]
-    _guard(finite, "convolution")
-    neg_a, inf_a = float(a.masses[0]), float(a.masses[-1])
-    neg_b, inf_b = float(b.masses[0]), float(b.masses[-1])
-    inf_mass = inf_a + inf_b - inf_a * inf_b
-    neg_mass = neg_a + neg_b - neg_a * neg_b
-    j0 = a.lattice_offset + b.lattice_offset
-    finite, j0, neg_mass, inf_mass, moved_low, moved_high = _truncate(
-        finite, j0, neg_mass, inf_mass, policy.direction, policy.truncation_tail_mass
-    )
-    _require_support(finite.size, policy)
-    return _lattice_pld(
-        spacing, j0, finite, neg_mass, inf_mass,
-        proper=a.proper and b.proper,
-        truncated_low=a.truncated_low + b.truncated_low + moved_low,
-        truncated_high=a.truncated_high + b.truncated_high + moved_high,
-        rounding_charge=a.rounding_charge + b.rounding_charge,
-    )
+    """Compose two loss distributions on one lattice: ``_compose`` with the factors (a, 1), (b, 1).
 
-
-def _log_mgf(
-    log_f: np.ndarray, offsets: np.ndarray, squares: np.ndarray, t: float
-) -> tuple[float, float, float]:
-    """log M(t) and its first two derivatives, M(t) = sum of e^(log_f + t * offsets).
-
-    ``squares`` holds the squared offsets.  Terms below e^-700 of the
-    largest are raised to it, which keeps denormals out of the sums and can
-    only overstate M.
+    A positive budget windows and charges as in ``self_compose``; a zero
+    one gives ``scipy.signal.fftconvolve``'s bits (after ``_guard``), and
+    ``method="direct"`` gives ``np.convolve``'s at full support.
     """
-    exponents = log_f + t * offsets
-    top = float(exponents.max())
-    exponents -= top
-    weights = np.exp(np.maximum(exponents, -700.0, out=exponents), out=exponents)
-    total = float(weights.sum())
-    mean = float(weights @ offsets) / total
-    var = max(float(weights @ squares) / total - mean * mean, 0.0)
-    return top + math.log(total), mean, var
+    return _compose([(a, 1), (b, 1)], policy)
+
+
+def _log_mgf(terms: list[tuple], t: float) -> tuple[float, float, float]:
+    """log M(t) and its first two derivatives, averaged over ``terms`` by their shares.
+
+    Each term is (share, log_f, offsets, squares) with M(t) the sum of
+    e^(log_f + t * offsets) and ``squares`` the squared offsets.  Summands
+    below e^-700 of the largest are raised to it, which keeps denormals out
+    of the sums and can only overstate M.
+    """
+    log_m = mean = var = -0.0
+    for share, log_f, offsets, squares in terms:
+        exponents = log_f + t * offsets
+        top = float(exponents.max())
+        exponents -= top
+        weights = np.exp(np.maximum(exponents, -700.0, out=exponents), out=exponents)
+        total = float(weights.sum())
+        part_mean = float(weights @ offsets) / total
+        log_m += share * (top + math.log(total))
+        mean += share * part_mean
+        var += share * max(float(weights @ squares) / total - part_mean * part_mean, 0.0)
+    return log_m, mean, var
 
 
 @dataclasses.dataclass(frozen=True)
 class _Step:
-    """What every n-fold power of one single step shares, computed once per ``FinitePLD``.
+    """What every composition of one single step shares, computed once per ``FinitePLD``.
 
     ``mass`` is the exact total of the finite masses.  The positive ones
     have logs ``log_f`` and lie at ``offsets`` from ``center``, their
     mass-weighted mean index rounded; ``squares`` are the squared offsets.
     log M(0) and the variance at t = 0 (``_log_mgf``) are the same for
     ``offsets`` and their negation, so one evaluation serves both window
-    edges and every n.  Without positive finite masses the moments are NaN
-    and no window is sought.
+    edges and every count.  Without positive finite masses the moments are
+    NaN and no window is sought.
     """
 
     mass: float
@@ -250,32 +172,44 @@ def _step(pld: FinitePLD) -> _Step:
         offsets = (at - center).astype(float)
         log_f = np.log(positive)
         squares = offsets * offsets
-        log_m0, _, var0 = _log_mgf(log_f, offsets, squares, 0.0) if at.size else (math.nan,) * 3
+        terms = [(1.0, log_f, offsets, squares)]
+        log_m0, _, var0 = _log_mgf(terms, 0.0) if at.size else (math.nan,) * 3
         step = _Step(_exact_sum(single), center, log_f, offsets, squares, log_m0, var0)
         object.__setattr__(pld, "_window_step", step)
     return step
 
 
-def _tail_edge(step: _Step, offsets: np.ndarray, n: int, log_inv_w: float) -> float:
-    """A b with mass{S >= s} <= W for every s >= b, S the sum of n single-step offsets.
+def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: float) -> float:
+    """A b with mass{S >= s} <= W for every s >= b, S the sum of n_f offsets of each factor.
 
-    ``offsets`` are ``step.offsets`` for the high edge and their negation
-    for the low one, at the masses e^``step.log_f``; ``log_inv_w`` is
-    -log W.  For every t > 0 Chernoff's
-    bound mass{S >= s} <= e^(-ts) M(t)^n meets W at
+    ``steps`` holds each factor's ``_Step`` and count n_f; the offsets are
+    ``step.offsets`` times ``sign``: 1 for the high edge, -1 for the low
+    one.  ``log_inv_w`` is -log W, n = sum n_f, and log M(t) is the
+    n_f-weighted mean of the factors' log moment generating functions
+    (``_log_mgf``).  For every t > 0
+    Chernoff's bound mass{S >= s} <= e^(-ts) M(t)^n meets W at
     g(t) = (n log M(t) - log W) / t, so every g(t) is a valid b.  Safeguarded
     Newton steps solve g'(t) = 0, that is n (t (log M)'(t) - log M(t)) = -log W,
-    and the least g(t) met is returned.  Without a root, either the top atom
-    alone keeps f^n >= W and g falls to n max(offsets), or the n-fold mass is
-    at most W and any b will do.
+    and the least g(t) met is returned.  Without a root, either the top point
+    alone keeps mass >= W and g falls to sum n_f max(offsets_f), or the
+    composed mass is at most W and any b will do.
     """
-    log_f, squares = step.log_f, step.squares
-    top = int(np.argmax(offsets))
-    if -n * float(log_f[top]) <= log_inv_w:
-        return n * float(offsets[top])
-    log_m, var = step.log_m0, step.var0
+    terms = [
+        (count / n, s.log_f, s.offsets if sign > 0.0 else -s.offsets, s.squares) for s, count in steps
+    ]
+    # the offsets ascend, so the largest is the last one, or the first once negated
+    top = -1 if sign > 0.0 else 0
+    log_top = highest = lowest = log_m = var = -0.0
+    for (step, count), (share, _, offsets, _) in zip(steps, terms):
+        log_top += count * float(step.log_f[top])
+        highest += count * float(offsets[top])
+        lowest += count * float(offsets[-1 - top])
+        log_m += share * step.log_m0
+        var += share * step.var0
+    if -log_top <= log_inv_w:
+        return highest
     if -n * log_m >= log_inv_w:
-        return n * float(offsets.min())
+        return lowest
     # the Gaussian approximation log M(t) = log M(0) + mean t + var t^2 / 2
     # puts the root at t below; Newton steps then run on log(n h) against t,
     # which stays nearly linear where a rare far component makes h explode
@@ -283,7 +217,7 @@ def _tail_edge(step: _Step, offsets: np.ndarray, n: int, log_inv_w: float) -> fl
     lo, hi = 0.0, math.inf
     best = math.inf
     for _ in range(_NEWTON_STEPS):
-        log_m, mean, var = _log_mgf(log_f, offsets, squares, t)
+        log_m, mean, var = _log_mgf(terms, t)
         best = min(best, (n * log_m + log_inv_w) / t)
         h = n * (t * mean - log_m)
         if abs(h - log_inv_w) <= _NEWTON_RTOL * log_inv_w:
@@ -299,24 +233,29 @@ def _tail_edge(step: _Step, offsets: np.ndarray, n: int, log_inv_w: float) -> fl
     return best
 
 
-def _window(pld: FinitePLD, n: int, budget: float, full: int) -> tuple[int, int]:
-    """Start and length of the index window the n-fold power of ``pld`` is computed on.
+def _window(factors: list[tuple[FinitePLD, int]], budget: float, full: int) -> tuple[int, int]:
+    """Start and length of the index window the composition of ``factors`` is computed on.
 
-    Indices count from n times the single step's first index, so the n-fold
-    support is [0, full).  At most ``budget`` of the n-fold finite mass lies
-    below the window and at most ``budget`` above it; the Chernoff edges are
-    rounded outward and the length is a fast transform length.  The whole
-    support is returned when that is no longer, or when ``budget`` is 0.
+    Indices count from the sum of each factor's count times its first index,
+    so the composed support is [0, full).  At most ``budget`` of the composed
+    finite mass lies below the window and at most ``budget`` above it; the
+    Chernoff edges are rounded outward and the length is a fast transform
+    length.  The whole support is returned when that is no longer, or when
+    ``budget`` is 0.
     """
     if budget <= 0.0:
         return 0, full
-    step = _step(pld)
-    if not step.log_f.size:
-        return 0, full
+    steps, n, center = [], 0, 0
+    for pld, count in factors:
+        step = _step(pld)
+        if not step.log_f.size:
+            return 0, full
+        steps.append((step, count))
+        n += count
+        center += count * step.center
     log_inv_w = -math.log(budget)
-    center = step.center
-    hi = math.floor(n * center + _tail_edge(step, step.offsets, n, log_inv_w)) + 1
-    lo = math.ceil(n * center - _tail_edge(step, -step.offsets, n, log_inv_w))
+    hi = math.floor(center + _tail_edge(steps, n, 1.0, log_inv_w)) + 1
+    lo = math.ceil(center - _tail_edge(steps, n, -1.0, log_inv_w))
     lo, hi = max(lo, 0), min(hi, full)
     length = next_fast_len(max(hi - lo, 1), True)
     if length >= full:
@@ -334,36 +273,41 @@ def _live_threshold(n: int) -> float:
     return 2.0 ** (-1022.0 / n)
 
 
-def _spectral_power(single: np.ndarray, n: int, size: int) -> np.ndarray:
-    """Circular n-fold self-convolution at length ``size``: one rfft, one power, one irfft.
+def _spectral_power(factors: list[tuple[np.ndarray, int]], size: int) -> np.ndarray:
+    """Circular composition at length ``size``: an rfft per factor, their powers' product, an irfft.
 
-    Entries beyond ``size`` are first folded onto their index modulo
-    ``size``; ``rfft`` would silently drop them.  Spectrum entries with
-    |s| < tau (``_live_threshold``) are set to 0 instead of powered: their
-    n-th powers are below 2^-1022, and the chain of squarings that would
-    reach them runs through subnormals, which cost tens of times a normal
-    product.  ``_rounding_bound`` charges what the zeros leave out.  The
-    live entries are gathered into a compact band when they are at most
-    half of the spectrum, and powered in place otherwise: squaring the
-    zeros in place would still pass over the whole spectrum per product.
+    ``factors`` holds (single-step finite masses, count) pairs, and each
+    factor's spectrum is raised to its count.  Entries beyond ``size`` are
+    first folded onto their index modulo ``size``; ``rfft`` would silently
+    drop them.  Spectrum entries with |s| < tau (``_live_threshold`` of the
+    count) are set to 0 instead of powered: their powers are below 2^-1022,
+    and the chain of squarings that would reach them runs through
+    subnormals, which cost tens of times a normal product.
+    ``_rounding_bound`` charges what the zeros leave out.  The live entries
+    are gathered into a compact band when they are at most half of the
+    spectrum, and powered in place otherwise: squaring the zeros in place
+    would still pass over the whole spectrum per product.
     """
-    if single.size > size:
-        single = np.pad(single, (0, -single.size % size)).reshape(-1, size).sum(axis=0)
-    spectrum = rfft(single, size)
-    live = np.abs(spectrum) >= _live_threshold(n)
-    count = int(np.count_nonzero(live))
-    if 2 * count > live.size:
-        if count < live.size:
-            spectrum[~live] = 0.0
-        spectrum = _binary_power(spectrum, n, _times_in_place)
-    else:
-        # numpy multiplies a one-entry array on a scalar path whose last bit
-        # can differ from its vector loop's, so a lone entry goes in twice
-        at = np.flatnonzero(live).repeat(2 if count == 1 else 1)
-        band = _binary_power(spectrum[at], n, _times_in_place)
-        spectrum.fill(0.0)
-        spectrum[at] = band
-    return irfft(spectrum, size)
+    product = None
+    for single, n in factors:
+        if single.size > size:
+            single = np.pad(single, (0, -single.size % size)).reshape(-1, size).sum(axis=0)
+        spectrum = rfft(single, size)
+        live = np.abs(spectrum) >= _live_threshold(n)
+        count = int(np.count_nonzero(live))
+        if 2 * count > live.size:
+            if count < live.size:
+                spectrum[~live] = 0.0
+            spectrum = _binary_power(spectrum, n, _times_in_place)
+        else:
+            # numpy multiplies a one-entry array on a scalar path whose last bit
+            # can differ from its vector loop's, so a lone entry goes in twice
+            at = np.flatnonzero(live).repeat(2 if count == 1 else 1)
+            band = _binary_power(spectrum[at], n, _times_in_place)
+            spectrum.fill(0.0)
+            spectrum[at] = band
+        product = spectrum if product is None else _times_in_place(product, spectrum)
+    return irfft(product, size)
 
 
 def _fft_error(size: int) -> float:
@@ -378,40 +322,56 @@ def _fft_error(size: int) -> float:
     return eta / (1.0 - eta)
 
 
-def _rounding_bound(single: np.ndarray, mass: float, n: int, size: int, power: np.ndarray) -> float:
-    """Bound on the L1 distance from ``power`` to the exact circular n-fold power.
+def _rounding_bound(
+    factors: list[tuple[np.ndarray, int]], masses: list[float], size: int, power: np.ndarray
+) -> float:
+    """Bound on the L1 distance from ``power`` to the exact circular composition.
 
-    ``power`` is ``_spectral_power(single, n, size)`` and ``mass`` the single
-    step's finite mass.  An error E in the length-``size`` spectrum moves the
-    inverse transform by at most ||E||_2 in L1 (Parseval, then
-    Cauchy-Schwarz), so each source is bounded in the spectrum's 2-norm:
+    ``power`` is ``_spectral_power(factors, size)`` and ``masses`` the
+    factors' finite masses; factor f has count n_f, and N is their sum.  An
+    error E in the length-``size`` spectrum moves the inverse transform by
+    at most ||E||_2 in L1 (Parseval, then Cauchy-Schwarz), so each source
+    is bounded in the spectrum's 2-norm:
 
-    - the fold and the forward transform leave the spectrum s within d of
-      the exact one, with d = sqrt(size) (eta ||x||_2 + ||fold error||_1);
-    - the power maps that to n (mass + d)^(n - 1) d, as |s_k| <= mass;
-    - every complex product errs by at most 3u relatively, and a power is
-      n - 1 products deep: a relative (1 + 3u)^(n - 1) - 1;
+    - the fold and the forward transform leave factor f's spectrum s within
+      d_f of the exact one, with d_f = sqrt(size) (eta ||x||_2 + ||fold error||_1);
+    - its power maps that to n_f (mass_f + d_f)^(n_f - 1) d_f, as
+      |s_k| <= mass_f, and the product of the powers moves by the sum over
+      f of that times the other factors' (mass_g + d_g)^n_g, which bound
+      the entries of their powers;
+    - every complex product errs by at most 3u relatively, and the product
+      of the powers is N - 1 products deep: a relative (1 + 3u)^(N - 1) - 1;
     - the inverse transform errs by eta ||P||_2;
-    - the entries ``_spectral_power`` set to 0 instead of powering have
-      |s_k| < tau' (1 + u), tau' the threshold it applied and the factor the
-      rounding of |s_k|.  The powers they leave out total at most
-      sqrt(size + 2) tau'^n in the 2-norm: the rfft's size // 2 + 1
-      entries, each counted with its conjugate, are at most size + 2.
-      Their distance to the exact powers is already in the power's term.
+    - the entries ``_spectral_power`` set to 0 in factor f instead of
+      powering have |s_k| < tau_f (1 + u), tau_f the threshold it applied
+      and the factor the rounding of |s_k|.  The products they leave out
+      total at most sqrt(size + 2) tau_f^n_f in the 2-norm, times the other
+      factors' bounds: the rfft's size // 2 + 1 entries, each counted with
+      its conjugate, are at most size + 2.  Their distance to the exact
+      products is already in the powers' term.
 
-    ||P||_2, the norm of the spectrum's power, is read back from ``power``
+    ||P||_2, the norm of the spectrum's product, is read back from ``power``
     by Parseval.  Entries flushed below ``_MASS_FLOOR`` add at most that
-    much each.  The final slack covers (1 + u)^n and the rounding of tau'^n.
+    much each.  The final slack covers (1 + u)^N and the rounding of tau_f^n_f.
     """
     eta = _fft_error(size)
-    rows = -(-single.size // size)
-    fold = (rows - 1) * _U * mass
-    x_norm = min(mass, math.sqrt(rows * float(single @ single)))
-    d = math.sqrt(size) * (eta * x_norm + fold)
+    n, spread = 0, []
+    for (single, count), mass in zip(factors, masses):
+        rows = -(-single.size // size)
+        fold = (rows - 1) * _U * mass
+        x_norm = min(mass, math.sqrt(rows * float(single @ single)))
+        d = math.sqrt(size) * (eta * x_norm + fold)
+        n += count
+        spread.append((count, mass, d, (mass + d) ** count))
+    moved = zeroed = -0.0
+    for f, (count, mass, d, _) in enumerate(spread):
+        rest = math.prod(reach for g, (*_, reach) in enumerate(spread) if g != f)
+        moved += count * (mass + d) ** (count - 1) * d * rest
+        zeroed += _live_threshold(count) ** count * rest
     p_norm = math.sqrt(size * float(power @ power)) / (1.0 - eta)
     products = math.expm1((n - 1) * math.log1p(3.0 * _U))
-    bound = n * (mass + d) ** (n - 1) * d + (products / (1.0 - products) + eta) * p_norm
-    bound += math.sqrt(size + 2) * _live_threshold(n) ** n
+    bound = moved + (products / (1.0 - products) + eta) * p_norm
+    bound += math.sqrt(size + 2) * zeroed
     # slack for evaluating the bound itself
     return (bound + size * _MASS_FLOOR) * (1.0 + 1e-6)
 
@@ -452,20 +412,19 @@ def _charge(finite: np.ndarray, budget: float, direction: str) -> tuple[np.ndarr
     return finite[: finite.size - cut], 0, taken
 
 
-def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD:
-    """n-fold self-composition by one power of the spectrum.
+def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> FinitePLD:
+    """The composition of n_f copies of each factor f = (single step, n_f), n_f >= 1.
 
-    n = 0 is the empty composition (a point mass at 0), not an error.  The
-    finite masses are transformed once on a window of the n-fold lattice,
-    raised to the n-th power and transformed back; the atoms are
-    1 - (1 - m)^n.  The window (see ``_window``) leaves at most
-    W = truncation_tail_mass / n of the n-fold finite mass outside it on
-    each side, and that mass wraps around into it: the high tail lands on
-    the window's low end, the low tail on its high end.  W is 0 when the
-    window covers the whole support.
+    Every factor's finite masses are transformed once on a window of the
+    composed lattice, raised to n_f, multiplied and transformed back; the
+    atoms are 1 - prod (1 - m_f)^n_f.  The window (see ``_window``) leaves
+    at most W = truncation_tail_mass / N of the composed finite mass outside
+    it on each side, N the sum of the n_f, and that mass wraps around into
+    it: the high tail lands on the window's low end, the low tail on its
+    high end.  W is 0 when the window covers the whole support.
 
     The wrap and the round-off are charged inside the result.  Write the
-    exact n-fold masses folded onto the window as y = w + u + z: w is the
+    exact composed masses folded onto the window as y = w + u + z: w is the
     mass that lies in the window, u the low tail wrapped upward and z the
     high tail wrapped downward, each of mass at most W.  The computed masses
     (after the clip) are y' = y + e with e = e+ - e-, where
@@ -474,14 +433,14 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     epsilon; h does not decrease in x, and g = 1 - h does not increase.
 
     - pessimistic: the lowest W + R of y' moves to +inf, and D+ is added
-      there: an upper bound on the mass y' lacks, D = mass^n - sum(y'),
-      floored at 0.  The target is w + u with z moved to +inf.  Its delta
-      exceeds that of y' by sum(z g) + D + sum(e+ g) - sum(e- g).  The part
-      of z above y' - e+ is at most e-, so -sum(e- g) outweighs it; the rest
-      of z together with e+ is a part of y' of mass at most W + R, and no
-      such part adds more than the lowest W + R of y' moved to +inf.  The
-      target bounds the true delta from above: u only moved up, and +inf
-      lies above the high tail.
+      there: an upper bound on the mass y' lacks, D = prod mass_f^n_f
+      - sum(y'), floored at 0.  The target is w + u with z moved to +inf.
+      Its delta exceeds that of y' by sum(z g) + D + sum(e+ g) - sum(e- g).
+      The part of z above y' - e+ is at most e-, so -sum(e- g) outweighs
+      it; the rest of z together with e+ is a part of y' of mass at most
+      W + R, and no such part adds more than the lowest W + R of y' moved
+      to +inf.  The target bounds the true delta from above: u only moved
+      up, and +inf lies above the high tail.
     - optimistic: the highest W + R of y' moves to -inf.  The target is
       w + z, whose delta is that of y' less sum(u h) + sum(e h).  By the same
       split, the part of u outside e- together with e+ is a part of y' of
@@ -493,43 +452,61 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     (optimistic) and stays within the policy's per-side budget; the rest of
     the charge, and D+, in ``rounding_charge``.
 
-    Two cases skip the transform or the charge.  A window over a whole
-    support of at most ``_DIRECT_MAX`` points is computed directly, by
-    binary powering over ``np.convolve``: sums of non-negative products
-    round relatively, by about n log2(n) K u per mass for K single-step
-    points, which moves delta by that fraction of itself and is not
-    charged.  A zero budget asks for the power as the transform gives it,
-    at full support and without charge, as ``convolve`` gives a product.
-    ``method="direct"`` is the exact reference: binary powering at full
-    support, without charge.  It ignores ``truncation_tail_mass``, so its
-    support is always n (K - 1) + 1.
+    Some compositions skip the transform or the charge.  ``method="direct"``
+    is the exact reference: binary powering over ``np.convolve`` per factor
+    and the convolution of the powers, at full support 1 + sum n_f (K_f - 1)
+    for K_f single-step points, without charge.  A budgeted window over a
+    whole support of at most ``_DIRECT_MAX`` points is computed the same
+    way: sums of non-negative products round relatively, by about
+    N log2(N) K u per mass, which moves delta by that fraction of itself
+    and is not charged.  So is a composition with a one-point factor, which
+    scales each mass of the others by one product, as
+    ``scipy.signal.fftconvolve`` does.  A zero budget asks for the
+    transform's result at full support without charge: for two factors,
+    the bits of ``scipy.signal.fftconvolve``.
     """
-    if n < 0:
-        raise RequestError(f"composition count must be non-negative, got {n}")
-    spacing = pld.spacing
-    if spacing is None:
-        raise RequestError("composition requires uniform-lattice distributions")
-    if n == 0:
-        return point_mass_pld(spacing)
-    if n == 1:
-        return pld
-    _require_no_clash(pld, pld)
-    single = pld.masses[1:-1]
-    full = n * (single.size - 1) + 1
+    spacing = factors[0][0].spacing
+    if spacing is None or any(pld.spacing != spacing for pld, _ in factors):
+        spacings = " and ".join(str(pld.spacing) for pld, _ in factors)
+        raise RequestError(f"composition needs one lattice spacing, got {spacings}")
+    exact, proper = policy.method == "direct", True
+    singles, n, full, j0 = [], 0, 1, 0
+    # what the factors' n_f copies carry in: atoms' log-complements and charges
+    log_neg = log_inf = low = high = charged = -0.0
+    for f, (pld, count) in enumerate(factors):
+        for other, _ in factors[f if count > 1 else f + 1 :]:
+            _require_no_clash(pld, other)
+        single = pld.masses[1:-1]
+        singles.append((single, count))
+        exact = exact or single.size == 1
+        proper = proper and pld.proper
+        n += count
+        full += count * (single.size - 1)
+        j0 += count * pld.lattice_offset
+        log_neg += count * math.log1p(-float(pld.masses[0]))
+        log_inf += count * math.log1p(-float(pld.masses[-1]))
+        low += count * pld.truncated_low
+        high += count * pld.truncated_high
+        charged += count * pld.rounding_charge
     budget = policy.truncation_tail_mass / n
-    start, length = _window(pld, n, budget, full) if policy.method == "fft" else (0, full)
-    _require_support(length, policy)
+    start, length = (0, full) if exact else _window(factors, budget, full)
+    exact = exact or (0.0 < budget and length == full <= _DIRECT_MAX)
+    if length > policy.max_support:
+        raise RequestError(
+            f"composed support {length} exceeds max_support "
+            f"{policy.max_support}; raise the cap or allow more truncation"
+        )
     pessimistic = policy.direction == "pessimistic"
-    exact = policy.method == "direct" or (0.0 < budget and length == full <= _DIRECT_MAX)
     rounding = lacking = taken = 0.0
     if exact:
-        finite = _binary_power(single, n, np.convolve)
+        powers = (_binary_power(single, count, np.convolve) for single, count in singles)
+        finite = functools.reduce(np.convolve, powers)
     else:
         size = next_fast_len(length, True)
-        power = _spectral_power(single, n, size)
+        power = _spectral_power(singles, size)
         if budget > 0.0:
-            mass = _step(pld).mass
-            rounding = _rounding_bound(single, mass, n, size, power)
+            masses = [_step(pld).mass for pld, _ in factors]
+            rounding = _rounding_bound(singles, masses, size, power)
         # the window starts at start modulo the transform size; a window that
         # wraps past the end is copied, and the transform is then released
         first = start % size
@@ -538,13 +515,14 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         else:
             finite = np.concatenate((power[first:], power[: first + length - size]))
         del power
-    _guard(finite, "power")
+    _guard(finite)
     if rounding and pessimistic:
-        # mass^n rounds within (n + 2) u; the contiguous sum within _sum_error
+        # each mass_f^n_f rounds within (n_f + 2) u and each product of them
+        # within u; the contiguous sum within _sum_error
         total = float(finite.sum()) / (1.0 + _sum_error(length))
-        lacking = max(mass**n * (1.0 + (n + 2) * _U) - total, 0.0)
-    neg_mass = -math.expm1(n * math.log1p(-float(pld.masses[0])))
-    inf_mass = -math.expm1(n * math.log1p(-float(pld.masses[-1])))
+        mass = math.prod(m**count for m, (_, count) in zip(masses, factors))
+        lacking = max(mass * (1.0 + (n + 3 * len(factors) - 1) * _U) - total, 0.0)
+    neg_mass, inf_mass = -math.expm1(log_neg), -math.expm1(log_inf)
     wrap = budget if length < full else 0.0
     if wrap + rounding > 0.0:
         finite, dropped, taken = _charge(finite, wrap + rounding, policy.direction)
@@ -555,9 +533,29 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
             neg_mass += taken
     truncated = min(wrap, taken)
     return _lattice_pld(
-        spacing, n * pld.lattice_offset + start, finite, neg_mass, inf_mass,
-        proper=pld.proper,
-        truncated_low=n * pld.truncated_low + (0.0 if pessimistic else truncated),
-        truncated_high=n * pld.truncated_high + (truncated if pessimistic else 0.0),
-        rounding_charge=n * pld.rounding_charge + taken - truncated + lacking,
+        spacing, j0 + start, finite, neg_mass, inf_mass,
+        proper=proper,
+        truncated_low=low + (0.0 if pessimistic else truncated),
+        truncated_high=high + (truncated if pessimistic else 0.0),
+        rounding_charge=charged + taken - truncated + lacking,
     )
+
+
+def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD:
+    """n-fold self-composition by one power of the spectrum: ``_compose`` with the factor (pld, n).
+
+    n = 0 is the empty composition (a point mass at 0), not an error, and
+    n = 1 returns ``pld``.  The wrap W = truncation_tail_mass / n and the
+    round-off are charged on the safe side, as ``convolve`` charges a
+    product; ``method="direct"`` has support n (K - 1) + 1 for K points.
+    """
+    if n < 0:
+        raise RequestError(f"composition count must be non-negative, got {n}")
+    spacing = pld.spacing
+    if spacing is None:
+        raise RequestError("composition requires uniform-lattice distributions")
+    if n == 0:
+        return point_mass_pld(spacing)
+    if n == 1:
+        return pld
+    return _compose([(pld, n)], policy)

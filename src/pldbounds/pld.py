@@ -233,7 +233,7 @@ class FinitePLD:
     ``truncated_low`` and ``truncated_high`` record the tail mass that
     composition relocated from the low and the high end; ``rounding_charge``
     records the mass it moved, or added at +inf, to cover a bound on its
-    round-off (see ``compose.self_compose``).
+    round-off (see ``compose._compose``).
 
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
     read-only view of it, and the caller's array stays writable.  The masses

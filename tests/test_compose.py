@@ -1,12 +1,21 @@
-"""Convolution composition: correctness, fft/direct agreement, truncation."""
+"""Convolution composition: correctness, fft/direct agreement, truncation.
 
+``convolve`` and ``self_compose`` share one engine; a budgeted two-operand
+composition is windowed and charged as a self-composition is, so it must
+stay on its own side of the ``method="direct"`` reference at every epsilon.
+"""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pldbounds as pb
 from oracles import rr_product_delta
+from pldbounds import compose
 
 LN2 = math.log(2.0)
 
@@ -88,12 +97,30 @@ class TestConvolve:
         with pytest.raises(pb.RequestError, match="spacing"):
             pb.convolve(a, b, PESS)
 
-    def test_support_cap_enforced(self):
+    @pytest.mark.parametrize("budget", [0.0, 1e-15, 1e-9])
+    def test_support_cap_enforced_before_any_transform(self, monkeypatch, budget):
+        def fail(*args, **kwargs):
+            raise AssertionError("transform ran")
+
+        monkeypatch.setattr(compose, "rfft", fail)
         rng = np.random.default_rng(6)
         a = random_pld(rng, 0.1, 64)
-        tight = pb.CompositionPolicy("pessimistic", truncation_tail_mass=0.0, max_support=64)
+        tight = pb.CompositionPolicy("pessimistic", truncation_tail_mass=budget, max_support=64)
         with pytest.raises(pb.RequestError, match="max_support"):
             pb.convolve(a, a, tight)
+
+    def test_direct_is_np_convolve_at_full_support_whatever_the_budget(self):
+        # a bulk whose tails hold far less than the budget: nothing is cut
+        bulk = np.exp(-0.5 * ((np.arange(300) - 150) / 20.0) ** 2)
+        masses = np.concatenate(([0.0], bulk / bulk.sum(), [0.0]))
+        a = pb.FinitePLD(np.arange(300) * 0.05, masses, spacing=0.05)
+        b = random_pld(np.random.default_rng(12), 0.05, 41, with_atom=False)
+        for direction in ("pessimistic", "optimistic"):
+            policy = pb.CompositionPolicy(direction, method="direct", truncation_tail_mass=1e-6)
+            out = pb.convolve(a, b, policy)
+            assert out.support_size == a.support_size + b.support_size - 1
+            assert np.array_equal(out.masses[1:-1], np.convolve(a.masses[1:-1], b.masses[1:-1]))
+            assert out.truncated_low == out.truncated_high == out.rounding_charge == 0.0
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(7)
@@ -210,3 +237,46 @@ def test_cross_infinity_composition_rejected():
     high = pb.FinitePLD(finite_epsilons=grid.finite_epsilons, masses=np.array([0.0, 0.2, 0.2, 0.1, 0.5]), spacing=grid.spacing)
     with pytest.raises(pb.RequestError, match="-inf mass against \\+inf"):
         pb.convolve(low, high, OPT)
+
+
+@st.composite
+def lattice_pairs(draw) -> tuple[pb.FinitePLD, pb.FinitePLD]:
+    """Two random lattice PLDs of 200 to 3000 points whose atoms may compose.
+
+    A spread shape puts mass on every point, so windows cover the support;
+    a bulk shape has tails thin enough that the transform window is narrower.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atom = draw(st.sampled_from(("none", "inf", "neg")))
+    pair = []
+    for _ in range(2):
+        size = draw(st.integers(200, 3000))
+        finite = rng.random(size) ** rng.uniform(1.0, 30.0)
+        if draw(st.sampled_from(("spread", "bulk"))) == "bulk":
+            width = size * rng.uniform(0.02, 0.3)
+            finite *= np.exp(-0.5 * ((np.arange(size) - rng.uniform(0, size)) / width) ** 2)
+            finite[finite < 1e-300] = 0.0
+        if not finite.any():
+            finite[0] = 1.0
+        mass = draw(st.floats(1e-9, 0.2)) if atom != "none" else 0.0
+        finite *= (1.0 - mass) / finite.sum()
+        masses = np.concatenate(([mass if atom == "neg" else 0.0], finite, [mass if atom == "inf" else 0.0]))
+        j0 = draw(st.integers(-size, 0))
+        pair.append(pb.FinitePLD((j0 + np.arange(size)) * 0.01, masses, spacing=0.01, proper=atom != "neg"))
+    return pair[0], pair[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_pairs(), st.sampled_from((1e-15, 1e-9)))
+def test_budgeted_compositions_stay_on_their_side_of_direct(pair, budget):
+    # exact comparisons: the charges, not a tolerance, must keep each side
+    a, b = pair
+    for direction in ("pessimistic", "optimistic"):
+        policy = pb.CompositionPolicy(direction, truncation_tail_mass=budget)
+        reference = dataclasses.replace(policy, method="direct")
+        for compose_with in (lambda p: pb.convolve(a, b, p), lambda p: pb.self_compose(a, 2, p)):
+            out, exact = compose_with(policy), compose_with(reference)
+            eps_f = exact.finite_epsilons
+            for eps in np.linspace(float(eps_f[0]) - 1.0, float(eps_f[-1]) + 1.0, 60):
+                got, want = pb.delta_at(out, float(eps)), pb.delta_at(exact, float(eps))
+                assert got >= want if direction == "pessimistic" else got <= want

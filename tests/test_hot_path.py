@@ -1,11 +1,13 @@
 """Composition hot path: two-operand FFT convolution, fast mass totals, the
-truncation cut search, import weight.
+tail cut search, import weight.
 
 The FFT branch must give the bits ``scipy.signal.fftconvolve`` gives (followed
 by the same clip and flush), whether one operand is passed twice or as a copy,
 the mass gates must reach exactly the verdict of an exactly rounded
 ``math.fsum`` total, ``np.sum`` must stay within the one bound they and
-``self_compose`` use, and truncation must cut where full running sums cut.
+``self_compose`` use, and ``pld._tail_count``'s doubling prefixes, which
+``compose._charge`` and ``pld._first_meeting`` rely on, must cut where full
+running sums cut.
 """
 
 import json
@@ -23,7 +25,7 @@ from scipy.signal import fftconvolve
 
 import pldbounds as pb
 from pldbounds import cli, compose
-from pldbounds.pld import _MASS_ATOL, _MASS_SLACK, _mass_total, _sum_error
+from pldbounds.pld import _MASS_ATOL, _MASS_SLACK, _mass_total, _sum_error, _tail_count
 
 NO_TRUNC = pb.CompositionPolicy(direction="pessimistic", truncation_tail_mass=0.0)
 
@@ -125,11 +127,11 @@ class TestMassGateParity:
         calls = []
         spectral_power = compose._spectral_power
 
-        def inject(single, n, size):
-            out = spectral_power(single, n, size)
+        def inject(factors, size):
+            out = spectral_power(factors, size)
             if not calls:
                 out[int(np.argmax(out))] += 1.05e-11
-            calls.append(n)
+            calls.append(factors)
             return out
 
         monkeypatch.setattr(compose, "_spectral_power", inject)
@@ -238,27 +240,25 @@ class TestSumBound:
         assert _mass_total(np.repeat(m, 2)[::2], -1.0) == exact
 
 
-def _truncate_full_cumsum(finite, j0, neg_mass, inf_mass, direction, budget):
-    """Reference truncation: cuts found on running sums over the whole array."""
-    if budget <= 0.0 or finite.size <= 1:
-        return finite, j0, neg_mass, inf_mass, 0.0, 0.0
-    csum = np.cumsum(finite)
-    lo_cut = min(int(np.searchsorted(csum, budget, side="right")), finite.size - 1)
-    rsum = np.cumsum(finite[::-1])
-    hi_cut = min(int(np.searchsorted(rsum, budget, side="right")), finite.size - 1 - lo_cut)
-    if lo_cut == 0 and hi_cut == 0:
-        return finite, j0, neg_mass, inf_mass, 0.0, 0.0
-    hi_keep = finite.size - hi_cut
-    moved_low = float(math.fsum(finite[:lo_cut].tolist()))
-    moved_high = float(math.fsum(finite[hi_keep:].tolist()))
-    finite = finite[lo_cut:hi_keep].copy()
+def _tail_count_full_cumsum(values: np.ndarray, budget: float) -> int:
+    """Reference count: the cut found on the running sum over the whole array."""
+    return int(np.searchsorted(np.cumsum(values), budget, side="right"))
+
+
+def _charge_full_cumsum(finite: np.ndarray, budget: float, direction: str):
+    """Reference charge: ``compose._charge`` with its cut found on full running sums."""
+    tail = finite if direction == "pessimistic" else finite[::-1]
+    cut = _tail_count_full_cumsum(tail, budget)
+    taken = math.fsum(tail[:cut].tolist())
+    tail[:cut] = 0.0
+    if cut < tail.size:
+        part = min(max(budget - taken, 0.0), float(tail[cut]))
+        tail[cut] -= part
+        taken += part
+    cut = min(cut, finite.size - 1)
     if direction == "pessimistic":
-        finite[0] += moved_low
-        inf_mass += moved_high
-    else:
-        neg_mass += moved_low
-        finite[-1] += moved_high
-    return finite, j0 + lo_cut, neg_mass, inf_mass, moved_low, moved_high
+        return finite[cut:], cut, taken
+    return finite[: finite.size - cut], 0, taken
 
 
 #: Sizes and running-sum positions on both sides of the doubling prefixes.
@@ -290,18 +290,20 @@ def truncation_inputs(draw) -> tuple[np.ndarray, float]:
     return finite, float(sums[min(at, size - 1)])
 
 
-class TestTruncateCutSearch:
+class TestTailCountCutSearch:
     @settings(max_examples=200, deadline=None)
-    @given(
-        truncation_inputs(),
-        st.sampled_from(("pessimistic", "optimistic")),
-        st.sampled_from((0.0, 1e-9)),
-    )
-    def test_matches_full_running_sums(self, inputs, direction, neg_mass):
+    @given(truncation_inputs())
+    def test_matches_full_running_sums(self, inputs):
         finite, budget = inputs
-        inf_mass = 0.0 if neg_mass else 1e-9
-        got = compose._truncate(finite.copy(), 7, neg_mass, inf_mass, direction, budget)
-        want = _truncate_full_cumsum(finite.copy(), 7, neg_mass, inf_mass, direction, budget)
+        for values in (finite, finite[::-1]):
+            assert _tail_count(values, budget) == _tail_count_full_cumsum(values, budget)
+
+    @settings(max_examples=200, deadline=None)
+    @given(truncation_inputs(), st.sampled_from(("pessimistic", "optimistic")))
+    def test_charge_cuts_where_full_running_sums_cut(self, inputs, direction):
+        finite, budget = inputs
+        got = compose._charge(finite.copy(), budget, direction)
+        want = _charge_full_cumsum(finite.copy(), budget, direction)
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
 

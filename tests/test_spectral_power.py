@@ -117,7 +117,7 @@ class TestAgainstDirect:
         single = pld.masses[1:-1]
         full = n * (single.size - 1) + 1
         w = budget / n
-        start, length = compose._window(pld, n, w, full)
+        start, length = compose._window([(pld, n)], w, full)
         assert 0 <= start and start + length <= full
         exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
         below, above = _outside_window(exact, pld, n, start, length)
@@ -149,7 +149,7 @@ def test_a_window_shorter_than_the_single_step_folds_it():
     pld = _pld(finite, -2000)
     single = pld.masses[1:-1]
     n = 2
-    start, length = compose._window(pld, n, 1e-6 / n, n * (single.size - 1) + 1)
+    start, length = compose._window([(pld, n)], 1e-6 / n, n * (single.size - 1) + 1)
     assert length < single.size
     exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
     for direction in ("pessimistic", "optimistic"):
@@ -167,7 +167,7 @@ def test_a_heavy_extreme_atom_stays_in_the_window():
     n = 20
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
-    start, length = compose._window(pld, n, 1e-9 / n, full)
+    start, length = compose._window([(pld, n)], 1e-9 / n, full)
     assert start + length == full
     exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
     for direction in ("pessimistic", "optimistic"):
@@ -253,7 +253,7 @@ def test_the_window_is_the_rolled_power(monkeypatch, center, n, budget, placemen
     pld = _pld(np.exp(-0.5 * ((offsets - center) / 3.0) ** 2), -20)
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
-    start, length = compose._window(pld, n, budget / n, full)
+    start, length = compose._window([(pld, n)], budget / n, full)
     size = next_fast_len(length, True)
     wraps = start % size + length > size
     assert (start >= size, wraps) == {
@@ -261,7 +261,7 @@ def test_the_window_is_the_rolled_power(monkeypatch, center, n, budget, placemen
         "starts inside the transform and wraps": (False, True),
         "covers the whole support and starts at 0": (False, False),
     }[placement]
-    expected = np.roll(compose._spectral_power(single, n, size), -start)[:length]
+    expected = np.roll(compose._spectral_power([(single, n)], size), -start)[:length]
     np.maximum(expected, 0.0, out=expected)
     expected[expected < compose._MASS_FLOOR] = 0.0
     charged = []
@@ -299,7 +299,7 @@ def _kept(power: np.ndarray) -> np.ndarray:
 
 
 def _assert_flush_keeps_the_masses(single: np.ndarray, n: int, size: int) -> None:
-    flushed = _kept(compose._spectral_power(single, n, size))
+    flushed = _kept(compose._spectral_power([(single, n)], size))
     plain = _kept(plain_power(single, n, size))
     if float(single.sum()) ** n >= 2.0**-900:
         # the largest power, mass^n at frequency 0, rounds far above the
@@ -312,7 +312,7 @@ def _assert_flush_keeps_the_masses(single: np.ndarray, n: int, size: int) -> Non
 
 def _transform_size(pld: pb.FinitePLD, n: int, budget: float) -> int:
     full = n * (pld.support_size - 1) + 1
-    _, length = compose._window(pld, n, budget / n, full)
+    _, length = compose._window([(pld, n)], budget / n, full)
     return next_fast_len(length, True)
 
 
@@ -376,6 +376,6 @@ def test_the_bound_charges_the_entries_set_to_zero(n):
     # a step without mass leaves no power and no error of it: what remains
     # is the output floor's charge and the zeroed entries' sqrt(size + 2) tau^n
     size = 4096
-    bound = compose._rounding_bound(np.zeros(8), 0.0, n, size, np.zeros(size))
+    bound = compose._rounding_bound([(np.zeros(8), n)], [0.0], size, np.zeros(size))
     zeroed = math.sqrt(size + 2) * compose._live_threshold(n) ** n
     assert bound >= (size * compose._MASS_FLOOR + zeroed) * (1.0 + 1e-6)
