@@ -209,7 +209,6 @@ def _request_from(settings: dict, command: str, compositions: int) -> Accounting
         estimate=settings["estimate"] or "both",
         baseline=settings["baseline"],
         grid_range=grid_range,
-        output=settings["output"] or "json",
     )
 
 
@@ -254,12 +253,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     settings = _merge_config(args, parser)
-    if settings["output"] is None and args.command in ("sweep", "curve"):
-        settings["output"] = "csv"
+    output = settings["output"] or ("csv" if args.command in ("sweep", "curve") else "json")
     counts = _parse_counts(settings["compositions"], args.command)
     repeats = int(settings["repeats"]) if settings["repeats"] is not None else 1
     request = _request_from(settings, args.command, counts[0])
-    output = request.output
     if args.command == "compute":
         report = run_compute(request).to_dict()
         text = (

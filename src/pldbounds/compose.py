@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -541,6 +542,17 @@ def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) ->
     )
 
 
+def _composition_count(n) -> int:
+    """``n`` as an int, refused unless it is a non-negative integer (numpy's included)."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise RequestError(f"composition count must be an integer, got {n!r}") from None
+    if count < 0:
+        raise RequestError(f"composition count must be non-negative, got {n}")
+    return count
+
+
 def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD:
     """n-fold self-composition by one power of the spectrum: ``_compose`` with the factor (pld, n).
 
@@ -549,8 +561,7 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     round-off are charged on the safe side, as ``convolve`` charges a
     product; ``method="direct"`` has support n (K - 1) + 1 for K points.
     """
-    if n < 0:
-        raise RequestError(f"composition count must be non-negative, got {n}")
+    n = _composition_count(n)
     spacing = pld.spacing
     if spacing is None:
         raise RequestError("composition requires uniform-lattice distributions")

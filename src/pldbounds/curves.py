@@ -35,6 +35,11 @@ validated input: ``_value(a)``, ``_derivative(a, right)`` (the right
 derivative when ``right`` is true, else the left) and, where a
 cancellation-free form exists, ``_gap(a)``.  Composite curves call their
 parts' kernels, so every public call validates its input exactly once.
+The identical-pair, Laplace and randomized-response curves share the
+kernels of one private base: 1 - alpha up to a lower kink ``_alpha_lo``,
+0 from an upper kink ``_alpha_hi``, and a middle piece in between that
+each gives as three formulas (value, gap, slope).  The identical pair is
+the case of both kinks at 1 with no middle.
 
 Closed forms
 ------------
@@ -175,19 +180,46 @@ class HockeyStickCurve(abc.ABC):
         return np.maximum(self._value(a) - (1.0 - a), 0.0)
 
 
-class IdenticalPairCurve(HockeyStickCurve):
-    """Curve of a pair with A = B, h(alpha) = [1 - alpha]_+."""
+class _ThreeRegimeCurve(HockeyStickCurve):
+    """Curve equal to 1 - alpha up to ``_alpha_lo``, 0 from ``_alpha_hi``, a middle piece between.
+
+    A subclass with ``_alpha_lo < _alpha_hi`` gives the middle piece as the
+    kernels ``_mid_value``, ``_mid_gap`` and ``_mid_slope``; with equal
+    kinks the middle is empty and needs none.
+    """
 
     symmetric_pair = True
+    _alpha_lo = _alpha_hi = 1.0
+    _mid_value = _mid_gap = _mid_slope = None
 
     def _value(self, a):
-        return np.maximum(1.0 - a, 0.0)
+        return np.clip(self._pieces(a, None, 1.0 - a, 0.0, self._mid_value), 0.0, 1.0)
 
     def _gap(self, a):
-        return np.maximum(a - 1.0, 0.0)
+        return np.maximum(self._pieces(a, None, 0.0, a - 1.0, self._mid_gap), 0.0)
 
     def _derivative(self, a, right):
-        return np.where(_before(a, 1.0, right), -1.0, 0.0)
+        return self._pieces(a, right, -1.0, 0.0, self._mid_slope)
+
+    def _pieces(self, a, right, low, high, middle):
+        """``low`` up to the lower kink, else ``high`` from the upper, else ``middle(a)``.
+
+        With ``right`` None both kinks belong to the linear regimes (value
+        and gap); otherwise they follow ``_before``.
+        """
+        if right is None:
+            lo, hi = a <= self._alpha_lo, a >= self._alpha_hi
+        else:
+            lo, hi = _before(a, self._alpha_lo, right), ~_before(a, self._alpha_hi, right)
+        out = np.where(hi, high, low)
+        mid = ~(lo | hi)
+        if mid.any():
+            out[mid] = middle(a[mid])
+        return out
+
+
+class IdenticalPairCurve(_ThreeRegimeCurve):
+    """Curve of a pair with A = B, h(alpha) = [1 - alpha]_+: both kinks at 1, no middle."""
 
 
 def identical_pair_curve() -> HockeyStickCurve:
@@ -245,10 +277,8 @@ class GaussianCurve(HockeyStickCurve):
         return -ndtr(-0.5 * self._s - self._log_ratio_arg(a))
 
 
-class LaplaceCurve(HockeyStickCurve):
+class LaplaceCurve(_ThreeRegimeCurve):
     """Curve of (Lap(1, b), Lap(0, b)), unit sensitivity."""
-
-    symmetric_pair = True
 
     def __init__(self, noise_scale: float):
         if not (noise_scale > 0.0 and math.isfinite(noise_scale)):
@@ -258,45 +288,22 @@ class LaplaceCurve(HockeyStickCurve):
         self._alpha_lo = math.exp(-self._inv_b)
         self._alpha_hi = math.exp(self._inv_b)
 
-    def _value(self, a):
-        out = np.empty_like(a)
-        lo = a <= self._alpha_lo
-        hi = a >= self._alpha_hi
-        mid = ~(lo | hi)
-        out[lo] = 1.0 - a[lo]
-        out[hi] = 0.0
+    def _mid_value(self, a):
         # 1 - sqrt(alpha) e^{-1/(2b)} = -expm1(ln(alpha)/2 - 1/(2b)), exact to
         # full relative precision as the curve approaches its root.
-        out[mid] = -np.expm1(0.5 * np.log(a[mid]) - 0.5 * self._inv_b)
-        return np.clip(out, 0.0, 1.0)
+        return -np.expm1(0.5 * np.log(a) - 0.5 * self._inv_b)
 
-    def _gap(self, a):
-        out = np.empty_like(a)
-        lo = a <= self._alpha_lo
-        hi = a >= self._alpha_hi
-        mid = ~(lo | hi)
-        out[lo] = 0.0
-        out[hi] = a[hi] - 1.0
+    def _mid_gap(self, a):
         # alpha - sqrt(alpha) e^{-1/(2b)} = -alpha expm1(-ln(alpha)/2 - 1/(2b)),
         # exactly 0 at the lower kink.
-        out[mid] = -a[mid] * np.expm1(-0.5 * np.log(a[mid]) - 0.5 * self._inv_b)
-        return np.maximum(out, 0.0)
+        return -a * np.expm1(-0.5 * np.log(a) - 0.5 * self._inv_b)
 
-    def _derivative(self, a, right):
-        out = np.empty_like(a)
-        lo = _before(a, self._alpha_lo, right)
-        hi = ~_before(a, self._alpha_hi, right)
-        mid = ~(lo | hi)
-        out[lo] = -1.0
-        out[hi] = 0.0
-        out[mid] = -0.5 * np.exp(-0.5 * self._inv_b - 0.5 * np.log(a[mid]))
-        return out
+    def _mid_slope(self, a):
+        return -0.5 * np.exp(-0.5 * self._inv_b - 0.5 * np.log(a))
 
 
-class RandomizedResponseCurve(HockeyStickCurve):
+class RandomizedResponseCurve(_ThreeRegimeCurve):
     """Curve of binary randomized response with parameter eps."""
-
-    symmetric_pair = True
 
     def __init__(self, epsilon: float):
         if not (epsilon > 0.0 and math.isfinite(epsilon)):
@@ -306,31 +313,14 @@ class RandomizedResponseCurve(HockeyStickCurve):
         self._alpha_hi = math.exp(epsilon)
         self._den = self._alpha_hi + 1.0
 
-    def _value(self, a):
-        out = np.empty_like(a)
-        lo = a <= self._alpha_lo
-        hi = a >= self._alpha_hi
-        mid = ~(lo | hi)
-        out[lo] = 1.0 - a[lo]
-        out[hi] = 0.0
-        out[mid] = (self._alpha_hi - a[mid]) / self._den
-        return out
+    def _mid_value(self, a):
+        return (self._alpha_hi - a) / self._den
 
-    def _gap(self, a):
-        out = np.empty_like(a)
-        lo = a <= self._alpha_lo
-        hi = a >= self._alpha_hi
-        mid = ~(lo | hi)
-        out[lo] = 0.0
-        out[hi] = a[hi] - 1.0
-        out[mid] = (a[mid] * self._alpha_hi - 1.0) / self._den
-        return np.maximum(out, 0.0)
+    def _mid_gap(self, a):
+        return (a * self._alpha_hi - 1.0) / self._den
 
-    def _derivative(self, a, right):
-        out = np.full_like(a, -1.0 / self._den)
-        out[_before(a, self._alpha_lo, right)] = -1.0
-        out[~_before(a, self._alpha_hi, right)] = 0.0
-        return out
+    def _mid_slope(self, a):
+        return np.full_like(a, -1.0 / self._den)
 
 
 class PoissonSubsampledCurve(HockeyStickCurve):

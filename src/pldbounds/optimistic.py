@@ -74,13 +74,9 @@ accepts the hull without any clamping.
 
 Privacy-buckets baseline
 ------------------------
-Rounding the loss mass down to the previous grid point uses the closed
-survival function A(ratio >= alpha) = h(alpha) - alpha * h'_-(alpha); mass
-below the first finite grid point lands at -inf (where it contributes
-nothing to any divergence) and the atom at +inf stays.  The result is
-stochastically dominated by the true loss distribution but is not in
-general realisable as the loss distribution of any pair, so it is flagged
-improper and only ever used for divergence evaluation.
+``pb_optimistic_pld`` rounds the true loss distribution's mass down to the
+previous grid epsilon; ``pld._rounded_pld`` states the rule for both
+directions.
 
 Non-uniqueness fixture
 ----------------------
@@ -102,12 +98,11 @@ import numpy as np
 from .curves import HockeyStickCurve
 from .errors import RequestError
 from .grid import DiscretizationGrid
-from .pessimistic import _survival_from_curve
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
-    _grid_pld,
     _pair_from_kinks,
+    _rounded_pld,
     discretize_from_curve,
 )
 
@@ -320,36 +315,11 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
     return _pair_from_kinks(grid, float(sigma[0]), np.append(q_interior, q_last), 0.0)
 
 
-def _bin_pair_atoms_down(pair: DiscreteDominatingPair, grid: DiscretizationGrid) -> np.ndarray:
-    """Round the pair's loss atoms down to the previous grid epsilon."""
-    masses = np.zeros(grid.alphas.size)
-    # atoms below the first finite grid epsilon land on the -inf slot
-    idx = np.searchsorted(grid.finite_epsilons, pair.grid.finite_epsilons, side="right")
-    np.add.at(masses, idx, pair.p_masses[1:-1])
-    masses[-1] += pair.p_masses[-1]
-    return masses
-
-
 def pb_optimistic_pld(
     source: HockeyStickCurve | DiscreteDominatingPair, grid: DiscretizationGrid
 ) -> FinitePLD:
-    """Loss distribution rounded down to the grid (privacy-buckets baseline).
-
-    The output is flagged improper: it is stochastically dominated by the
-    true loss distribution but need not be the loss distribution of any
-    pair, so it is only ever evaluated through the divergence formula.
-    """
-    if isinstance(source, DiscreteDominatingPair):
-        masses = _bin_pair_atoms_down(source, grid)
-    else:
-        g = _survival_from_curve(source, grid, side="left")
-        tail = source.value_at_infinity
-        g = np.concatenate((g, [tail]))
-        interval = np.maximum(-np.diff(g), 0.0)
-        masses = np.zeros(grid.alphas.size)
-        masses[0 : grid.k] = interval  # interval i lands at its left endpoint
-        masses[-1] = tail
-    return _grid_pld(grid, masses, proper=False)
+    """Loss distribution rounded down to the grid (privacy-buckets baseline), flagged improper."""
+    return _rounded_pld(source, grid, up=False)
 
 
 def non_uniqueness_fixture(

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .curves import PiecewiseLinearCurve
+from .curves import HockeyStickCurve, PiecewiseLinearCurve
 from .errors import NumericalValidityError, RequestError
 from .grid import DiscretizationGrid, _frozen, _lattice, _lattice_offset, _require_spacing
 
@@ -409,11 +409,64 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
 
 def pld_of(pair: DiscreteDominatingPair) -> FinitePLD:
     """Loss distribution of the pair: mass P(a_i) at eps_i, none at -inf."""
-    return _grid_pld(pair.grid, pair.p_masses.copy())
+    return _grid_pld(pair.grid, pair.p_masses)
+
+
+def _rounded_pld(
+    source: HockeyStickCurve | DiscreteDominatingPair, grid: DiscretizationGrid, up: bool
+) -> FinitePLD:
+    """Privacy-buckets baseline: the true loss distribution rounded up (``up``) or down to the grid.
+
+    From a pair, each finite loss atom moves to the first grid epsilon at or
+    above it (up; +inf past the last) or the last at or below it (down;
+    -inf below the first), and the +inf atom stays.
+
+    From a curve, the mass of each grid interval is a difference of the
+    survival function
+
+        G(alpha) = h(alpha) - alpha * h'(alpha),
+
+    which with the right derivative is A(ratio > alpha), the mass of
+    (eps, +inf], and with the left derivative A(ratio >= alpha), the mass of
+    [eps, +inf].  Rounding up uses the right derivative and puts the mass of
+    (eps_{i-1}, eps_i] at eps_i and everything above a_{k-1}, the +inf atom
+    included, at +inf; the result stochastically dominates the true loss
+    distribution, is the least grid-supported one that does, and is itself
+    the loss distribution of a pair.  Rounding down uses the left derivative
+    and puts the mass of [eps_i, eps_{i+1}) at eps_i, the mass below a_1 at
+    -inf (where it adds nothing to any divergence) and h(+inf) at +inf; the
+    result is stochastically dominated but in general the loss
+    distribution of no pair, so it is flagged improper and only ever
+    evaluated through the divergence formula.
+
+    Both directions take G(0) = 1 and G(+inf) = h(+inf), refuse a survival
+    function that rises by more than ``_CLAMP_TOL`` between grid points,
+    and zero the interval masses that rounding left slightly negative.
+    """
+    masses = np.zeros(grid.alphas.size)
+    if isinstance(source, DiscreteDominatingPair):
+        side = "left" if up else "right"
+        idx = np.searchsorted(grid.finite_epsilons, source.grid.finite_epsilons, side=side)
+        np.add.at(masses, idx + up, source.p_masses[1:-1])
+        masses[-1] += source.p_masses[-1]
+        return _grid_pld(grid, masses, proper=up)
+    a = grid.alphas[1 : grid.k]
+    slope = source.right_derivative(a) if up else source.left_derivative(a)
+    tail = source.value_at_infinity
+    survival = np.concatenate(([1.0], np.clip(source.value(a) - a * slope, 0.0, 1.0), [tail]))
+    interval = -np.diff(survival)
+    worst = float(interval.min())
+    if worst < -_CLAMP_TOL:
+        raise NumericalValidityError(f"survival function increases along the grid ({worst:.3e})")
+    masses[up : grid.k + up] = np.maximum(interval, 0.0)
+    masses[-1] = survival[-2] if up else tail
+    return _grid_pld(grid, masses, proper=up)
 
 
 def delta_at(pld: FinitePLD, epsilon: float) -> float:
     """Hockey-stick divergence of the loss distribution at e^epsilon."""
+    if math.isnan(epsilon):
+        raise RequestError("epsilon must not be NaN")
     m = pld.masses
     m_inf = float(m[-1])
     if epsilon == math.inf:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .compose import CompositionPolicy, self_compose
+from .compose import CompositionPolicy, _composition_count, self_compose
 from .curves import MechanismSpec, curve_for
 from .errors import NumericalValidityError, RequestError
 from .grid import DiscretizationGrid, default_epsilon_range
@@ -48,7 +48,6 @@ class AccountingRequest:
     estimate: str = "both"
     baseline: str | None = None
     grid_range: tuple[float, float] | None = None
-    output: str = "json"
 
     def __post_init__(self):
         if (self.delta_target is None) == (self.epsilon_target is None):
@@ -59,8 +58,7 @@ class AccountingRequest:
             raise RequestError(f"epsilon_target must be finite, got {self.epsilon_target}")
         if not (self.discretization > 0 and math.isfinite(self.discretization)):
             raise RequestError(f"discretization must be positive, got {self.discretization}")
-        if self.compositions < 0:
-            raise RequestError(f"compositions must be non-negative, got {self.compositions}")
+        _composition_count(self.compositions)
         if self.estimate not in _ESTIMATES:
             raise RequestError(f"estimate must be one of {_ESTIMATES}")
         if self.baseline not in (None, "pb"):

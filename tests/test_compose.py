@@ -210,6 +210,33 @@ class TestSelfCompose:
         with pytest.raises(pb.RequestError):
             pb.self_compose(rr_pld(), -1, PESS)
 
+    def test_non_integral_count_rejected_and_numpy_integers_accepted(self):
+        pld = rr_pld()
+        for count in (2.5, 2.0, "2"):
+            with pytest.raises(pb.RequestError, match="integer"):
+                pb.self_compose(pld, count, PESS)
+        expected = pb.pld_to_json(pb.self_compose(pld, 2, PESS))
+        assert pb.pld_to_json(pb.self_compose(pld, np.int64(2), PESS)) == expected
+
+
+def test_requests_take_integral_composition_counts_only():
+    def request(count):
+        return pb.AccountingRequest(
+            mechanism=pb.MechanismSpec.randomized_response(LN2),
+            discretization=0.05,
+            compositions=count,
+            delta_target=1e-3,
+        )
+
+    for count in (2.5, 3.0, None):
+        with pytest.raises(pb.RequestError, match="integer"):
+            request(count)
+    with pytest.raises(pb.RequestError, match="non-negative"):
+        request(-1)
+    expected = pb.run_compute(request(3))
+    answer = pb.run_compute(request(np.int64(3)))
+    assert (answer.eps_low, answer.eps_high) == (expected.eps_low, expected.eps_high)
+
 
 def test_policy_validation():
     with pytest.raises(pb.RequestError):

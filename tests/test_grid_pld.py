@@ -179,6 +179,13 @@ class TestDeltaAt:
         assert pb.delta_at(pld, -INF) == pytest.approx(1.0, abs=1e-15)
         assert pb.delta_at(pld, INF) == 0.0
 
+    def test_nan_epsilon_rejected(self):
+        # searchsorted puts NaN past every epsilon, which would read the +inf atom
+        curve = pb.GaussianCurve(1.0)
+        grid = pb.DiscretizationGrid.uniform(0.1, *pb.default_epsilon_range(curve, 0.1))
+        with pytest.raises(pb.RequestError, match="NaN"):
+            pb.delta_at(pb.pld_of(pb.pessimistic_pair(curve, grid)), math.nan)
+
     def test_matches_direct_divergence(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

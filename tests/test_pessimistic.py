@@ -143,6 +143,18 @@ class TestPbPessimistic:
         )
         assert np.all(cdf_rounded <= cdf_exact + 1e-12)
 
+    @pytest.mark.parametrize("build_pb", [pb.pb_pessimistic_pld, pb.pb_optimistic_pld])
+    def test_both_directions_refuse_a_rising_survival_function(self, build_pb):
+        # the 2e-12 bump at alpha = 2 makes the curve non-convex there, so its
+        # survival function rises by 6e-12 between grid points
+        grid = pb.DiscretizationGrid.from_alphas([0.0, 0.5, 1.0, 2.0, 4.0, INF])
+        nodes = [0.0, 0.5, 1.0, 2.0, 4.0]
+        bumped = pb.PiecewiseLinearCurve(nodes, [1.0, 0.6, 0.3, 0.2 + 2e-12, 0.0])
+        with pytest.raises(pb.NumericalValidityError, match="survival function increases"):
+            build_pb(bumped, grid)
+        flat = pb.PiecewiseLinearCurve(nodes, [1.0, 0.6, 0.3, 0.2, 0.0])
+        np.testing.assert_allclose(build_pb(flat, grid).masses, [0, 0.1, 0.5, 0, 0.4, 0], atol=1e-15)
+
     @pytest.mark.parametrize("case", range(len(MATRIX)))
     def test_never_beats_connect_the_dots(self, case):
         mech, spacing = MATRIX[case]

@@ -12,8 +12,15 @@ its failure message where it fails), their tiny variants, and the first
 calls that the benchmark never makes follows (``LIBRARY_OPS``): both
 directions of ``self_compose`` at a zero budget, with ``method="direct"``,
 on the exact path for short supports and through the transform; each
-answer is the result's ``pld_to_json`` text and its charge fields.  An
-answer is compared as its JSON text, so floats must agree bit for bit; a
+answer is the result's ``pld_to_json`` text and its charge fields.  Then
+come the single-step rules (``CURVE_OPS``, ``BASELINE_OPS``): ``value``,
+``gap`` and both derivatives of the identical-pair, Laplace and
+randomized-response curves at 0, at each kink and one ulp either side of it
+(one scalar call per point), and over a lattice (one array call), with
+``value`` and ``gap`` also at +inf, written with ``float.hex``; and both
+privacy-buckets baselines, rounded up and down, from a curve and from a
+pair, on a grid built ``from_alphas``.  An answer is compared as its JSON
+text, so floats must agree bit for bit; a
 failure's traceback, which names the checkout's paths, is left out.  BLAS
 and OpenMP pools run one thread, as in ``perfbench/run.py``.  The tool
 reads ``perfbench/`` and does not edit it.
@@ -31,6 +38,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 #: Timed ops taken from the start of each seeded run.
 SEEDED_OPS = 4
@@ -53,16 +62,80 @@ LIBRARY_OPS = (
 )
 
 
-def _library_answer(pb, mechanism, spacing, n, policy) -> dict:
-    """The JSON-ready result of one ``self_compose`` call, or its failure."""
+#: (label, ``pldbounds`` curve constructor and arguments) of the curves whose
+#: kernels ``CURVE_OPS`` evaluates.
+CURVE_OPS = (
+    ("identical", "identical_pair_curve", ()),
+    ("laplace-1", "LaplaceCurve", (1.0,)),
+    ("laplace-0.3", "LaplaceCurve", (0.3,)),
+    ("rr-ln2", "RandomizedResponseCurve", (math.log(2.0),)),
+    ("rr-1", "RandomizedResponseCurve", (1.0,)),
+)
+
+#: (label, mechanism as in ``LIBRARY_OPS``) of the curves both baselines round.
+BASELINE_OPS = (
+    ("gaussian", ("gaussian", 1.0)),
+    ("laplace", ("laplace", 1.0)),
+    ("rr", ("randomized_response", 1.0)),
+    ("subsampled-gaussian", ("subsampled_gaussian", 1.0, 0.1)),
+)
+
+#: Interior alphas of the ``from_alphas`` grid the baselines round onto.
+BASELINE_ALPHAS = tuple(math.exp(0.1 * i) for i in range(-40, 41))
+
+
+def _spec(pb, mechanism):
     kind, *args = mechanism
     spec_of = pb.MechanismSpec
     if kind == "subsampled_gaussian":
-        spec = spec_of.poisson_subsampled(spec_of.gaussian(args[0]), args[1])
-    else:
-        spec = getattr(spec_of, kind)(*args)
+        return spec_of.poisson_subsampled(spec_of.gaussian(args[0]), args[1])
+    return getattr(spec_of, kind)(*args)
+
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in np.atleast_1d(values)]
+
+
+def _curve_answers(pb, make, args) -> dict[str, list[str]]:
+    """Every kernel of one curve at its kinks, one ulp either side, 0, +inf and a lattice."""
+    curve = getattr(pb, make)(*args)
+    kinks = sorted({getattr(curve, "_alpha_lo", 1.0), getattr(curve, "_alpha_hi", 1.0)})
+    points = [0.0]
+    for kink in kinks:
+        points += [math.nextafter(kink, 0.0), kink, math.nextafter(kink, math.inf)]
+    lattice = np.linspace(0.0, 4.0, 161)
+    answers = {}
+    methods = ("value", "gap", "right_derivative", "left_derivative")
+    for method in methods:
+        evaluate = getattr(curve, method)
+        ends = points + [math.inf] if method in ("value", "gap") else points
+        answers[f"{method}/points"] = [float(evaluate(x)).hex() for x in ends]
+        answers[f"{method}/lattice"] = _hex(evaluate(lattice))
+    return answers
+
+
+def _baseline_answers(pb, mechanism) -> dict[str, dict]:
+    """Both rounded baselines from the curve and from its pessimistic pair on a 0.05 lattice."""
+    curve = pb.curve_for(_spec(pb, mechanism))
+    grid = pb.DiscretizationGrid.from_alphas([0.0, *BASELINE_ALPHAS, math.inf])
+    lattice = pb.DiscretizationGrid.uniform(0.05, *pb.default_epsilon_range(curve, 0.05))
+    sources = {"curve": lambda: curve, "pair": lambda: pb.pessimistic_pair(curve, lattice)}
+    answers = {}
+    for source, make in sources.items():
+        for name in ("pb_pessimistic_pld", "pb_optimistic_pld"):
+            try:
+                pld = getattr(pb, name)(make(), grid)
+                answer = {"masses": _hex(pld.masses), "proper": pld.proper}
+            except Exception as err:  # a failure is an answer too
+                answer = {"error": type(err).__name__, "message": str(err)}
+            answers[f"{name}/{source}"] = answer
+    return answers
+
+
+def _library_answer(pb, mechanism, spacing, n, policy) -> dict:
+    """The JSON-ready result of one ``self_compose`` call, or its failure."""
     try:
-        curve = pb.curve_for(spec)
+        curve = pb.curve_for(_spec(pb, mechanism))
         grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
         build = pb.pessimistic_pair if policy.direction == "pessimistic" else pb.optimistic_pair
         out = pb.self_compose(pb.pld_of(build(curve, grid)), n, policy)
@@ -99,6 +172,12 @@ def _answers(checkout: Path) -> dict[str, str]:
             policy = pb.CompositionPolicy(direction, **arguments)
             answer = _library_answer(pb, mechanism, spacing, n, policy)
             answers[f"library/self_compose/{name}/{direction}"] = json.dumps(answer, sort_keys=True)
+    for name, make, args in CURVE_OPS:
+        for method, answer in _curve_answers(pb, make, args).items():
+            answers[f"library/curve/{name}/{method}"] = json.dumps(answer)
+    for name, mechanism in BASELINE_OPS:
+        for op, answer in _baseline_answers(pb, mechanism).items():
+            answers[f"library/baseline/{name}/{op}"] = json.dumps(answer, sort_keys=True)
     return answers
 
 
