@@ -9,7 +9,8 @@ Three verbs:
 
 Flags can also be supplied through a flat JSON config file (``--config``)
 whose keys are the long flag names with dashes replaced by underscores;
-flags given on the command line win on conflict.
+flags given on the command line win on conflict.  Each value must have its
+flag's type (``_config_value``); null leaves the flag unset.
 
 Numbers are emitted with 12 significant digits and infinities as the string
 "inf".  Output is byte-identical across runs of the same request except for
@@ -28,6 +29,7 @@ import json
 import math
 import sys
 
+from .compose import _composition_count
 from .curves import MechanismSpec
 from .errors import NumericalValidityError, RequestError
 from .report import AccountingRequest, run_compute, run_curve, run_sweep
@@ -134,15 +136,53 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             key = raw_key.replace("-", "_")
             if key not in actions:
                 raise RequestError(f"unknown config key {raw_key!r}")
-            choices = actions[key].choices
-            if choices is not None and value not in choices:
-                raise RequestError(
-                    f"config key {raw_key!r}: invalid choice {value!r} "
-                    f"(choose from {', '.join(choices)})"
-                )
+            checked = None if value is None else _config_value(raw_key, actions[key], value)
             if merged[key] is None:
-                merged[key] = value
+                merged[key] = checked
     return merged
+
+
+#: What a config value must be, by key, where it is not a number; keys with
+#: choices take one of them.
+_CONFIG_KINDS = {
+    "compositions": "an integer, a list of integers or a comma-separated string",
+    "grid_range": "a list of two numbers",
+    "repeats": "a non-negative integer",
+    "out": "a string",
+}
+
+
+def _config_value(raw_key: str, action: argparse.Action, value):
+    """A config value in the form its flag parses to, or ``RequestError`` naming the key.
+
+    Numbers exclude bools and strings, and integral counts go through
+    ``_composition_count``; an integer or a list of integers for
+    ``--compositions`` becomes the flag's comma-separated string.
+    """
+    if action.choices is not None:
+        if value in action.choices:
+            return value
+        raise RequestError(
+            f"config key {raw_key!r}: invalid choice {value!r} "
+            f"(choose from {', '.join(action.choices)})"
+        )
+    try:
+        if isinstance(value, str) and action.type is str:
+            return value
+        if action.dest == "compositions":
+            counts = value if isinstance(value, list) else [value]
+            return ",".join(str(_composition_count(n)) for n in counts)
+        if action.type is int:
+            return _composition_count(value)
+        numbers = value if action.nargs else [value]
+        if action.type is float and isinstance(numbers, list) and len(numbers) == (action.nargs or 1):
+            if all(type(x) in (int, float) for x in numbers):  # bools and strings are not numbers
+                floats = [float(x) for x in numbers]
+                return floats if action.nargs else floats[0]
+    except (OverflowError, RequestError):
+        pass
+    expected = _CONFIG_KINDS.get(action.dest, "a number")
+    raise RequestError(f"config key {raw_key!r} must be {expected}, got {value!r}")
 
 
 def _mechanism_from(settings: dict) -> MechanismSpec:
@@ -168,19 +208,14 @@ def _require(settings: dict, key: str) -> float:
     value = settings[key]
     if value is None:
         raise RequestError(f"--{key.replace('_', '-')} is required for this mechanism")
-    return float(value)
+    return value
 
 
-def _parse_counts(raw, command: str) -> list[int]:
+def _parse_counts(raw: str | None, command: str) -> list[int]:
     if raw is None:
         return [1]
-    if isinstance(raw, int):
-        return [raw]
-    if isinstance(raw, list):
-        return [int(x) for x in raw]
-    text = str(raw)
     try:
-        counts = [int(part) for part in text.split(",") if part.strip() != ""]
+        counts = [int(part) for part in raw.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise RequestError(f"bad composition count(s) {raw!r}") from exc
     if not counts:
@@ -192,8 +227,6 @@ def _parse_counts(raw, command: str) -> list[int]:
 
 def _request_from(settings: dict, command: str, compositions: int) -> AccountingRequest:
     grid_range = settings["grid_range"]
-    if grid_range is not None:
-        grid_range = (float(grid_range[0]), float(grid_range[1]))
     delta = settings["delta"]
     epsilon = settings["epsilon"]
     if command == "curve" and delta is None and epsilon is None:
@@ -202,13 +235,13 @@ def _request_from(settings: dict, command: str, compositions: int) -> Accounting
         raise RequestError("--discretization is required")
     return AccountingRequest(
         mechanism=_mechanism_from(settings),
-        discretization=float(settings["discretization"]),
+        discretization=settings["discretization"],
         compositions=compositions,
-        delta_target=None if delta is None else float(delta),
-        epsilon_target=None if epsilon is None else float(epsilon),
+        delta_target=delta,
+        epsilon_target=epsilon,
         estimate=settings["estimate"] or "both",
         baseline=settings["baseline"],
-        grid_range=grid_range,
+        grid_range=None if grid_range is None else tuple(grid_range),
     )
 
 
@@ -255,7 +288,7 @@ def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     settings = _merge_config(args, parser)
     output = settings["output"] or ("csv" if args.command in ("sweep", "curve") else "json")
     counts = _parse_counts(settings["compositions"], args.command)
-    repeats = int(settings["repeats"]) if settings["repeats"] is not None else 1
+    repeats = 1 if settings["repeats"] is None else settings["repeats"]
     request = _request_from(settings, args.command, counts[0])
     if args.command == "compute":
         report = run_compute(request).to_dict()

@@ -287,7 +287,12 @@ def _spectral_power(factors: list[tuple[np.ndarray, int]], size: int) -> np.ndar
     ``_rounding_bound`` charges what the zeros leave out.  The live entries
     are gathered into a compact band when they are at most half of the
     spectrum, and powered in place otherwise: squaring the zeros in place
-    would still pass over the whole spectrum per product.
+    would still pass over the whole spectrum per product.  Gathering every
+    spectrum into a band instead was measured on the ``readme-sweep``
+    reference op (33 of its 40 spectra are powered in place, 7 in a band),
+    in one process on a 2-vCPU Xeon, 30 alternating rounds: 4.58 ms per op
+    in this function against 4.22 ms, faster in only 6 of 30 rounds, with
+    bit-identical answers.
     """
     product = None
     for single, n in factors:
@@ -543,9 +548,9 @@ def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) ->
 
 
 def _composition_count(n) -> int:
-    """``n`` as an int, refused unless it is a non-negative integer (numpy's included)."""
+    """``n`` as an int, refused unless it is a non-negative integer (numpy's included, bools not)."""
     try:
-        count = operator.index(n)
+        count = operator.index(None if isinstance(n, bool) else n)
     except TypeError:
         raise RequestError(f"composition count must be an integer, got {n!r}") from None
     if count < 0:

@@ -61,16 +61,14 @@ sweep that pushes each run of nodes it would keep without a pop in one
 step, from slopes computed vectorised by the sweep's own float operations,
 so its vertices are exactly those of the plain sweep (see ``_lower_hull``).
 
-Numerically the construction runs in local coordinates: the gap
-g = f - (1 - alpha) up to alpha = 1, which keeps full precision where the
-curve hugs 1 - alpha, and the value f past it, where the curve decays with
-full relative precision while 1 + h' rounds to 1.  The two differ by an
-affine shear, which preserves hulls and kink masses, and both have the
-floor 0 on their side.  The hull pass tests convexity at each vertex in its
-own coordinates, and each kink mass is the difference of its two edge
-slopes in those coordinates (one float per edge), so the kink masses are
-differences of a non-decreasing float sequence and the discretization
-accepts the hull without any clamping.
+Numerically the construction runs in the local coordinates of
+``pld._pair_from_slopes``, the kink rule both estimators share: the gap
+g = f - (1 - alpha) up to alpha = 1 and the value f past it.  An affine
+shear takes one to the other and preserves hulls, and both have the floor 0
+on their side.  The hull pass tests convexity at each vertex in its own
+coordinates, and each edge hands in one slope per coordinate, so the kink
+masses are differences of a non-decreasing float sequence and the
+discretization accepts the hull without any clamping.
 
 Privacy-buckets baseline
 ------------------------
@@ -101,7 +99,7 @@ from .grid import DiscretizationGrid
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
-    _pair_from_kinks,
+    _pair_from_slopes,
     _rounded_pld,
     discretize_from_curve,
 )
@@ -296,8 +294,7 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
             f"this curve has tail value {curve.value_at_infinity}"
         )
     c, _ = _local_candidates(curve, grid)
-    k = grid.k
-    a = grid.alphas[:k]
+    a = grid.alphas[: grid.k]
     right = a > 1.0
     gap, value = _both_coordinates(c, a, right)
     vertices = np.array(_lower_hull(a, gap, value, right))
@@ -306,13 +303,10 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
     spans = np.diff(vertices)
     # per-interval slopes of the hull edges in both coordinates, capped where
     # the curve would rise; in the coordinates of each vertex they are a
-    # non-decreasing float sequence, so the kink masses, slope increases
-    # taken in the coordinates accurate at each node, are all >= 0 exactly
+    # non-decreasing float sequence, so the kink masses are all >= 0 exactly
     sigma = np.repeat(np.minimum((gap[w] - gap[u]) / width, 1.0), spans)
     tau = np.repeat(np.minimum((value[w] - value[u]) / width, 0.0), spans)
-    q_interior = np.where(right[1 : k - 1], np.diff(tau), np.diff(sigma))
-    q_last = -tau[-1] if right[k - 1] else 1.0 - sigma[-1]
-    return _pair_from_kinks(grid, float(sigma[0]), np.append(q_interior, q_last), 0.0)
+    return _pair_from_slopes(grid, sigma, tau, 0.0)
 
 
 def pb_optimistic_pld(

@@ -10,11 +10,9 @@ through values >= h at the nodes).  Past a_{k-1} a grid-supported curve must
 be constant, so the estimate's tail value is h(a_{k-1}): the least constant
 that still dominates.
 
-The kink masses are differences of consecutive chord slopes of h.  Chords
-are evaluated through the curve's gap form wherever the interval lies below
-alpha = 1 (where h hugs 1 - alpha and plain value differences lose the
-curvature below one ulp) and through plain values above 1 (where h decays
-with full relative precision).
+The chord slopes of h, taken from the curve's gap form and from its plain
+values, become kink masses through ``pld._pair_from_slopes``, the rule both
+estimators share.
 
 Privacy-buckets baseline
 ------------------------
@@ -33,7 +31,7 @@ from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
     _CLAMP_TOL,
-    _pair_from_kinks,
+    _pair_from_slopes,
     _rounded_pld,
 )
 
@@ -46,8 +44,7 @@ def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discr
     Its curve equals h at every finite grid point, interpolates linearly in
     between, and holds the value h(a_{k-1}) from a_{k-1} on.
     """
-    k = grid.k
-    a = grid.alphas[:k]
+    a = grid.alphas[: grid.k]
     values = curve.value(a)
     if abs(values[0] - 1.0) > _CLAMP_TOL:
         raise NumericalValidityError(
@@ -58,14 +55,7 @@ def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discr
     widths = np.diff(a)
     gap_slopes = np.diff(curve.gap(a)) / widths
     value_slopes = np.diff(values) / widths
-    # Kink mass at node i is the slope increase there; difference the slope
-    # representation that is accurate around that node.
-    q_interior = np.append(
-        np.where(a[1 : k - 1] <= 1.0, np.diff(gap_slopes), np.diff(value_slopes)),
-        -value_slopes[-1],
-    )
-    # gap(a_1) / a_1 >= 0 is exactly Q(0)
-    return _pair_from_kinks(grid, float(gap_slopes[0]), q_interior, float(values[-1]))
+    return _pair_from_slopes(grid, gap_slopes, value_slopes, float(values[-1]))
 
 
 def pb_pessimistic_pld(

@@ -17,7 +17,9 @@ where difference quotients with an infinite denominator vanish.  Q(a_i) is
 the slope increase of the curve at a_i, so convexity is exactly mass
 non-negativity; the values must be constant from a_{k-1} to +inf (a jump there
 cannot be realised by any finitely supported pair), and then both P and Q
-sum to one.
+sum to one.  ``discretize_from_curve`` applies this form to given values;
+the two estimators hand in their slopes instead, and ``_pair_from_slopes``
+takes each slope increase in the coordinates accurate at its node.
 
 Given a loss distribution with masses m(eps_i), the hockey-stick divergence
 at e^eps is
@@ -364,6 +366,28 @@ def _pair_from_kinks(
     p[1:k] = grid.alphas[1:k] * q[1:k]
     p[k] = p_inf
     return DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
+
+
+def _pair_from_slopes(
+    grid: DiscretizationGrid, sigma: np.ndarray, tau: np.ndarray, p_inf: float
+) -> DiscreteDominatingPair:
+    """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) over a_0..a_{k-1}.
+
+    Both estimators are piecewise linear on the grid and hand in their
+    per-interval slopes in two local coordinates: the gap
+    g = f - (1 - alpha), which keeps full precision where the curve hugs
+    1 - alpha, and the value f, which decays with full relative precision
+    past 1 while 1 + f' rounds to 1.  The two differ by an affine shear,
+    which preserves kink masses.  The kink mass at a_i is the slope increase
+    there in the coordinates of its own side, the gap at alpha <= 1 and the
+    value above; the last kink is -tau[-1] right of 1, else 1 - sigma[-1],
+    and Q(0) = sigma[0] (the gap is 0 at alpha = 0).  ``_pair_from_kinks``
+    then applies the clamp rule and P = alpha * Q.
+    """
+    right = grid.alphas[1 : grid.k] > 1.0
+    last = -tau[-1] if right[-1] else 1.0 - sigma[-1]
+    q_interior = np.append(np.where(right[:-1], np.diff(tau), np.diff(sigma)), last)
+    return _pair_from_kinks(grid, float(sigma[0]), q_interior, p_inf)
 
 
 def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominatingPair:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 import time
 from typing import Callable
 
@@ -180,17 +181,9 @@ def _build_grid(request: AccountingRequest, curve) -> DiscretizationGrid:
 
 
 def _estimator_plan(request: AccountingRequest) -> list[str]:
-    plan: list[str] = []
-    if request.estimate in ("pessimistic", "both"):
-        plan.append("pessimistic")
-    if request.estimate in ("optimistic", "both"):
-        plan.append("optimistic")
-    if request.baseline == "pb":
-        if request.estimate in ("pessimistic", "both"):
-            plan.append("pb_pessimistic")
-        if request.estimate in ("optimistic", "both"):
-            plan.append("pb_optimistic")
-    return plan
+    """The requested directions, then their ``pb_`` baselines if asked for."""
+    directions = [d for d in ("pessimistic", "optimistic") if request.estimate in (d, "both")]
+    return directions + [f"pb_{d}" for d in directions if request.baseline == "pb"]
 
 
 _SINGLE_STEP_BUILDERS: dict[str, Callable] = {
@@ -199,10 +192,6 @@ _SINGLE_STEP_BUILDERS: dict[str, Callable] = {
     "pb_pessimistic": pb_pessimistic_pld,
     "pb_optimistic": pb_optimistic_pld,
 }
-
-
-def _direction_of(method: str) -> str:
-    return "pessimistic" if method.endswith("pessimistic") else "optimistic"
 
 
 def _truncation_budget(request: AccountingRequest) -> float:
@@ -250,7 +239,7 @@ def _set_up(request: AccountingRequest) -> _SetUp:
 
 def _compose_and_query(request: AccountingRequest, method: str, single: FinitePLD) -> BoundOutcome:
     policy = CompositionPolicy(
-        direction=_direction_of(method),
+        direction=method.removeprefix("pb_"),
         truncation_tail_mass=_truncation_budget(request),
     )
     composed = self_compose(single, request.compositions, policy)
@@ -318,10 +307,9 @@ def run_sweep(
         raise RequestError("sweeps invert delta to epsilon; set a delta target")
     if repeats < 1:
         raise RequestError(f"repeats must be >= 1, got {repeats}")
+    counts = [_composition_count(n) for n in counts]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise RequestError("composition counts must be strictly ascending")
-    if any(n < 0 for n in counts):
-        raise RequestError("composition counts must be non-negative")
     methods = _estimator_plan(request)
     columns = ["compositions"] + [f"eps_{m}" for m in methods] + ["runtime_ms"]
     if repeats > 1:
@@ -338,23 +326,12 @@ def run_sweep(
         row = {"compositions": n}
         for m in methods:
             row[f"eps_{m}"] = report.outcomes[m].epsilon
-        durations.sort()
-        row["runtime_ms"] = sum(durations) / len(durations)
+        row["runtime_ms"] = statistics.fmean(durations)
         if repeats > 1:
-            row["runtime_ms_p25"] = _percentile(durations, 0.25)
-            row["runtime_ms_p75"] = _percentile(durations, 0.75)
+            quartiles = statistics.quantiles(durations, method="inclusive")
+            row["runtime_ms_p25"], row["runtime_ms_p75"] = quartiles[0], quartiles[2]
         rows.append(row)
     return columns, rows
-
-
-def _percentile(sorted_values: list[float], frac: float) -> float:
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = frac * (len(sorted_values) - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, len(sorted_values) - 1)
-    w = pos - lo
-    return (1.0 - w) * sorted_values[lo] + w * sorted_values[hi]
 
 
 def run_curve(request: AccountingRequest) -> tuple[list[str], list[dict]]:

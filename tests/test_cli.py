@@ -288,6 +288,46 @@ class TestConfigFile:
         assert code == 2
         assert "output" in err and "xml" in err
 
+    @pytest.mark.parametrize(
+        "entry, code",
+        [
+            # non-integral or boolean counts used to be truncated or read as 1
+            ({"compositions": [2.5, 4.9]}, 2),
+            ({"compositions": [True]}, 2),
+            ({"compositions": True}, 2),
+            ({"repeats": 2.7}, 2),
+            # these used to die with a raw ValueError or IndexError
+            ({"repeats": "x"}, 2),
+            ({"discretization": "x"}, 2),
+            ({"noise_scale": "abc"}, 2),
+            ({"delta": "1e-5x"}, 2),
+            ({"grid_range": "ab"}, 2),
+            ({"grid_range": [-1]}, 2),
+            ({"delta": True}, 2),
+            ({"out": ["x"]}, 2),
+            ({"compositions": [1, 2]}, 0),
+            ({"compositions": 2}, 0),
+            ({"compositions": "1,2"}, 0),
+            ({"repeats": 2}, 0),
+            ({"grid_range": [-1, 1]}, 0),
+        ],
+    )
+    def test_config_values_must_have_their_flags_types(self, capsys, tmp_path, entry, code):
+        config = {
+            "mechanism": "randomized-response",
+            "rr_epsilon": LN2,
+            "discretization": LN2,
+            "delta": 0.2,
+            **entry,
+        }
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(config))
+        got, text = run_cli(["sweep", "--config", str(path)], capsys)
+        assert got == code, text
+        if code:
+            (key,) = entry
+            assert f"config key {key!r}" in text
+
 
 class TestSweep:
     def test_columns_and_ordering(self, capsys):

@@ -228,7 +228,7 @@ def test_requests_take_integral_composition_counts_only():
             delta_target=1e-3,
         )
 
-    for count in (2.5, 3.0, None):
+    for count in (2.5, 3.0, None, True):
         with pytest.raises(pb.RequestError, match="integer"):
             request(count)
     with pytest.raises(pb.RequestError, match="non-negative"):

@@ -220,6 +220,47 @@ def test_candidate_generation_is_safe_under_concurrency():
         np.testing.assert_array_equal(res.backward, sequential.backward)
 
 
+@pytest.mark.parametrize(
+    "mech, node_tol",
+    [
+        ({"kind": "gaussian", "noise_scale": 1.0}, 1e-15),
+        ({"kind": "laplace", "noise_scale": 1.0}, 1e-15),
+        (
+            {
+                "kind": "subsampled-gaussian",
+                "noise_scale": 1.0,
+                "sampling_prob": 0.1,
+                "direction": "both",
+            },
+            1e-15,
+        ),
+        # randomized response is straight between its kinks, where the chord
+        # slopes leave kink masses of rounding size and either sign; zeroing
+        # the negative ones lifts the curve by their sum (2.3e-15 here)
+        ({"kind": "randomized-response", "epsilon": 1.0}, 1e-14),
+    ],
+)
+def test_both_estimators_on_a_grid_ending_at_one(mech, node_tol):
+    # the last kink sits at alpha = 1, so it is taken in gap coordinates
+    grid = pb.DiscretizationGrid.uniform(0.1, -3.0, 1e-12)
+    assert grid.k == 32 and grid.alphas[grid.k - 1] == 1.0
+    curve = pb.curve_for(mech_to_spec(mech))
+    nodes = grid.alphas[: grid.k]
+    points = np.concatenate([nodes, np.linspace(0.0, 1.5, 151)])
+
+    def tradeoff(pair, alphas):
+        # sum over the support of [P - alpha Q]_+, summed exactly
+        return np.array(
+            [math.fsum(np.maximum(pair.p_masses - x * pair.q_masses, 0.0)) for x in alphas]
+        )
+
+    high = pb.pessimistic_pair(curve, grid)
+    low = pb.optimistic_pair(curve, grid)
+    assert np.all(np.abs(tradeoff(high, nodes) - curve.value(nodes)) <= node_tol)
+    assert high.p_masses[-1] == float(curve.value(1.0))
+    assert np.all(tradeoff(low, points) <= curve.value(points))
+
+
 class TestPbOptimistic:
     def test_rr_coarse_grid_all_finite_mass_at_zero(self):
         curve = pb.RandomizedResponseCurve(LN2)

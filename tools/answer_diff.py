@@ -19,7 +19,13 @@ randomized-response curves at 0, at each kink and one ulp either side of it
 (one scalar call per point), and over a lattice (one array call), with
 ``value`` and ``gap`` also at +inf, written with ``float.hex``; and both
 privacy-buckets baselines, rounded up and down, from a curve and from a
-pair, on a grid built ``from_alphas``.  An answer is compared as its JSON
+pair, on a grid built ``from_alphas``.  Last come the single-step pairs
+(``PAIR_OPS``): P, Q and ``clamp_count`` of ``pessimistic_pair`` and
+``optimistic_pair``, or the build's failure, for every mechanism kind and
+adjacency at spacings 0.3 to 1e-4 and on a grid whose last finite alpha
+is 1, and of ``discretize_from_curve`` on both ``non_uniqueness_fixture``
+pairs.  Masses are written with ``float.hex``, or as the SHA-256 of their
+float64 bytes past ``HEX_MAX`` values.  An answer is compared as its JSON
 text, so floats must agree bit for bit; a
 failure's traceback, which names the checkout's paths, is left out.  BLAS
 and OpenMP pools run one thread, as in ``perfbench/run.py``.  The tool
@@ -32,6 +38,7 @@ exits 0.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -83,12 +90,45 @@ BASELINE_OPS = (
 #: Interior alphas of the ``from_alphas`` grid the baselines round onto.
 BASELINE_ALPHAS = tuple(math.exp(0.1 * i) for i in range(-40, 41))
 
+#: Mechanisms (as in ``LIBRARY_OPS``; subsampled ones also name their
+#: adjacency) whose single-step pairs ``PAIR_OPS`` builds.
+PAIR_MECHANISMS = (
+    *((f"gaussian-{s}", ("gaussian", s)) for s in (0.5, 1.0, 2.0, 80.0)),
+    *((f"laplace-{b}", ("laplace", b)) for b in (0.3, 1.0, 5.0)),
+    *((f"rr-{e:.4g}", ("randomized_response", e)) for e in (math.log(2.0), 1.0, 3.0)),
+    *(
+        (f"{kind}-{p}-{q}-{side}", (kind, p, q, side))
+        for kind, p, q in (
+            ("subsampled_gaussian", 1.0, 0.01),
+            ("subsampled_gaussian", 2.0, 0.2),
+            ("subsampled_laplace", 1.0, 0.01),
+            ("subsampled_laplace", 5.0, 0.1),
+            ("subsampled_randomized_response", 1.0, 0.1),
+        )
+        for side in ("add", "remove", "both")
+    ),
+)
+
+#: Spacings of the default-range lattices each mechanism's pairs are built on.
+PAIR_SPACINGS = (0.3, 0.1, 1e-2, 1e-3, 1e-4)
+
+#: Mechanisms whose pairs are also built on ``uniform(0.1, -3, 1e-12)``,
+#: whose last finite alpha is 1.
+GRID_AT_ONE_MECHANISMS = (("gaussian", 1.0), ("laplace", 1.0), ("randomized_response", 1.0))
+
+#: Epsilons of the ``non_uniqueness_fixture`` calls.
+FIXTURE_EPSILONS = (math.log(2.0), 1.0)
+
+#: Longest mass array written value by value; longer ones are hashed.
+HEX_MAX = 1000
+
 
 def _spec(pb, mechanism):
     kind, *args = mechanism
     spec_of = pb.MechanismSpec
-    if kind == "subsampled_gaussian":
-        return spec_of.poisson_subsampled(spec_of.gaussian(args[0]), args[1])
+    if kind.startswith("subsampled_"):
+        inner = getattr(spec_of, kind.removeprefix("subsampled_"))(args[0])
+        return spec_of.poisson_subsampled(inner, *args[1:])
     return getattr(spec_of, kind)(*args)
 
 
@@ -129,6 +169,45 @@ def _baseline_answers(pb, mechanism) -> dict[str, dict]:
             except Exception as err:  # a failure is an answer too
                 answer = {"error": type(err).__name__, "message": str(err)}
             answers[f"{name}/{source}"] = answer
+    return answers
+
+
+def _bits(values) -> list[str] | str:
+    """``float.hex`` of each value, or the SHA-256 of the float64 bytes past ``HEX_MAX`` values."""
+    values = np.ascontiguousarray(values, dtype=float)
+    return _hex(values) if values.size <= HEX_MAX else hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def _pair_answer(build) -> dict:
+    """P, Q and ``clamp_count`` of the pair ``build()`` returns, or its failure."""
+    try:
+        pair = build()
+    except Exception as err:  # a failure is an answer too
+        return {"error": type(err).__name__, "message": str(err)}
+    return {"p": _bits(pair.p_masses), "q": _bits(pair.q_masses), "clamp_count": pair.clamp_count}
+
+
+def _pair_answers(pb) -> dict[str, dict]:
+    """Both estimators' pairs on every ``PAIR_OPS`` grid, then the fixture's pairs."""
+    answers = {}
+    builders = ("pessimistic_pair", "optimistic_pair")
+    for name, mechanism in PAIR_MECHANISMS:
+        curve = pb.curve_for(_spec(pb, mechanism))
+        for spacing in PAIR_SPACINGS:
+            grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+            for builder in builders:
+                answer = _pair_answer(lambda: getattr(pb, builder)(curve, grid))
+                answers[f"{builder}/{name}/{spacing}"] = answer
+    at_one = pb.DiscretizationGrid.uniform(0.1, -3.0, 1e-12)
+    for mechanism in GRID_AT_ONE_MECHANISMS:
+        curve = pb.curve_for(_spec(pb, mechanism))
+        for builder in builders:
+            answer = _pair_answer(lambda: getattr(pb, builder)(curve, at_one))
+            answers[f"{builder}/{mechanism[0]}-{mechanism[1]}/grid-at-one"] = answer
+    for epsilon in FIXTURE_EPSILONS:
+        pairs = pb.non_uniqueness_fixture(epsilon)
+        for side, pair in zip(("early", "late"), pairs):
+            answers[f"discretize_from_curve/fixture-{epsilon:.4g}/{side}"] = _pair_answer(lambda: pair)
     return answers
 
 
@@ -178,6 +257,8 @@ def _answers(checkout: Path) -> dict[str, str]:
     for name, mechanism in BASELINE_OPS:
         for op, answer in _baseline_answers(pb, mechanism).items():
             answers[f"library/baseline/{name}/{op}"] = json.dumps(answer, sort_keys=True)
+    for op, answer in _pair_answers(pb).items():
+        answers[f"library/pair/{op}"] = json.dumps(answer, sort_keys=True)
     return answers
 
 
