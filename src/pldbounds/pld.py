@@ -245,7 +245,8 @@ class FinitePLD:
     the lattice.  The library's own builders go through the private
     ``_on_checked_lattice`` instead, with the j0 of epsilons that
     ``_lattice`` built or that a grid checked against it; only the spacing
-    is checked then.  ``_window_step`` is ``compose``'s single-step window
+    is checked then, and ``_lattice_pld``'s masses are clipped in place
+    instead of copied.  ``_window_step`` is ``compose``'s single-step window
     cache (``compose._step``); the masses are read-only, so it cannot go
     stale.
     """
@@ -261,11 +262,16 @@ class FinitePLD:
     _window_step: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def _on_checked_lattice(cls, offset: int, **fields) -> "FinitePLD":
-        """``FinitePLD(**fields)`` whose epsilons are known to lie on the lattice at ``offset``."""
-        # __post_init__ pops the offset, so the constructor takes data fields only
+    def _on_checked_lattice(cls, offset: int, owned: bool = False, **fields) -> "FinitePLD":
+        """``FinitePLD(**fields)`` whose epsilons are known to lie on the lattice at ``offset``.
+
+        With ``owned``, the float64 masses are the caller's to give away:
+        clipped in place and kept, not copied.
+        """
+        # __post_init__ pops these, so the constructor takes data fields only
         pld = cls.__new__(cls)
         pld.__dict__["_known_offset"] = offset
+        pld.__dict__["_owned_masses"] = owned
         pld.__init__(**fields)
         return pld
 
@@ -277,6 +283,7 @@ class FinitePLD:
         if m.shape != (eps.size + 2,):
             raise RequestError("mass array must hold the finite epsilons plus both atoms")
         offset = self.__dict__.pop("_known_offset", None)
+        owned = self.__dict__.pop("_owned_masses", False)
         if self.spacing is not None:
             if offset is None:
                 offset = _lattice_offset(eps, self.spacing)
@@ -287,7 +294,7 @@ class FinitePLD:
             raise RequestError("finite epsilons must be strictly increasing")
         if m.min() < -_MASS_SLACK:
             raise NumericalValidityError("negative probability mass in PLD")
-        m = _frozen(np.maximum(m, 0.0))
+        m = _frozen(np.maximum(m, 0.0, out=m if owned else None))
         object.__setattr__(self, "finite_epsilons", eps)
         object.__setattr__(self, "masses", m)
         _require_unit_mass(m, "PLD")
@@ -305,19 +312,22 @@ class FinitePLD:
 
 
 def _lattice_pld(
-    spacing: float, j0: int, finite: np.ndarray, neg_mass: float, inf_mass: float,
-    proper: bool = True, **bookkeeping: float,
+    spacing: float, j0: int, masses: np.ndarray, proper: bool = True, **bookkeeping: float
 ) -> FinitePLD:
-    """Lattice PLD [neg_mass, ``finite`` at (j0 + i) * spacing, inf_mass], improper if neg_mass > 0.
+    """Lattice PLD on ``masses`` [-inf atom, finite at (j0 + i) * spacing, +inf atom].
 
-    ``bookkeeping`` holds ``FinitePLD``'s truncation and rounding records.
+    Improper if the -inf atom is positive.  ``masses`` must be a float64
+    array that nothing else uses: the PLD keeps it, clipped in place, instead
+    of a copy.  ``bookkeeping`` holds ``FinitePLD``'s truncation and rounding
+    records.
     """
     return FinitePLD._on_checked_lattice(
         j0,
-        finite_epsilons=_lattice(j0, finite.size, spacing),
-        masses=np.concatenate(([neg_mass], finite, [inf_mass])),
+        owned=True,
+        finite_epsilons=_lattice(j0, masses.size - 2, spacing),
+        masses=masses,
         spacing=spacing,
-        proper=proper and neg_mass == 0.0,
+        proper=proper and masses[0] == 0.0,
         **bookkeeping,
     )
 
@@ -633,12 +643,12 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
 
 
 def pld_from_json_dict(payload: dict) -> FinitePLD:
+    neg_mass = float(payload.get("mass_at_neg_infinity", 0.0))
+    finite = np.asarray(payload["masses"], dtype=float)
     return _lattice_pld(
         float(payload["discretization"]),
         -int(payload["epsilon_offset"]),
-        np.asarray(payload["masses"], dtype=float),
-        float(payload.get("mass_at_neg_infinity", 0.0)),
-        float(payload["mass_at_infinity"]),
+        np.concatenate(([neg_mass], finite, [float(payload["mass_at_infinity"])])),
     )
 
 

@@ -1,8 +1,10 @@
-"""Composition hot path: two-operand FFT convolution, fast mass totals, the
-tail cut search, import weight.
+"""Composition hot path: two-operand FFT convolution, transform lengths, fast
+mass totals, the tail cut search, import weight.
 
 The FFT branch must give the bits ``scipy.signal.fftconvolve`` gives (followed
 by the same clip and flush), whether one operand is passed twice or as a copy,
+and large transforms must give the bits of ``scipy.fft``: ``compose`` takes
+``numpy.fft``, which ships the same pocketfft, and picks scipy's lengths,
 the mass gates must reach exactly the verdict of an exactly rounded
 ``math.fsum`` total, ``np.sum`` must stay within the one bound they and
 ``self_compose`` use, and ``pld._tail_count``'s doubling prefixes, which
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.fft
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -83,6 +86,47 @@ class TestFFTParity:
             out = pb.convolve(left, right, NO_TRUNC)
             expected = _fftconvolve_clipped(left.masses[1:-1], right.masses[1:-1])
             assert np.array_equal(out.masses[1:-1], expected)
+
+
+def test_fast_length_is_scipys_real_transform_length():
+    rng = np.random.default_rng(22)
+    sampled = rng.integers(20_000, 2**22, 3000).tolist() + [2**22 - 1, 2**22, 2**22 + 1]
+    for n in [*range(1, 20_000), *sampled]:
+        assert compose._fast_length(n) == next_fast_len(n, True), n
+
+
+#: The single step the large-transform parity tests compose: Gaussian sigma = 1
+#: at spacing 1e-3, 18,047 points.
+_GAUSSIAN_1 = pb.curve_for(pb.MechanismSpec.gaussian(1.0))
+_GRID_1E3 = pb.DiscretizationGrid.uniform(1e-3, *pb.default_epsilon_range(_GAUSSIAN_1, 1e-3))
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+@pytest.mark.parametrize(
+    "operation, budget",
+    [("self_compose", 1e-9), ("convolve", 1e-9), ("convolve", 0.0)],
+)
+def test_large_transforms_give_scipy_fft_bits(monkeypatch, operation, budget, direction):
+    build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
+    single = pb.pld_of(build(_GAUSSIAN_1, _GRID_1E3))
+    policy = pb.CompositionPolicy(direction, truncation_tail_mass=budget)
+    if operation == "self_compose":
+        run = lambda: pb.self_compose(single, 100, policy)  # noqa: E731
+    else:
+        other = pb.self_compose(single, 120 if budget else 7, policy)
+        run = lambda: pb.convolve(single, other, policy)  # noqa: E731
+    sizes = []
+    irfft = compose.irfft
+    monkeypatch.setattr(compose, "irfft", lambda p, n: sizes.append(n) or irfft(p, n))
+    got = run()
+    assert sizes and min(sizes) >= 2**17
+    monkeypatch.setattr(compose, "rfft", scipy.fft.rfft)
+    monkeypatch.setattr(compose, "irfft", scipy.fft.irfft)
+    want = run()
+    assert np.array_equal(got.masses, want.masses)
+    assert np.array_equal(got.finite_epsilons, want.finite_epsilons)
+    for field in ("truncated_low", "truncated_high", "rounding_charge", "proper"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 @st.composite
@@ -308,12 +352,12 @@ class TestTailCountCutSearch:
         assert got[1:] == want[1:]
 
 
-def test_import_leaves_out_scipy_signal_and_stats():
+def test_import_leaves_out_scipy_fft_signal_and_stats():
     src = Path(pb.__file__).resolve().parent.parent
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import json, pldbounds; "
-        "print(json.dumps([pldbounds.__file__, "
-        "[m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])]]))"
+        "print(json.dumps([pldbounds.__file__, [m for m in sys.modules if m.split('.')[:2] "
+        "in (['scipy', 'fft'], ['scipy', 'signal'], ['scipy', 'stats'])]]))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe, str(src)], capture_output=True, text=True, check=True

@@ -11,8 +11,10 @@ its failure message where it fails), their tiny variants, and the first
 ``SEEDED_OPS`` timed ops of seeds 1 and 2.  A fixed set of direct library
 calls that the benchmark never makes follows (``LIBRARY_OPS``): both
 directions of ``self_compose`` at a zero budget, with ``method="direct"``,
-on the exact path for short supports and through the transform; each
-answer is the result's ``pld_to_json`` text and its charge fields.  Then
+on the exact path for short supports and through the transform, and of
+``convolve`` through transforms of more than 2^17 points, budgeted and at a
+zero budget; each answer is the result's ``pld_to_json`` text and its
+charge fields.  Then
 come the single-step rules (``CURVE_OPS``, ``BASELINE_OPS``): ``value``,
 ``gap`` and both derivatives of the identical-pair, Laplace and
 randomized-response curves at 0, at each kink and one ulp either side of it
@@ -55,17 +57,34 @@ SEEDS = (1, 2)
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: (label, mechanism as MechanismSpec constructor and arguments, spacing,
-#: count, CompositionPolicy arguments) of each ``self_compose`` call, made
-#: for both directions.
+#: (operation, label, mechanism as MechanismSpec constructor and arguments,
+#: spacing, count, CompositionPolicy arguments) of each library call, made
+#: for both directions on the direction's single step s:
+#: ``self_compose(s, count)`` or ``convolve(s, self_compose(s, count))``.
 LIBRARY_OPS = (
-    ("budget-0", ("gaussian", 1.0), 1e-3, 30, {"truncation_tail_mass": 0.0}),
-    ("direct", ("gaussian", 2.0), 1e-2, 20, {"method": "direct", "truncation_tail_mass": 1e-9}),
+    ("self_compose", "budget-0", ("gaussian", 1.0), 1e-3, 30, {"truncation_tail_mass": 0.0}),
+    (
+        "self_compose", "direct", ("gaussian", 2.0), 1e-2, 20,
+        {"method": "direct", "truncation_tail_mass": 1e-9},
+    ),
     # the whole 4201-point support is computed directly, without charge
-    ("exact-path", ("randomized_response", math.log(2.0)), 1e-2, 30, {"truncation_tail_mass": 1e-12}),
+    (
+        "self_compose", "exact-path", ("randomized_response", math.log(2.0)), 1e-2, 30,
+        {"truncation_tail_mass": 1e-12},
+    ),
     # a narrow window: the transform, wrap and round-off charge
-    ("rr-window", ("randomized_response", math.log(2.0)), 1e-2, 50, {"truncation_tail_mass": 1e-12}),
-    ("subsampled-gaussian", ("subsampled_gaussian", 1.0, 0.01), 5e-3, 200, {"truncation_tail_mass": 1e-9}),
+    (
+        "self_compose", "rr-window", ("randomized_response", math.log(2.0)), 1e-2, 50,
+        {"truncation_tail_mass": 1e-12},
+    ),
+    (
+        "self_compose", "subsampled-gaussian", ("subsampled_gaussian", 1.0, 0.01), 5e-3, 200,
+        {"truncation_tail_mass": 1e-9},
+    ),
+    # two 18,047-point steps against their 120- and 7-fold compositions:
+    # transforms of 144,000 and 145,800 points
+    ("convolve", "large-window", ("gaussian", 1.0), 1e-3, 120, {"truncation_tail_mass": 1e-9}),
+    ("convolve", "large-budget-0", ("gaussian", 1.0), 1e-3, 7, {"truncation_tail_mass": 0.0}),
 )
 
 
@@ -211,13 +230,16 @@ def _pair_answers(pb) -> dict[str, dict]:
     return answers
 
 
-def _library_answer(pb, mechanism, spacing, n, policy) -> dict:
-    """The JSON-ready result of one ``self_compose`` call, or its failure."""
+def _library_answer(pb, operation, mechanism, spacing, n, policy) -> dict:
+    """The JSON-ready result of one ``LIBRARY_OPS`` call, or its failure."""
     try:
         curve = pb.curve_for(_spec(pb, mechanism))
         grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
         build = pb.pessimistic_pair if policy.direction == "pessimistic" else pb.optimistic_pair
-        out = pb.self_compose(pb.pld_of(build(curve, grid)), n, policy)
+        single = pb.pld_of(build(curve, grid))
+        out = pb.self_compose(single, n, policy)
+        if operation == "convolve":
+            out = pb.convolve(single, out, policy)
     except Exception as err:  # a failure is an answer too
         return {"error": type(err).__name__, "message": str(err)}
     fields = ("truncated_low", "truncated_high", "rounding_charge")
@@ -246,11 +268,11 @@ def _answers(checkout: Path) -> dict[str, str]:
         answers[label] = json.dumps(answer, sort_keys=True)
     import pldbounds as pb
 
-    for name, mechanism, spacing, n, arguments in LIBRARY_OPS:
+    for operation, name, mechanism, spacing, n, arguments in LIBRARY_OPS:
         for direction in ("pessimistic", "optimistic"):
             policy = pb.CompositionPolicy(direction, **arguments)
-            answer = _library_answer(pb, mechanism, spacing, n, policy)
-            answers[f"library/self_compose/{name}/{direction}"] = json.dumps(answer, sort_keys=True)
+            answer = _library_answer(pb, operation, mechanism, spacing, n, policy)
+            answers[f"library/{operation}/{name}/{direction}"] = json.dumps(answer, sort_keys=True)
     for name, make, args in CURVE_OPS:
         for method, answer in _curve_answers(pb, make, args).items():
             answers[f"library/curve/{name}/{method}"] = json.dumps(answer)
