@@ -118,6 +118,12 @@ def _finish(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+def _require_positive(value, name: str) -> None:
+    """Refuse a parameter that is not positive and finite (None, NaN and +inf included)."""
+    if value is None or not (value > 0.0 and math.isfinite(value)):
+        raise RequestError(f"{name} must be positive, got {value}")
+
+
 def _before(a: np.ndarray, kink: float, right: bool) -> np.ndarray:
     """Points whose one-sided derivative is the slope of the piece left of ``kink``.
 
@@ -233,8 +239,7 @@ class GaussianCurve(HockeyStickCurve):
     symmetric_pair = True
 
     def __init__(self, noise_scale: float):
-        if not (noise_scale > 0.0 and math.isfinite(noise_scale)):
-            raise RequestError(f"noise_scale must be positive, got {noise_scale}")
+        _require_positive(noise_scale, "noise_scale")
         self.noise_scale = float(noise_scale)
         self._s = 1.0 / self.noise_scale
 
@@ -281,8 +286,7 @@ class LaplaceCurve(_ThreeRegimeCurve):
     """Curve of (Lap(1, b), Lap(0, b)), unit sensitivity."""
 
     def __init__(self, noise_scale: float):
-        if not (noise_scale > 0.0 and math.isfinite(noise_scale)):
-            raise RequestError(f"noise_scale must be positive, got {noise_scale}")
+        _require_positive(noise_scale, "noise_scale")
         self.noise_scale = float(noise_scale)
         self._inv_b = 1.0 / self.noise_scale
         self._alpha_lo = math.exp(-self._inv_b)
@@ -306,8 +310,7 @@ class RandomizedResponseCurve(_ThreeRegimeCurve):
     """Curve of binary randomized response with parameter eps."""
 
     def __init__(self, epsilon: float):
-        if not (epsilon > 0.0 and math.isfinite(epsilon)):
-            raise RequestError(f"rr epsilon must be positive, got {epsilon}")
+        _require_positive(epsilon, "rr epsilon")
         self.epsilon = float(epsilon)
         self._alpha_lo = math.exp(-epsilon)
         self._alpha_hi = math.exp(epsilon)
@@ -536,17 +539,11 @@ class MechanismSpec:
                 if getattr(self, field) is not None:
                     raise RequestError(f"{field} applies to subsampled mechanisms only")
             if self.kind in ("gaussian", "laplace"):
-                if self.noise_scale is None or self.noise_scale <= 0:
-                    raise RequestError(
-                        f"noise_scale must be positive, got {self.noise_scale}"
-                    )
+                _require_positive(self.noise_scale, "noise_scale")
                 if self.rr_epsilon is not None:
                     raise RequestError("rr_epsilon applies to randomized response only")
             else:  # randomized_response
-                if self.rr_epsilon is None or self.rr_epsilon <= 0:
-                    raise RequestError(
-                        f"rr_epsilon must be positive, got {self.rr_epsilon}"
-                    )
+                _require_positive(self.rr_epsilon, "rr_epsilon")
                 if self.noise_scale is not None:
                     raise RequestError("noise_scale does not apply to randomized response")
 

@@ -10,9 +10,11 @@ through values >= h at the nodes).  Past a_{k-1} a grid-supported curve must
 be constant, so the estimate's tail value is h(a_{k-1}): the least constant
 that still dominates.
 
-The chord slopes of h, taken from the curve's gap form and from its plain
-values, become kink masses through ``pld._pair_from_slopes``, the rule both
-estimators share.
+The estimate is the pair whose curve interpolates given node values, which
+``pld._interpolating_pair`` builds; ``discretize_from_curve`` builds by the
+same rule.  It takes the chord slopes of h from the curve's gap form and from
+its plain values, and ``pld._pair_from_slopes``, the rule both estimators
+share, turns them into kink masses.
 
 Privacy-buckets baseline
 ------------------------
@@ -22,16 +24,12 @@ next grid epsilon; ``pld._rounded_pld`` states the rule for both directions.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .curves import HockeyStickCurve
-from .errors import NumericalValidityError
 from .grid import DiscretizationGrid
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
-    _CLAMP_TOL,
-    _pair_from_slopes,
+    _interpolating_pair,
     _rounded_pld,
 )
 
@@ -46,16 +44,7 @@ def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discr
     """
     a = grid.alphas[: grid.k]
     values = curve.value(a)
-    if abs(values[0] - 1.0) > _CLAMP_TOL:
-        raise NumericalValidityError(
-            f"curve value at alpha = 0 is {values[0]!r}, expected 1"
-        )
-    # Chord slopes in gap form (accurate below alpha = 1) and in value form
-    # (accurate above); they differ by exactly 1 in exact arithmetic.
-    widths = np.diff(a)
-    gap_slopes = np.diff(curve.gap(a)) / widths
-    value_slopes = np.diff(values) / widths
-    return _pair_from_slopes(grid, gap_slopes, value_slopes, float(values[-1]))
+    return _interpolating_pair(grid, curve.gap(a), values, float(values[-1]))
 
 
 def pb_pessimistic_pld(

@@ -10,16 +10,19 @@ The inverse construction (grid-restricted curve values -> pair) assigns
 
     Q(a_i) = (h(a_{i-1}) - h(a_i)) / (a_i - a_{i-1})
              - (h(a_i) - h(a_{i+1})) / (a_{i+1} - a_i)        for 0 < i < k,
-    Q(a_0) = 1 - sum_i Q(a_i),          Q(a_k) = 0,
+    Q(a_0) = 1 + (h(a_1) - h(a_0)) / a_1,          Q(a_k) = 0,
     P(a_i) = a_i * Q(a_i),              P(a_0) = 0,  P(a_k) = h(a_k),
 
 where difference quotients with an infinite denominator vanish.  Q(a_i) is
-the slope increase of the curve at a_i, so convexity is exactly mass
-non-negativity; the values must be constant from a_{k-1} to +inf (a jump there
-cannot be realised by any finitely supported pair), and then both P and Q
-sum to one.  ``discretize_from_curve`` applies this form to given values;
-the two estimators hand in their slopes instead, and ``_pair_from_slopes``
-takes each slope increase in the coordinates accurate at its node.
+the slope increase of the curve at a_i, and Q(a_0) the increase over the
+slope -1 of the line 1 - alpha, so convexity and h >= 1 - alpha are exactly
+mass non-negativity; the values must be constant from a_{k-1} to +inf (a jump
+there cannot be realised by any finitely supported pair), and then both P
+and Q sum to one.  Connect-the-dots (``pessimistic_pair``) and
+``discretize_from_curve`` build by this one rule, ``_interpolating_pair``,
+from node values and gaps; the optimistic estimate hands in its slopes, and
+``_pair_from_slopes`` takes each slope increase in the coordinates accurate
+at its node.
 
 Given a loss distribution with masses m(eps_i), the hockey-stick divergence
 at e^eps is
@@ -348,16 +351,33 @@ def _grid_pld(grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True)
 # ---------------------------------------------------------------------------
 
 
-def _pair_from_kinks(
-    grid: DiscretizationGrid, q_at_zero: float, q_interior: np.ndarray, p_inf: float
+def _pair_from_slopes(
+    grid: DiscretizationGrid, sigma: np.ndarray, tau: np.ndarray, p_inf: float
 ) -> DiscreteDominatingPair:
-    """Pair with Q = [q_at_zero, q_interior at a_1..a_{k-1}, 0] and P = alpha * Q.
+    """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) over a_0..a_{k-1}.
 
-    Kink masses are slope increases of the curve, so a negative one means
-    non-convexity and a negative Q(0) a curve below 1 - alpha.  Negatives
-    within _CLAMP_TOL are rounding slack: they are zeroed and counted in
-    ``clamp_count``; anything more negative is rejected.  P(+inf) = p_inf.
+    Both estimators are piecewise linear on the grid and hand in their
+    per-interval slopes (connect-the-dots through ``_interpolating_pair``)
+    in two local coordinates: the gap
+    g = f - (1 - alpha), which keeps full precision where the curve hugs
+    1 - alpha, and the value f, which decays with full relative precision
+    past 1 while 1 + f' rounds to 1.  The two differ by an affine shear,
+    which preserves kink masses.  The kink mass at a_i is the slope increase
+    there in the coordinates of its own side, the gap at alpha <= 1 and the
+    value above; the last kink is -tau[-1] right of 1, else 1 - sigma[-1],
+    and Q(0) = sigma[0] (the gap is 0 at alpha = 0).  Q = [Q(0), kinks at
+    a_1..a_{k-1}, 0], P = alpha * Q off infinity and P(+inf) = p_inf.
+
+    A negative kink mass means non-convexity, and a negative Q(0) a curve
+    below 1 - alpha.  Negatives within _CLAMP_TOL are rounding slack: they
+    are zeroed and counted in ``clamp_count``; anything more negative is
+    rejected.
     """
+    k = grid.k
+    right = grid.alphas[1:k] > 1.0
+    last = -tau[-1] if right[-1] else 1.0 - sigma[-1]
+    q_interior = np.append(np.where(right[:-1], np.diff(tau), np.diff(sigma)), last)
+    q_at_zero = float(sigma[0])
     worst = int(np.argmin(q_interior))
     if q_interior[worst] < -_CLAMP_TOL:
         raise NumericalValidityError(
@@ -371,33 +391,25 @@ def _pair_from_kinks(
         )
     clamps = int(np.count_nonzero(q_interior < 0.0)) + int(q_at_zero < 0.0)
     q = np.concatenate(([max(q_at_zero, 0.0)], np.maximum(q_interior, 0.0), [0.0]))
-    k = grid.k
     p = np.zeros_like(q)
     p[1:k] = grid.alphas[1:k] * q[1:k]
     p[k] = p_inf
     return DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
 
 
-def _pair_from_slopes(
-    grid: DiscretizationGrid, sigma: np.ndarray, tau: np.ndarray, p_inf: float
+def _interpolating_pair(
+    grid: DiscretizationGrid, gaps: np.ndarray, values: np.ndarray, p_inf: float
 ) -> DiscreteDominatingPair:
-    """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) over a_0..a_{k-1}.
+    """Pair whose curve interpolates ``values`` at a_0..a_{k-1} and is ``p_inf`` from a_{k-1} on.
 
-    Both estimators are piecewise linear on the grid and hand in their
-    per-interval slopes in two local coordinates: the gap
-    g = f - (1 - alpha), which keeps full precision where the curve hugs
-    1 - alpha, and the value f, which decays with full relative precision
-    past 1 while 1 + f' rounds to 1.  The two differ by an affine shear,
-    which preserves kink masses.  The kink mass at a_i is the slope increase
-    there in the coordinates of its own side, the gap at alpha <= 1 and the
-    value above; the last kink is -tau[-1] right of 1, else 1 - sigma[-1],
-    and Q(0) = sigma[0] (the gap is 0 at alpha = 0).  ``_pair_from_kinks``
-    then applies the clamp rule and P = alpha * Q.
+    ``gaps`` are the same nodes' values less 1 - alpha, in a form accurate
+    where the curve hugs that line.  The chord slopes in both forms go to
+    ``_pair_from_slopes``.
     """
-    right = grid.alphas[1 : grid.k] > 1.0
-    last = -tau[-1] if right[-1] else 1.0 - sigma[-1]
-    q_interior = np.append(np.where(right[:-1], np.diff(tau), np.diff(sigma)), last)
-    return _pair_from_kinks(grid, float(sigma[0]), q_interior, p_inf)
+    if abs(values[0] - 1.0) > _CLAMP_TOL:
+        raise NumericalValidityError(f"curve value at alpha = 0 is {values[0]!r}, expected 1")
+    widths = np.diff(grid.alphas[: grid.k])
+    return _pair_from_slopes(grid, np.diff(gaps) / widths, np.diff(values) / widths, p_inf)
 
 
 def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -407,14 +419,13 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
     curve: h[0] = 1, non-increasing, convex (checked through mass
     non-negativity), at least [1 - alpha]_+ (checked through Q(0) >= 0), and
     constant from a_{k-1} to +inf.  Violations beyond 1e-12 are rejected with
-    the offending grid index.
+    the offending grid index.  The pair is built by connect-the-dots' rule,
+    with gaps h - (1 - alpha).
     """
     h = np.asarray(h_values, dtype=float)
     k = grid.k
     if h.shape != (k + 1,):
         raise RequestError("need one curve value per grid point")
-    if abs(h[0] - 1.0) > _CLAMP_TOL:
-        raise NumericalValidityError(f"curve value at alpha = 0 is {h[0]!r}, expected 1")
     if np.any(h < -_CLAMP_TOL) or np.any(h > 1.0 + _CLAMP_TOL):
         raise NumericalValidityError(
             f"curve values outside [0, 1] at grid index {int(np.argmax((h < -_CLAMP_TOL) | (h > 1.0 + _CLAMP_TOL)))}"
@@ -429,11 +440,8 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
             f"curve must be constant from grid index {k - 1} to +inf "
             f"(got {h[k - 1]!r} vs {h[k]!r}): no finitely supported pair jumps there"
         )
-    slopes = np.diff(h[:k]) / np.diff(grid.alphas[:k])
-    q_interior = np.append(np.diff(slopes), -slopes[-1])
-    # Q(a_0) via the normalising form 1 - sum, which keeps the Q total exact.
-    q_at_zero = 1.0 - _exact_sum(np.maximum(q_interior, 0.0))
-    return _pair_from_kinks(grid, q_at_zero, q_interior, float(h[k]))
+    values = h[:k]
+    return _interpolating_pair(grid, values - (1.0 - grid.alphas[:k]), values, float(h[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +523,20 @@ def delta_at(pld: FinitePLD, epsilon: float) -> float:
     return float(max(m_inf + float(np.dot(m[1 + first : -1], weights)), 0.0))
 
 
+def _curve_at(
+    alphas: np.ndarray, p: np.ndarray, q: np.ndarray, p_inf: float, at: np.ndarray
+) -> np.ndarray:
+    """Curve at ``at`` of the pair with masses ``p``, ``q`` at increasing finite ``alphas``.
+
+    h(x) = p_inf + sum over alphas_i > x of (p_i - x q_i), with p_inf the
+    mass P(+inf), read from suffix sums of p and q.
+    """
+    above_p = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+    above_q = np.append(np.cumsum(q[::-1])[::-1], 0.0)
+    first = np.searchsorted(alphas, at, side="right")
+    return p_inf + above_p[first] - at * above_q[first]
+
+
 def curve_of(pair: DiscreteDominatingPair) -> PiecewiseLinearCurve:
     """Trade-off curve of the pair: piecewise linear with kinks on the grid.
 
@@ -522,13 +544,7 @@ def curve_of(pair: DiscreteDominatingPair) -> PiecewiseLinearCurve:
     """
     k = pair.grid.k
     a = pair.grid.alphas[:k]
-    arr_p = pair.p_masses[1:k]
-    arr_q = pair.q_masses[1:k]
-    # suffix sums over nodes strictly above node i: arr position m holds node
-    # m + 1, so S_i sums positions m >= i, and node k-1 has nothing above
-    suffix_p = np.concatenate((np.cumsum(arr_p[::-1])[::-1], [0.0]))
-    suffix_q = np.concatenate((np.cumsum(arr_q[::-1])[::-1], [0.0]))
-    values = pair.p_masses[-1] + suffix_p - a * suffix_q
+    values = _curve_at(a[1:], pair.p_masses[1:k], pair.q_masses[1:k], pair.p_masses[-1], a)
     return PiecewiseLinearCurve(a, np.clip(values, 0.0, 1.0))
 
 

@@ -32,7 +32,7 @@ from .errors import NumericalValidityError, RequestError
 from .grid import DiscretizationGrid, default_epsilon_range
 from .optimistic import optimistic_pair, pb_optimistic_pld
 from .pessimistic import pb_pessimistic_pld, pessimistic_pair
-from .pld import FinitePLD, curve_of, delta_at, epsilon_for_delta, pld_of
+from .pld import FinitePLD, _curve_at, curve_of, delta_at, epsilon_for_delta, pld_of
 
 __all__ = ["AccountingRequest", "BoundOutcome", "PrivacyBoundReport", "run_compute", "run_sweep", "run_curve"]
 
@@ -400,15 +400,10 @@ def run_curve(request: AccountingRequest) -> tuple[list[str], list[dict]]:
     samples[0::2] = finite
     samples[1::2] = np.sqrt(finite[:-1] * finite[1:])
     samples[1] = 0.5 * finite[1]  # the geometric midpoint of [0, a_1] is 0
-    # delta(alpha) = m(+inf) + sum over eps_i > ln(alpha) of m_i (1 - alpha e^-eps_i),
-    # from suffix sums of m_i and m_i e^-eps_i
-    eps_f = pb.finite_epsilons
+    # the baseline is the loss distribution of the pair P = m, Q = m e^(-eps)
     m = pb.masses[1:-1]
-    above_m = np.append(np.cumsum(m[::-1])[::-1], 0.0)
-    above_w = np.append(np.cumsum((m * np.exp(-eps_f))[::-1])[::-1], 0.0)
-    with np.errstate(divide="ignore"):
-        first = np.searchsorted(eps_f, np.log(samples), side="right")
-    h_pb = np.maximum(pb.mass_at_infinity + above_m[first] - samples * above_w[first], 0.0)
+    q = m * np.exp(-pb.finite_epsilons)
+    h_pb = np.maximum(_curve_at(grid.alphas[1:-1], m, q, pb.mass_at_infinity, samples), 0.0)
     columns = ["alpha", "h_true", "h_pessimistic", "h_optimistic", "h_pb_pessimistic"]
     table = zip(
         samples.tolist(),

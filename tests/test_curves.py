@@ -195,6 +195,14 @@ def test_mechanism_spec_validation():
         pb.MechanismSpec(kind="gaussian", noise_scale=1.0, sampling_prob=0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", ["gaussian", "laplace", "randomized_response"])
+def test_mechanism_spec_refuses_non_finite_parameters(make, value):
+    # refused at construction, as the curve itself would refuse it
+    with pytest.raises(pb.RequestError, match="must be positive"):
+        getattr(pb.MechanismSpec, make)(value)
+
+
 def test_derivative_at_rejects_boundary():
     curve = curve_of_mech("gaussian-1")
     with pytest.raises(pb.RequestError):

@@ -138,6 +138,25 @@ class TestDiscretizeFromCurve:
             assert abs(math.fsum(rebuilt.p_masses.tolist()) - 1.0) <= 1e-12
             assert abs(math.fsum(rebuilt.q_masses.tolist()) - 1.0) <= 1e-12
 
+    def test_builds_as_connect_the_dots(self):
+        # one rule: the pair through given values is the pessimistic pair of
+        # the piecewise-linear curve through them, bit for bit.  The values
+        # meet the floor 1 - alpha in floating point, as valid values must:
+        # below it by rounding (a pair's h(0) summing to 1 - 2^-53), the
+        # curve's default gap is zeroed while discretize_from_curve keeps it
+        rng = np.random.default_rng(2027)
+        for _ in range(200):
+            grid = random_grid(rng, include_one=bool(rng.integers(2)))
+            h = np.maximum(pair_curve_values(random_pair(rng, grid)), 1.0 - grid.alphas)
+            k = grid.k
+            h[k] = h[k - 1]
+            pair = pb.discretize_from_curve(h, grid)
+            curve = pb.PiecewiseLinearCurve(grid.alphas[:k], h[:k])
+            estimate = pb.pessimistic_pair(curve, grid)
+            np.testing.assert_array_equal(pair.p_masses, estimate.p_masses)
+            np.testing.assert_array_equal(pair.q_masses, estimate.q_masses)
+            assert pair.clamp_count == estimate.clamp_count
+
 
 # ---------------------------------------------------------------------------
 # loss distributions

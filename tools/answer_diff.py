@@ -26,9 +26,12 @@ pair, on a grid built ``from_alphas``.  Last come the single-step pairs
 ``optimistic_pair``, or the build's failure, for every mechanism kind and
 adjacency at spacings 0.3 to 1e-4 and on a grid whose last finite alpha
 is 1, and of ``discretize_from_curve`` on both ``non_uniqueness_fixture``
-pairs.  Masses are written with ``float.hex``, or as the SHA-256 of their
-float64 bytes past ``HEX_MAX`` values.  An answer is compared as its JSON
-text, so floats must agree bit for bit; a
+pairs and on the pessimistic node values of the ``DISCRETIZE_OPS``
+mechanisms.  Masses are written with ``float.hex``, or as the SHA-256 of
+their float64 bytes past ``HEX_MAX`` values.  Then each column of the
+``run_curve`` rows (the ``curve`` verb) of the ``RUN_CURVE_OPS`` requests,
+one op per column, every row written with ``float.hex``.  An answer is
+compared as its JSON text, so floats must agree bit for bit; a
 failure's traceback, which names the checkout's paths, is left out.  BLAS
 and OpenMP pools run one thread, as in ``perfbench/run.py``.  The tool
 reads ``perfbench/`` and does not edit it.
@@ -138,6 +141,26 @@ GRID_AT_ONE_MECHANISMS = (("gaussian", 1.0), ("laplace", 1.0), ("randomized_resp
 #: Epsilons of the ``non_uniqueness_fixture`` calls.
 FIXTURE_EPSILONS = (math.log(2.0), 1.0)
 
+#: Mechanisms (as in ``LIBRARY_OPS``) whose curve values at the nodes of
+#: ``PAIR_SPACINGS`` lattices, held from the last finite node on, go through
+#: ``discretize_from_curve``.
+DISCRETIZE_OPS = (
+    ("gaussian", 1.0),
+    ("laplace", 1.0),
+    ("randomized_response", 1.0),
+    ("subsampled_gaussian", 1.0, 0.01),
+)
+
+#: (label, mechanism as in ``LIBRARY_OPS``, spacing, grid range or None for
+#: the default range) of the ``run_curve`` requests; "readme" is the README's
+#: ``curve`` command.
+RUN_CURVE_OPS = (
+    ("readme", ("gaussian", 1.0), 0.5, (-2.0, 2.0)),
+    ("laplace", ("laplace", 1.0), 1e-2, None),
+    ("rr", ("randomized_response", 1.0), 1e-2, None),
+    ("subsampled-gaussian", ("subsampled_gaussian", 1.0, 0.01), 5e-3, None),
+)
+
 #: Longest mass array written value by value; longer ones are hashed.
 HEX_MAX = 1000
 
@@ -227,7 +250,28 @@ def _pair_answers(pb) -> dict[str, dict]:
         pairs = pb.non_uniqueness_fixture(epsilon)
         for side, pair in zip(("early", "late"), pairs):
             answers[f"discretize_from_curve/fixture-{epsilon:.4g}/{side}"] = _pair_answer(lambda: pair)
+    for mechanism in DISCRETIZE_OPS:
+        curve = pb.curve_for(_spec(pb, mechanism))
+        label = "-".join(str(part) for part in mechanism)
+        for spacing in PAIR_SPACINGS:
+            grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+            h = curve.value(grid.alphas)
+            h[-1] = h[-2]
+            answer = _pair_answer(lambda: pb.discretize_from_curve(h, grid))
+            answers[f"discretize_from_curve/{label}/{spacing}"] = answer
     return answers
+
+
+def _run_curve_answers(pb, mechanism, spacing, grid_range) -> dict[str, list[str] | dict]:
+    """Each ``run_curve`` column of one request, by column name, or the request's failure."""
+    try:
+        request = pb.AccountingRequest(
+            _spec(pb, mechanism), spacing, delta_target=1e-5, grid_range=grid_range
+        )
+        columns, rows = pb.run_curve(request)
+    except Exception as err:  # a failure is an answer too
+        return {"error": {"error": type(err).__name__, "message": str(err)}}
+    return {column: [float(row[column]).hex() for row in rows] for column in columns}
 
 
 def _library_answer(pb, operation, mechanism, spacing, n, policy) -> dict:
@@ -281,6 +325,9 @@ def _answers(checkout: Path) -> dict[str, str]:
             answers[f"library/baseline/{name}/{op}"] = json.dumps(answer, sort_keys=True)
     for op, answer in _pair_answers(pb).items():
         answers[f"library/pair/{op}"] = json.dumps(answer, sort_keys=True)
+    for name, mechanism, spacing, grid_range in RUN_CURVE_OPS:
+        for column, answer in _run_curve_answers(pb, mechanism, spacing, grid_range).items():
+            answers[f"library/run_curve/{name}/{column}"] = json.dumps(answer, sort_keys=True)
     return answers
 
 
