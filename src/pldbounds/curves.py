@@ -33,8 +33,14 @@ or an array of the input's shape; alpha = 0 and alpha = +inf are accepted
 where mathematically meaningful.  A curve implements array kernels on
 validated input: ``_value(a)``, ``_derivative(a, right)`` (the right
 derivative when ``right`` is true, else the left) and, where a
-cancellation-free form exists, ``_gap(a)``.  Composite curves call their
-parts' kernels, so every public call validates its input exactly once.
+cancellation-free form exists, ``_gap(a)``.  ``_evaluate(a, right)`` gives
+value, gap and (unless ``right`` is None) slope at the same points; the
+library's own callers that need more than one of them use it, and the
+Gaussian curve answers it from one evaluation of its normal CDF terms.
+Composite curves (subsampling, pointwise maximum) implement only
+``_evaluate`` and call their parts' ``_evaluate``, so every public call
+validates its input exactly once and a subsampled Gaussian evaluates its
+normal CDF once per call.
 The identical-pair, Laplace and randomized-response curves share the
 kernels of one private base: 1 - alpha up to a lower kink ``_alpha_lo``,
 0 from an upper kink ``_alpha_hi``, and a middle piece in between that
@@ -49,6 +55,12 @@ t = ln(alpha)/s:
 
     h(alpha)  = Phi(s/2 - t) - alpha * Phi(-s/2 - t)
     h'(alpha) = -Phi(-s/2 - t)
+
+and, below alpha = 1, the gap alpha Phi(t + s/2) - Phi(t - s/2) from two
+left tails.  Phi is ``_ndtr``, a numpy port of Cody's rational
+approximations in the form of Cephes' ``ndtr`` (see its docstring), with a
+relative error below about 2e-15 down to Phi ~ 1e-308; the library needs
+no scipy at run time.
 
 Laplace with scale b (sensitivity 1):
 
@@ -88,7 +100,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import RequestError
 
@@ -176,6 +187,15 @@ class HockeyStickCurve(abc.ABC):
     def _derivative(self, a: np.ndarray, right: bool) -> np.ndarray:
         """h'_+ (``right``) or h'_- over a validated array."""
 
+    def _evaluate(self, a: np.ndarray, right: bool | None = None) -> tuple:
+        """``_value``, ``_gap`` and, unless ``right`` is None, ``_derivative`` at the same points.
+
+        For callers that need more than one of them; the slope is None
+        without ``right``.
+        """
+        slope = None if right is None else self._derivative(a, right)
+        return self._value(a), self._gap(a), slope
+
     def _gap(self, a: np.ndarray) -> np.ndarray:
         """Gap over a validated array.
 
@@ -184,6 +204,28 @@ class HockeyStickCurve(abc.ABC):
         ulp of the curve value.
         """
         return np.maximum(self._value(a) - (1.0 - a), 0.0)
+
+
+class _CompositeCurve(HockeyStickCurve):
+    """Curve built on other curves, which reads value, gap and slope in one pass over its parts.
+
+    A subclass implements only ``_evaluate``: the Gaussian terms under a
+    subsampled Gaussian are then computed in one kernel call whichever of
+    the three a caller needs.
+    """
+
+    def _value(self, a):
+        return self._evaluate(a)[0]
+
+    def _gap(self, a):
+        return self._evaluate(a)[1]
+
+    def _derivative(self, a, right):
+        return self._evaluate(a, right)[2]
+
+    @abc.abstractmethod
+    def _evaluate(self, a, right=None):
+        """Value, gap and h'_+ (``right``), h'_- (not ``right``) or None over a validated array."""
 
 
 class _ThreeRegimeCurve(HockeyStickCurve):
@@ -233,6 +275,144 @@ def identical_pair_curve() -> HockeyStickCurve:
     return IdenticalPairCurve()
 
 
+# Rational approximations of erf and erfc in the form of Cephes' ``ndtr.c``
+# (S. L. Moshier, *Methods and Programs for Mathematical Functions*, 1989),
+# after W. J. Cody, "Rational Chebyshev approximations for the error
+# function", Math. Comp. 23 (1969): erf(y) = y T(y^2) / U(y^2) for |y| < 1,
+# and erfc(z) = exp(-z^2) P(z) / Q(z) on [1, 8), exp(-z^2) R(z) / S(z) from
+# 8 on.  Coefficients run from the highest power down; U, Q and S are monic,
+# and their leading 1 is left out.
+_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+
+#: Points per pass of ``_ndtr``: its temporaries stay in cache.
+_NDTR_BLOCK = 1 << 14
+
+#: Arguments are clipped to +-60, where Phi is 0 or 1 in binary64.
+_NDTR_CLIP = 60.0
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Polynomial by Horner's rule, highest power first, as Cephes' ``polevl``."""
+    out = x * coefs[0]
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Monic polynomial whose leading 1 is left out of ``coefs``, as Cephes' ``p1evl``."""
+    out = x + coefs[0]
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _parts(mask: np.ndarray) -> list[tuple[slice | np.ndarray, bool]]:
+    """Index of the true and of the false entries, each a slice where they are contiguous.
+
+    Only the nonempty ones are listed, with the mask's value there.
+    """
+    parts = []
+    for value, part in (True, mask), (False, ~mask):
+        idx = np.flatnonzero(part)
+        if idx.size == mask.size:
+            return [(slice(None), value)]
+        if idx.size:
+            contiguous = idx[-1] - idx[0] + 1 == idx.size
+            parts.append((slice(idx[0], idx[-1] + 1) if contiguous else idx, value))
+    return parts
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF Phi(x), elementwise, with full relative accuracy in the left tail.
+
+    With y = x / sqrt(2) and z = |y|:
+
+    * z < 1: Phi = (1 + erf(y)) / 2, erf(y) = y T(y^2) / U(y^2).
+    * z >= 1: Phi(-|x|) = erfc(z) / 2 = exp(-x^2 / 2) (P(z) / Q(z)) / 2
+      below z = 8 and exp(-x^2 / 2) (R(z) / S(z)) / 2 from 8 on; Phi(|x|)
+      is 1 - Phi(-|x|).
+
+    The rationals are Cody's (Math. Comp. 23, 1969) in the form of Cephes'
+    ``ndtr`` and ``erfc`` (Moshier, *Methods and Programs for Mathematical
+    Functions*, 1989).  As in Cephes' ``expx2``, exp(-x^2 / 2) is taken as
+    exp(-m^2 / 2) exp(-(m f + f^2 / 2)) with m the multiple of 1/128 nearest
+    |x| and f = |x| - m, so that m^2 is exact and the rounding of x^2 (about
+    1400 ulps at x = -37.5) does not reach the result.  The split is made on
+    x itself, not on z as in Cephes, so neither does the rounding of
+    x / sqrt(2).  Against 40-digit values the relative error stays below
+    about 2e-15 wherever Phi is a normal number; results in the subnormal
+    range lose bits and reach 0 near x = -38.5.  Each point is computed on
+    its own, so its bits do not depend on the other points of the call.
+    Points are taken ``_NDTR_BLOCK`` at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, _NDTR_BLOCK):
+        block = slice(start, start + _NDTR_BLOCK)
+        x_block = flat[block]
+        w = np.abs(x_block)
+        for at, near in _parts(w < 1.0 / _SQRT_HALF):
+            if near:
+                y = x_block[at] * _SQRT_HALF
+                yy = y * y
+                out[block][at] = 0.5 + 0.5 * (y * _polevl(yy, _T) / _p1evl(yy, _U))
+            else:
+                tail = _lower_tail(w[at])
+                np.subtract(1.0, tail, out=tail, where=x_block[at] > 0.0)
+                out[block][at] = tail
+    return out.reshape(x.shape)
+
+
+def _lower_tail(w: np.ndarray) -> np.ndarray:
+    """Phi(-w) = erfc(w / sqrt(2)) / 2 for w >= sqrt(2)."""
+    w = np.minimum(w, _NDTR_CLIP)
+    m = np.rint(w * 128.0)
+    m *= 1.0 / 128.0
+    f = w - m
+    tail = np.exp(-0.5 * (m * m))
+    m *= f
+    m += 0.5 * (f * f)
+    tail *= np.exp(-m)
+    z = w * _SQRT_HALF
+    for at, below in _parts(z < 8.0):
+        num, den = (_P, _Q) if below else (_R, _S)
+        tail[at] *= _polevl(z[at], num) / _p1evl(z[at], den)
+    tail *= 0.5
+    return tail
+
+
 class GaussianCurve(HockeyStickCurve):
     """Curve of (N(1, sigma^2), N(0, sigma^2)), unit sensitivity."""
 
@@ -248,38 +428,67 @@ class GaussianCurve(HockeyStickCurve):
         with np.errstate(divide="ignore"):
             return np.log(a) / self._s
 
-    def _value(self, a):
-        s = self._s
-        t = self._log_ratio_arg(a)
-        out = np.empty_like(a)
-        low = a <= 1.0
-        out[low] = (1.0 - a[low]) + self._gap_low(a[low], t[low])
-        hi = ~low
-        with np.errstate(invalid="ignore"):
-            out[hi] = ndtr(0.5 * s - t[hi]) - a[hi] * ndtr(-0.5 * s - t[hi])
-        out[np.isinf(a)] = 0.0
-        np.clip(out, 0.0, 1.0, out=out)
-        return out
+    def _phis(self, a: np.ndarray, slope: bool) -> tuple:
+        """Mask of alpha <= 1, the value's two Phi terms and, with ``slope``, -h', in one ``_ndtr`` call.
 
-    def _gap_low(self, a: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # alpha * Phi(t + s/2) - Phi(t - s/2); both terms are left tails for
-        # alpha <= 1, so the gap keeps full relative precision as it -> 0.
-        s = self._s
-        g = a * ndtr(t + 0.5 * s) - ndtr(t - 0.5 * s)
-        return np.maximum(g, 0.0)
+        The value's terms are Phi(t + s/2) and Phi(t - s/2) at alpha <= 1,
+        both left tails, and Phi(s/2 - t) and Phi(-s/2 - t) above 1.
+        -h' = Phi(-s/2 - t) is the second term above 1, so it is read only
+        at alpha <= 1; without ``slope`` it is None.
+        """
+        half = 0.5 * self._s
+        t = self._log_ratio_arg(a)
+        low = a <= 1.0
+        up, down = t + half, t - half
+        n = a.size
+        args = np.empty(2 * n + (np.count_nonzero(low) if slope else 0))
+        first, second = args[:n].reshape(a.shape), args[n : 2 * n].reshape(a.shape)
+        np.negative(down, out=first)
+        np.copyto(first, up, where=low)
+        np.negative(up, out=second)
+        np.copyto(second, down, where=low)
+        if slope:
+            np.negative(up[low], out=args[2 * n :])
+        phi = _ndtr(args)
+        first, second = phi[:n].reshape(a.shape), phi[n : 2 * n].reshape(a.shape)
+        if not slope:
+            return low, first, second, None
+        third = second.copy()
+        third[low] = phi[2 * n :]
+        return low, first, second, third
+
+    @staticmethod
+    def _value_and_gap(a, low, first, second):
+        """Value and gap from the value's two terms in ``_phis``.
+
+        Each is formed in the coordinates accurate on its side of alpha = 1,
+        the gap below and the value above, and shifted by 1 - alpha to the
+        other.
+        """
+        with np.errstate(invalid="ignore"):
+            # alpha * Phi(t + s/2) - Phi(t - s/2): left tails, so the gap
+            # keeps full relative precision as it -> 0
+            below = np.maximum(a * first - second, 0.0)
+            above = np.clip(first - a * second, 0.0, 1.0)
+        above[np.isinf(a)] = 0.0
+        return (
+            np.clip(np.where(low, (1.0 - a) + below, above), 0.0, 1.0),
+            np.where(low, below, above + (a - 1.0)),
+        )
+
+    def _value(self, a):
+        return self._evaluate(a)[0]
 
     def _gap(self, a):
-        t = self._log_ratio_arg(a)
-        out = np.empty_like(a)
-        low = a <= 1.0
-        out[low] = self._gap_low(a[low], t[low])
-        hi = ~low
-        out[hi] = self._value(a[hi]) + (a[hi] - 1.0)
-        return out
+        return self._evaluate(a)[1]
 
     def _derivative(self, a, right):
         # smooth: both one-sided derivatives agree
-        return -ndtr(-0.5 * self._s - self._log_ratio_arg(a))
+        return -_ndtr(-0.5 * self._s - self._log_ratio_arg(a))
+
+    def _evaluate(self, a, right=None):
+        low, first, second, third = self._phis(a, right is not None)
+        return (*self._value_and_gap(a, low, first, second), None if third is None else -third)
 
 
 class LaplaceCurve(_ThreeRegimeCurve):
@@ -326,7 +535,7 @@ class RandomizedResponseCurve(_ThreeRegimeCurve):
         return np.full_like(a, -1.0 / self._den)
 
 
-class PoissonSubsampledCurve(HockeyStickCurve):
+class PoissonSubsampledCurve(_CompositeCurve):
     """Mixture-pair curve of a Poisson-subsampled mechanism, one direction.
 
     ``remove``: pair ((1-q) A + q B, A); the privacy loss is bounded below
@@ -371,48 +580,37 @@ class PoissonSubsampledCurve(HockeyStickCurve):
         beta = a[live] * self._q / w
         return live, w, beta
 
-    def _value(self, a):
-        out = np.empty_like(a)
+    def _evaluate(self, a, right=None):
+        value, gap, slope = np.empty_like(a), np.empty_like(a), np.empty_like(a)
         if self.direction == "remove":
             lo = a <= self._keep
-            out[lo] = 1.0 - a[lo]
-            out[~lo] = self._q * self.inner._value(self._beta_remove(a[~lo]))
-        else:
-            live, w, beta = self._split_add(a)
-            out[~live] = 0.0
-            out[live] = w * self.inner._value(beta)
-        return np.clip(out, 0.0, 1.0)
-
-    def _gap(self, a):
-        out = np.empty_like(a)
-        if self.direction == "remove":
-            lo = a <= self._keep
-            out[lo] = 0.0
+            # the slope leaves -1 at the kink or after it, value and gap after it
+            inner = ~lo if right is None else ~_before(a, self._keep, right)
+            value[inner], gap[inner], inner_slope = self.inner._evaluate(
+                self._beta_remove(a[inner]), right
+            )
             # q * h_in(beta) - (1 - alpha) == q * gap_in(beta), exactly.
-            out[~lo] = self._q * self.inner._gap(self._beta_remove(a[~lo]))
+            value[inner] *= self._q
+            gap[inner] *= self._q
+            value[lo] = 1.0 - a[lo]
+            gap[lo] = 0.0
+            if right is not None:
+                slope[inner] = inner_slope
+                slope[~inner] = -1.0
         else:
             live, w, beta = self._split_add(a)
-            out[~live] = a[~live] - 1.0
+            inner_value, inner_gap, inner_slope = self.inner._evaluate(beta, right)
+            value[~live] = slope[~live] = 0.0
+            gap[~live] = a[~live] - 1.0
+            value[live] = w * inner_value
             # w * h_in(beta) - (1 - alpha) == w * gap_in(beta), exactly.
-            out[live] = w * self.inner._gap(beta)
-        return np.maximum(out, 0.0)
-
-    def _derivative(self, a, right):
-        out = np.empty_like(a)
-        if self.direction == "remove":
-            lo = _before(a, self._keep, right)
-            out[lo] = -1.0
-            out[~lo] = self.inner._derivative(self._beta_remove(a[~lo]), right)
-        else:
-            live, w, beta = self._split_add(a)
-            out[~live] = 0.0
-            out[live] = -self._keep * self.inner._value(beta) + (
-                self._q / w
-            ) * self.inner._derivative(beta, right)
-        return out
+            gap[live] = w * inner_gap
+            if right is not None:
+                slope[live] = -self._keep * inner_value + (self._q / w) * inner_slope
+        return np.clip(value, 0.0, 1.0), np.maximum(gap, 0.0), None if right is None else slope
 
 
-class PointwiseMaxCurve(HockeyStickCurve):
+class PointwiseMaxCurve(_CompositeCurve):
     """Pointwise maximum of curves (a maximum of convex curves is convex).
 
     At a crossing point the right derivative is the maximum of the active
@@ -432,24 +630,22 @@ class PointwiseMaxCurve(HockeyStickCurve):
     def value_at_infinity(self) -> float:
         return max(c.value_at_infinity for c in self.curves)
 
-    def _value(self, a):
-        return np.stack([c._value(a) for c in self.curves]).max(axis=0)
-
-    def _gap(self, a):
-        return np.stack([c._gap(a) for c in self.curves]).max(axis=0)
-
-    def _derivative(self, a, right):
+    def _evaluate(self, a, right=None):
+        values, gaps, slopes = zip(*(c._evaluate(a, right) for c in self.curves))
+        values = np.stack(values)
+        top = values.max(axis=0)
+        gap = np.stack(gaps).max(axis=0)
+        if right is None:
+            return top, gap, None
         # activity is decided on curve values: their scale tracks where the
         # envelope still distinguishes the branches (gaps grow like alpha and
         # would drown tail-sized differences)
-        vals = np.stack([c._value(a) for c in self.curves])
-        top = vals.max(axis=0)
         tol = self._ACTIVE_ATOL + self._ACTIVE_RTOL * np.abs(top)
-        active = vals >= top - tol
-        derivs = np.stack([c._derivative(a, right) for c in self.curves])
+        active = values >= top - tol
+        slopes = np.stack(slopes)
         if right:
-            return np.where(active, derivs, -np.inf).max(axis=0)
-        return np.where(active, derivs, np.inf).min(axis=0)
+            return top, gap, np.where(active, slopes, -np.inf).max(axis=0)
+        return top, gap, np.where(active, slopes, np.inf).min(axis=0)
 
 
 class PiecewiseLinearCurve(HockeyStickCurve):

@@ -193,22 +193,20 @@ def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[floa
     curve is indistinguishable from the line 1 - alpha and carries no mass
     information.  Both searches exploit monotonicity (value non-increasing,
     gap non-decreasing) and give what doubling plus bisection gives: one
-    curve call evaluates every power of two j up to ``_RANGE_MAX_STEPS``,
+    round evaluates every power of two j up to ``_RANGE_MAX_STEPS``,
     and the first one below the threshold brackets the step in (j / 2, j].
-    Each further call evaluates the next ``_PROBE_LEVELS`` levels of the
+    Each further round evaluates the next ``_PROBE_LEVELS`` levels of the
     bisection's tree over that bracket, and the bisection then runs on
-    those values.  The alphas e^(+-j spacing) are ``math.exp``'s, +inf
-    where it overflows.
+    those values.  The two searches run side by side, one curve call per
+    round.  The alphas e^(+-j spacing) are ``math.exp``'s, +inf where it
+    overflows.
     """
 
-    def smallest_step(evaluate, sign: float) -> int:
-        # smallest j >= 1 with evaluate(e^(sign j spacing)) below the threshold
-        def probe(steps: np.ndarray) -> list[bool]:
-            alphas = np.array([_exp(x) for x in (sign * spacing * steps).tolist()])
-            return (evaluate(alphas) < CURVE_TAIL_THRESHOLD).tolist()
-
+    def smallest_step():
+        # smallest j >= 1 whose probe falls below the threshold; yields the
+        # steps to probe and is sent back whether each one does
         powers = 1 << np.arange(_RANGE_MAX_STEPS.bit_length())
-        meets = probe(powers)
+        meets = yield powers
         if not any(meets):
             raise NumericalValidityError("curve tail does not decay within the searchable range")
         hi = int(powers[meets.index(True)])
@@ -217,7 +215,7 @@ def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[floa
             levels = min((hi - lo).bit_length() - 1, _PROBE_LEVELS)
             stride = (hi - lo) >> levels
             nodes = range(lo + stride, hi, stride)
-            tree = dict(zip(nodes, probe(np.array(nodes))))
+            tree = dict(zip(nodes, (yield np.array(nodes))))
             for _ in range(levels):
                 mid = (lo + hi) // 2
                 if tree[mid]:
@@ -226,6 +224,19 @@ def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[floa
                     lo = mid
         return hi
 
-    j_hi = smallest_step(curve.value, 1.0)
-    j_lo = smallest_step(curve.gap, -1.0)
-    return (-j_lo * spacing, j_hi * spacing)
+    # the value above alpha = 1, the gap below it
+    searches = {1.0: smallest_step(), -1.0: smallest_step()}
+    steps = {sign: next(search) for sign, search in searches.items()}
+    found = {}
+    while steps:
+        alphas = [np.array([_exp(x) for x in (sign * spacing * j).tolist()]) for sign, j in steps.items()]
+        value, gap, _ = curve._evaluate(np.concatenate(alphas))
+        cuts = np.cumsum([part.size for part in alphas])[:-1]
+        for sign, values, gaps in zip(list(steps), np.split(value, cuts), np.split(gap, cuts)):
+            meets = ((values if sign > 0 else gaps) < CURVE_TAIL_THRESHOLD).tolist()
+            try:
+                steps[sign] = searches[sign].send(meets)
+            except StopIteration as done:
+                found[sign] = done.value
+                del steps[sign]
+    return (-found[-1.0] * spacing, found[1.0] * spacing)

@@ -142,11 +142,11 @@ def _endpoint_lines(
     lo = np.empty(idx.size)
     hi = np.empty(idx.size)
     i = idx[left]
-    lo[left] = curve.gap(a[i])
-    hi[left] = lo[left] + (a[i + 1] - a[i]) * (1.0 + curve.right_derivative(a[i]))
+    _, lo[left], slope = curve._evaluate(a[i], right=True)
+    hi[left] = lo[left] + (a[i + 1] - a[i]) * (1.0 + slope)
     i = idx[~left]
-    hi[~left] = curve.value(a[i + 1])
-    lo[~left] = hi[~left] - (a[i + 1] - a[i]) * curve.left_derivative(a[i + 1])
+    hi[~left], _, slope = curve._evaluate(a[i + 1], right=False)
+    lo[~left] = hi[~left] - (a[i + 1] - a[i]) * slope
     return lo, hi
 
 
@@ -172,10 +172,8 @@ def _local_candidates(
     # midpoint tangent of interval i, evaluated at a_i (lo) and a_{i+1} (hi);
     # distances run from the rounded midpoint, where the curve was evaluated
     mid = 0.5 * (a[:-1] + a[1:])
-    height = np.empty(k - 1)
-    height[left] = curve.gap(mid[left])
-    height[~left] = curve.value(mid[~left])
-    slope = curve.right_derivative(mid)
+    value, gap, slope = curve._evaluate(mid, right=True)
+    height = np.where(left, gap, value)
     slope[left] += 1.0
     lo = height - (mid - a[:-1]) * slope
     hi = height + (a[1:] - mid) * slope

@@ -43,8 +43,9 @@ def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discr
     between, and holds the value h(a_{k-1}) from a_{k-1} on.
     """
     a = grid.alphas[: grid.k]
-    values = curve.value(a)
-    return _interpolating_pair(grid, curve.gap(a), values, float(values[-1]))
+    # one reading of each node gives both coordinates the kink masses use
+    values, gaps, _ = curve._evaluate(a)
+    return _interpolating_pair(grid, gaps, values, float(values[-1]))
 
 
 def pb_pessimistic_pld(

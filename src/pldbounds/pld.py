@@ -493,9 +493,9 @@ def _rounded_pld(
         masses[-1] += source.p_masses[-1]
         return _grid_pld(grid, masses, proper=up)
     a = grid.alphas[1 : grid.k]
-    slope = source.right_derivative(a) if up else source.left_derivative(a)
+    value, _, slope = source._evaluate(a, right=up)
     tail = source.value_at_infinity
-    survival = np.concatenate(([1.0], np.clip(source.value(a) - a * slope, 0.0, 1.0), [tail]))
+    survival = np.concatenate(([1.0], np.clip(value - a * slope, 0.0, 1.0), [tail]))
     interval = -np.diff(survival)
     worst = float(interval.min())
     if worst < -_CLAMP_TOL:

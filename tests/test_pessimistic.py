@@ -92,6 +92,14 @@ class TestPessimisticPair:
         assert float(est.value(100.0)) == pytest.approx(1 / 3, abs=1e-15)
 
 
+    def test_refuses_a_curve_below_one_at_zero(self):
+        # the gap at 0 clips to 0 whatever h(0) is, so h(0) must be read as a value
+        curve = pb.PiecewiseLinearCurve([0.0, 1.0, 2.0], [0.9, 0.1, 0.0])
+        grid = pb.DiscretizationGrid.uniform(0.1, -1.0, 1.0)
+        with pytest.raises(pb.NumericalValidityError, match=r"curve value at alpha = 0 is \S*0\.9"):
+            pb.pessimistic_pair(curve, grid)
+
+
 class TestPbPessimistic:
     def test_rr_coarse_grid(self):
         curve = pb.RandomizedResponseCurve(LN2)

@@ -16,10 +16,12 @@ on the exact path for short supports and through the transform, and of
 zero budget; each answer is the result's ``pld_to_json`` text and its
 charge fields.  Then
 come the single-step rules (``CURVE_OPS``, ``BASELINE_OPS``): ``value``,
-``gap`` and both derivatives of the identical-pair, Laplace and
-randomized-response curves at 0, at each kink and one ulp either side of it
-(one scalar call per point), and over a lattice (one array call), with
-``value`` and ``gap`` also at +inf, written with ``float.hex``; and both
+``gap`` and both derivatives of the identical-pair, Laplace,
+randomized-response, Gaussian and subsampled-Gaussian curves at 0, at each
+kink (1 where there is none) and one ulp either side of it, and in the far
+tail (one scalar call per point), and over a linear and a geometric lattice
+(one array call each), with ``value`` and ``gap`` also at +inf, written
+with ``float.hex``; and both
 privacy-buckets baselines, rounded up and down, from a curve and from a
 pair, on a grid built ``from_alphas``.  Last come the single-step pairs
 (``PAIR_OPS``): P, Q and ``clamp_count`` of ``pessimistic_pair`` and
@@ -91,15 +93,29 @@ LIBRARY_OPS = (
 )
 
 
-#: (label, ``pldbounds`` curve constructor and arguments) of the curves whose
-#: kernels ``CURVE_OPS`` evaluates.
+#: (label, function of the ``pldbounds`` module that makes the curve) of the
+#: curves whose kernels ``CURVE_OPS`` evaluates.
 CURVE_OPS = (
-    ("identical", "identical_pair_curve", ()),
-    ("laplace-1", "LaplaceCurve", (1.0,)),
-    ("laplace-0.3", "LaplaceCurve", (0.3,)),
-    ("rr-ln2", "RandomizedResponseCurve", (math.log(2.0),)),
-    ("rr-1", "RandomizedResponseCurve", (1.0,)),
+    ("identical", lambda pb: pb.identical_pair_curve()),
+    ("laplace-1", lambda pb: pb.LaplaceCurve(1.0)),
+    ("laplace-0.3", lambda pb: pb.LaplaceCurve(0.3)),
+    ("rr-ln2", lambda pb: pb.RandomizedResponseCurve(math.log(2.0))),
+    ("rr-1", lambda pb: pb.RandomizedResponseCurve(1.0)),
+    *((f"gaussian-{s}", lambda pb, s=s: pb.GaussianCurve(s)) for s in (0.5, 1.0, 2.0, 80.0)),
+    *(
+        (
+            f"subsampled-gaussian-{s}-{q}-{side}",
+            lambda pb, m=("subsampled_gaussian", s, q, side): pb.curve_for(_spec(pb, m)),
+        )
+        for s, q in ((1.0, 0.01), (2.0, 0.2))
+        for side in ("add", "remove", "both")
+    ),
 )
+
+#: Far-tail alphas of the ``CURVE_OPS`` curves: one scalar call each, and
+#: an array call over ``TAIL_LATTICE``.
+TAIL_ALPHAS = tuple(math.exp(sign * x) for x in (5.0, 10.0, 20.0, 40.0) for sign in (-1.0, 1.0))
+TAIL_LATTICE = np.exp(np.linspace(-40.0, 40.0, 801))
 
 #: (label, mechanism as in ``LIBRARY_OPS``) of the curves both baselines round.
 BASELINE_OPS = (
@@ -178,13 +194,14 @@ def _hex(values) -> list[str]:
     return [float(x).hex() for x in np.atleast_1d(values)]
 
 
-def _curve_answers(pb, make, args) -> dict[str, list[str]]:
-    """Every kernel of one curve at its kinks, one ulp either side, 0, +inf and a lattice."""
-    curve = getattr(pb, make)(*args)
+def _curve_answers(pb, make) -> dict[str, list[str]]:
+    """Every kernel of one curve at 0, its kinks and one ulp either side, the far tail and +inf, and over lattices."""
+    curve = make(pb)
     kinks = sorted({getattr(curve, "_alpha_lo", 1.0), getattr(curve, "_alpha_hi", 1.0)})
     points = [0.0]
     for kink in kinks:
         points += [math.nextafter(kink, 0.0), kink, math.nextafter(kink, math.inf)]
+    points += TAIL_ALPHAS
     lattice = np.linspace(0.0, 4.0, 161)
     answers = {}
     methods = ("value", "gap", "right_derivative", "left_derivative")
@@ -193,6 +210,7 @@ def _curve_answers(pb, make, args) -> dict[str, list[str]]:
         ends = points + [math.inf] if method in ("value", "gap") else points
         answers[f"{method}/points"] = [float(evaluate(x)).hex() for x in ends]
         answers[f"{method}/lattice"] = _hex(evaluate(lattice))
+        answers[f"{method}/tail"] = _hex(evaluate(TAIL_LATTICE))
     return answers
 
 
@@ -317,8 +335,8 @@ def _answers(checkout: Path) -> dict[str, str]:
             policy = pb.CompositionPolicy(direction, **arguments)
             answer = _library_answer(pb, operation, mechanism, spacing, n, policy)
             answers[f"library/{operation}/{name}/{direction}"] = json.dumps(answer, sort_keys=True)
-    for name, make, args in CURVE_OPS:
-        for method, answer in _curve_answers(pb, make, args).items():
+    for name, make in CURVE_OPS:
+        for method, answer in _curve_answers(pb, make).items():
             answers[f"library/curve/{name}/{method}"] = json.dumps(answer)
     for name, mechanism in BASELINE_OPS:
         for op, answer in _baseline_answers(pb, mechanism).items():
