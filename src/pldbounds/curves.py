@@ -26,23 +26,22 @@ to keep full precision in both regimes.
 
 Evaluation contract
 -------------------
-The four public methods ``value``, ``gap``, ``right_derivative`` and
-``left_derivative`` are defined once, on ``HockeyStickCurve``.  Each takes
-a scalar or an array, rejects NaN and negative alpha, and returns a float
-or an array of the input's shape; alpha = 0 and alpha = +inf are accepted
-where mathematically meaningful.  A curve implements array kernels on
-validated input: ``_value(a)``, ``_derivative(a, right)`` (the right
-derivative when ``right`` is true, else the left) and, where a
-cancellation-free form exists, ``_gap(a)``.  ``_evaluate(a, right)`` gives
-value, gap and (unless ``right`` is None) slope at the same points; the
-library's own callers that need more than one of them use it, and the
-Gaussian curve answers it from one evaluation of its normal CDF terms.
-Composite curves (subsampling, pointwise maximum) implement only
-``_evaluate`` and call their parts' ``_evaluate``, so every public call
-validates its input exactly once and a subsampled Gaussian evaluates its
-normal CDF once per call.
+A curve implements one array kernel on validated input,
+``_evaluate(a, right=None)``, which returns the value, the gap and the
+slope at the same points: the right derivative when ``right`` is true, the
+left when it is false, and None when it is None.  The four public methods
+``value``, ``gap``, ``right_derivative`` and ``left_derivative`` are
+defined once, on ``HockeyStickCurve``, and each reads one component of
+that kernel.  Each takes a scalar or an array, rejects NaN and negative
+alpha, and returns a float or an array of the input's shape; alpha = 0 and
+alpha = +inf are accepted where mathematically meaningful.  The library's
+own callers call ``_evaluate`` directly, once per set of points, for all
+they need there.  The Gaussian kernel makes one evaluation of its normal
+CDF terms per call, and the subsampled and pointwise-maximum curves call
+their parts' kernels, so every public call validates its input exactly
+once and a subsampled Gaussian evaluates its normal CDF once per call.
 The identical-pair, Laplace and randomized-response curves share the
-kernels of one private base: 1 - alpha up to a lower kink ``_alpha_lo``,
+kernel of one private base: 1 - alpha up to a lower kink ``_alpha_lo``,
 0 from an upper kink ``_alpha_hi``, and a middle piece in between that
 each gives as three formulas (value, gap, slope).  The identical pair is
 the case of both kinks at 1 with no middle.
@@ -125,10 +124,6 @@ def _prepare(alpha) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _finish(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
-
-
 def _require_positive(value, name: str) -> None:
     """Refuse a parameter that is not positive and finite (None, NaN and +inf included)."""
     if value is None or not (value > 0.0 and math.isfinite(value)):
@@ -147,8 +142,9 @@ def _before(a: np.ndarray, kink: float, right: bool) -> np.ndarray:
 class HockeyStickCurve(abc.ABC):
     """Evaluable trade-off curve h(alpha) with one-sided derivatives.
 
-    The four public methods take a scalar or an array, validate it once and
-    call the array kernels ``_value``, ``_derivative`` and ``_gap``.
+    A subclass implements the one kernel ``_evaluate``.  The four public
+    methods take a scalar or an array, validate it once and read one
+    component of that kernel.
     """
 
     #: True when D_alpha(A||B) == D_alpha(B||A) for the underlying pair.
@@ -161,78 +157,40 @@ class HockeyStickCurve(abc.ABC):
 
     def value(self, alpha):
         """h(alpha) for alpha in [0, +inf]."""
-        a, scalar = _prepare(alpha)
-        return _finish(self._value(a), scalar)
+        return self._read(alpha, None, 0)
 
     def gap(self, alpha):
         """h(alpha) - (1 - alpha), non-negative and non-decreasing."""
-        a, scalar = _prepare(alpha)
-        return _finish(self._gap(a), scalar)
+        return self._read(alpha, None, 1)
 
     def right_derivative(self, alpha):
         """h'_+(alpha) for alpha in [0, +inf)."""
-        a, scalar = _prepare(alpha)
-        return _finish(self._derivative(a, right=True), scalar)
+        return self._read(alpha, True, 2)
 
     def left_derivative(self, alpha):
         """h'_-(alpha) for alpha in (0, +inf)."""
+        return self._read(alpha, False, 2)
+
+    def _read(self, alpha, right: bool | None, part: int):
+        """Component ``part`` of ``_evaluate(a, right)``, a float for a scalar ``alpha``."""
         a, scalar = _prepare(alpha)
-        return _finish(self._derivative(a, right=False), scalar)
+        out = self._evaluate(a, right)[part]
+        return float(out[0]) if scalar else out
 
     @abc.abstractmethod
-    def _value(self, a: np.ndarray) -> np.ndarray:
-        """h over a validated array."""
-
-    @abc.abstractmethod
-    def _derivative(self, a: np.ndarray, right: bool) -> np.ndarray:
-        """h'_+ (``right``) or h'_- over a validated array."""
-
     def _evaluate(self, a: np.ndarray, right: bool | None = None) -> tuple:
-        """``_value``, ``_gap`` and, unless ``right`` is None, ``_derivative`` at the same points.
+        """Value, gap and h'_+ (``right``), h'_- (not ``right``) or None over a validated array.
 
-        For callers that need more than one of them; the slope is None
-        without ``right``.
+        The gap is h - (1 - alpha) in a form that keeps its precision where
+        the curve hugs that line, wherever the curve has one.
         """
-        slope = None if right is None else self._derivative(a, right)
-        return self._value(a), self._gap(a), slope
-
-    def _gap(self, a: np.ndarray) -> np.ndarray:
-        """Gap over a validated array.
-
-        Subclasses override this with a cancellation-free form; the default
-        subtracts the affine part from the value and is accurate only to one
-        ulp of the curve value.
-        """
-        return np.maximum(self._value(a) - (1.0 - a), 0.0)
-
-
-class _CompositeCurve(HockeyStickCurve):
-    """Curve built on other curves, which reads value, gap and slope in one pass over its parts.
-
-    A subclass implements only ``_evaluate``: the Gaussian terms under a
-    subsampled Gaussian are then computed in one kernel call whichever of
-    the three a caller needs.
-    """
-
-    def _value(self, a):
-        return self._evaluate(a)[0]
-
-    def _gap(self, a):
-        return self._evaluate(a)[1]
-
-    def _derivative(self, a, right):
-        return self._evaluate(a, right)[2]
-
-    @abc.abstractmethod
-    def _evaluate(self, a, right=None):
-        """Value, gap and h'_+ (``right``), h'_- (not ``right``) or None over a validated array."""
 
 
 class _ThreeRegimeCurve(HockeyStickCurve):
     """Curve equal to 1 - alpha up to ``_alpha_lo``, 0 from ``_alpha_hi``, a middle piece between.
 
     A subclass with ``_alpha_lo < _alpha_hi`` gives the middle piece as the
-    kernels ``_mid_value``, ``_mid_gap`` and ``_mid_slope``; with equal
+    formulas ``_mid_value``, ``_mid_gap`` and ``_mid_slope``; with equal
     kinks the middle is empty and needs none.
     """
 
@@ -240,14 +198,11 @@ class _ThreeRegimeCurve(HockeyStickCurve):
     _alpha_lo = _alpha_hi = 1.0
     _mid_value = _mid_gap = _mid_slope = None
 
-    def _value(self, a):
-        return np.clip(self._pieces(a, None, 1.0 - a, 0.0, self._mid_value), 0.0, 1.0)
-
-    def _gap(self, a):
-        return np.maximum(self._pieces(a, None, 0.0, a - 1.0, self._mid_gap), 0.0)
-
-    def _derivative(self, a, right):
-        return self._pieces(a, right, -1.0, 0.0, self._mid_slope)
+    def _evaluate(self, a, right=None):
+        value = np.clip(self._pieces(a, None, 1.0 - a, 0.0, self._mid_value), 0.0, 1.0)
+        gap = np.maximum(self._pieces(a, None, 0.0, a - 1.0, self._mid_gap), 0.0)
+        slope = None if right is None else self._pieces(a, right, -1.0, 0.0, self._mid_slope)
+        return value, gap, slope
 
     def _pieces(self, a, right, low, high, middle):
         """``low`` up to the lower kink, else ``high`` from the upper, else ``middle(a)``.
@@ -423,11 +378,6 @@ class GaussianCurve(HockeyStickCurve):
         self.noise_scale = float(noise_scale)
         self._s = 1.0 / self.noise_scale
 
-    def _log_ratio_arg(self, a: np.ndarray) -> np.ndarray:
-        # t = ln(alpha)/s; the likelihood-ratio threshold in standardised x.
-        with np.errstate(divide="ignore"):
-            return np.log(a) / self._s
-
     def _phis(self, a: np.ndarray, slope: bool) -> tuple:
         """Mask of alpha <= 1, the value's two Phi terms and, with ``slope``, -h', in one ``_ndtr`` call.
 
@@ -437,7 +387,9 @@ class GaussianCurve(HockeyStickCurve):
         at alpha <= 1; without ``slope`` it is None.
         """
         half = 0.5 * self._s
-        t = self._log_ratio_arg(a)
+        # t = ln(alpha)/s; the likelihood-ratio threshold in standardised x.
+        with np.errstate(divide="ignore"):
+            t = np.log(a) / self._s
         low = a <= 1.0
         up, down = t + half, t - half
         n = a.size
@@ -457,38 +409,20 @@ class GaussianCurve(HockeyStickCurve):
         third[low] = phi[2 * n :]
         return low, first, second, third
 
-    @staticmethod
-    def _value_and_gap(a, low, first, second):
-        """Value and gap from the value's two terms in ``_phis``.
-
-        Each is formed in the coordinates accurate on its side of alpha = 1,
-        the gap below and the value above, and shifted by 1 - alpha to the
-        other.
-        """
+    def _evaluate(self, a, right=None):
+        # smooth: both one-sided derivatives agree.  Value and gap are each
+        # formed in the coordinates accurate on their side of alpha = 1, the
+        # gap below and the value above, and shifted by 1 - alpha to the other.
+        low, first, second, third = self._phis(a, right is not None)
         with np.errstate(invalid="ignore"):
             # alpha * Phi(t + s/2) - Phi(t - s/2): left tails, so the gap
             # keeps full relative precision as it -> 0
             below = np.maximum(a * first - second, 0.0)
             above = np.clip(first - a * second, 0.0, 1.0)
         above[np.isinf(a)] = 0.0
-        return (
-            np.clip(np.where(low, (1.0 - a) + below, above), 0.0, 1.0),
-            np.where(low, below, above + (a - 1.0)),
-        )
-
-    def _value(self, a):
-        return self._evaluate(a)[0]
-
-    def _gap(self, a):
-        return self._evaluate(a)[1]
-
-    def _derivative(self, a, right):
-        # smooth: both one-sided derivatives agree
-        return -_ndtr(-0.5 * self._s - self._log_ratio_arg(a))
-
-    def _evaluate(self, a, right=None):
-        low, first, second, third = self._phis(a, right is not None)
-        return (*self._value_and_gap(a, low, first, second), None if third is None else -third)
+        value = np.clip(np.where(low, (1.0 - a) + below, above), 0.0, 1.0)
+        gap = np.where(low, below, above + (a - 1.0))
+        return value, gap, None if third is None else -third
 
 
 class LaplaceCurve(_ThreeRegimeCurve):
@@ -535,7 +469,7 @@ class RandomizedResponseCurve(_ThreeRegimeCurve):
         return np.full_like(a, -1.0 / self._den)
 
 
-class PoissonSubsampledCurve(_CompositeCurve):
+class PoissonSubsampledCurve(HockeyStickCurve):
     """Mixture-pair curve of a Poisson-subsampled mechanism, one direction.
 
     ``remove``: pair ((1-q) A + q B, A); the privacy loss is bounded below
@@ -567,19 +501,6 @@ class PoissonSubsampledCurve(_CompositeCurve):
             return self._q * self.inner.value_at_infinity
         return self.inner.value_at_infinity if self._q == 1.0 else 0.0
 
-    # -- remove direction helpers ------------------------------------------
-
-    def _beta_remove(self, a: np.ndarray) -> np.ndarray:
-        return (a - self._keep) / self._q
-
-    # -- add direction helpers ---------------------------------------------
-
-    def _split_add(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        live = a < self._cut
-        w = 1.0 - a[live] * self._keep
-        beta = a[live] * self._q / w
-        return live, w, beta
-
     def _evaluate(self, a, right=None):
         value, gap, slope = np.empty_like(a), np.empty_like(a), np.empty_like(a)
         if self.direction == "remove":
@@ -587,7 +508,7 @@ class PoissonSubsampledCurve(_CompositeCurve):
             # the slope leaves -1 at the kink or after it, value and gap after it
             inner = ~lo if right is None else ~_before(a, self._keep, right)
             value[inner], gap[inner], inner_slope = self.inner._evaluate(
-                self._beta_remove(a[inner]), right
+                (a[inner] - self._keep) / self._q, right
             )
             # q * h_in(beta) - (1 - alpha) == q * gap_in(beta), exactly.
             value[inner] *= self._q
@@ -598,8 +519,11 @@ class PoissonSubsampledCurve(_CompositeCurve):
                 slope[inner] = inner_slope
                 slope[~inner] = -1.0
         else:
-            live, w, beta = self._split_add(a)
-            inner_value, inner_gap, inner_slope = self.inner._evaluate(beta, right)
+            live = a < self._cut
+            w = 1.0 - a[live] * self._keep
+            inner_value, inner_gap, inner_slope = self.inner._evaluate(
+                a[live] * self._q / w, right
+            )
             value[~live] = slope[~live] = 0.0
             gap[~live] = a[~live] - 1.0
             value[live] = w * inner_value
@@ -610,7 +534,7 @@ class PoissonSubsampledCurve(_CompositeCurve):
         return np.clip(value, 0.0, 1.0), np.maximum(gap, 0.0), None if right is None else slope
 
 
-class PointwiseMaxCurve(_CompositeCurve):
+class PointwiseMaxCurve(HockeyStickCurve):
     """Pointwise maximum of curves (a maximum of convex curves is convex).
 
     At a crossing point the right derivative is the maximum of the active
@@ -653,7 +577,8 @@ class PiecewiseLinearCurve(HockeyStickCurve):
 
     This is the curve shape realised by any pair whose privacy loss has
     finite support: linear between consecutive support points and constant
-    equal to the mass at +inf beyond the last finite one.
+    equal to the mass at +inf beyond the last finite one.  Its gap is the
+    value less 1 - alpha, accurate only to one ulp of the value.
     """
 
     def __init__(self, alphas, values):
@@ -665,6 +590,9 @@ class PiecewiseLinearCurve(HockeyStickCurve):
             np.isfinite(alphas)
         ):
             raise RequestError("nodes must be finite, strictly increasing, starting at 0")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise RequestError(f"node values must be finite: node {bad[0]} is {values[bad[0]]}")
         self.node_alphas = alphas
         self.node_values = values
         self._slopes = np.diff(values) / np.diff(alphas)
@@ -673,14 +601,15 @@ class PiecewiseLinearCurve(HockeyStickCurve):
     def value_at_infinity(self) -> float:
         return float(self.node_values[-1])
 
-    def _value(self, a):
-        out = np.interp(a, self.node_alphas, self.node_values)
-        return np.where(a >= self.node_alphas[-1], self.node_values[-1], out)
-
-    def _derivative(self, a, right):
+    def _evaluate(self, a, right=None):
+        value = np.interp(a, self.node_alphas, self.node_values)
+        value = np.where(a >= self.node_alphas[-1], self.node_values[-1], value)
+        gap = np.maximum(value - (1.0 - a), 0.0)
+        if right is None:
+            return value, gap, None
         idx = np.searchsorted(self.node_alphas, a, side="right" if right else "left") - 1
         idx = np.clip(idx, 0, self._slopes.size - 1)
-        return np.where(_before(a, self.node_alphas[-1], right), self._slopes[idx], 0.0)
+        return value, gap, np.where(_before(a, self.node_alphas[-1], right), self._slopes[idx], 0.0)
 
 
 # ---------------------------------------------------------------------------

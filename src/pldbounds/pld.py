@@ -421,6 +421,14 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
     constant from a_{k-1} to +inf.  Violations beyond 1e-12 are rejected with
     the offending grid index.  The pair is built by connect-the-dots' rule,
     with gaps h - (1 - alpha).
+
+    Plain values carry no cancellation-free gap: near alpha = 0 each gap
+    errs by about ulp(1), so each chord slope errs by about ulp(1) over the
+    spacing.  On a fine grid the node values of a smooth curve can then be
+    refused as non-convex: Gaussian sigma 1 builds at spacing 0.1 but is
+    refused at 0.01 (kink mass -2.1e-11 at grid index 100) and at 1e-3.
+    ``pessimistic_pair(curve, grid)`` reads the curve's own gaps and builds
+    on all three; it is the route for a curve.
     """
     h = np.asarray(h_values, dtype=float)
     k = grid.k

@@ -246,10 +246,26 @@ def subsampled_kinks(inner_kinks, q):
     )
 
 
+#: Subsampled curves not in ``MECHS``, so that every inner mechanism is
+#: subsampled in each direction: name -> (spec, the inner curve's kinks).
+SUBSAMPLED = {
+    f"sub{label}-{side}": (
+        pb.MechanismSpec.poisson_subsampled(inner, 0.01, side),
+        subsampled_kinks(inner_kinks, 0.01),
+    )
+    for label, inner, inner_kinks in (
+        ("lap", pb.MechanismSpec.laplace(5.0), [math.exp(-0.2), math.exp(0.2)]),
+        ("rr", pb.MechanismSpec.randomized_response(LN2), [0.5, 2.0]),
+    )
+    for side in ("add", "remove", "both")
+    if f"sub{label}-{side}" not in MECHS
+}
+
 CONTRACT_KINKS = {
     **KINKS,
     "subgauss-both": subsampled_kinks([], 0.01),
     "sublap-both": subsampled_kinks([math.exp(-0.2), math.exp(0.2)], 0.01),
+    **{name: kinks for name, (_, kinks) in SUBSAMPLED.items()},
     "piecewise-linear": PWL_NODES,
     "identical": [1.0],
 }
@@ -260,10 +276,12 @@ def contract_curve(name: str) -> pb.HockeyStickCurve:
         return pb.PiecewiseLinearCurve(PWL_NODES, [1.0, 0.75, 0.3, 0.05, 0.02])
     if name == "identical":
         return pb.identical_pair_curve()
+    if name in SUBSAMPLED:
+        return pb.curve_for(SUBSAMPLED[name][0])
     return curve_of_mech(name)
 
 
-CONTRACT_NAMES = sorted(MECHS) + ["piecewise-linear", "identical"]
+CONTRACT_NAMES = sorted(MECHS) + sorted(SUBSAMPLED) + ["piecewise-linear", "identical"]
 
 
 def with_neighbours(x: float, n: int = 2) -> list[float]:
@@ -286,8 +304,13 @@ def test_public_methods_reject_nan_and_negative_alpha(name, method):
             evaluate(np.array([0.5, bad, 2.0]))
 
 
+#: Positive alphas of the kernel check, beyond each curve's points.
+LATTICE = np.concatenate([np.linspace(0.025, 4.0, 160), np.exp(np.linspace(-20.0, 20.0, 401))])
+
+
 @pytest.mark.parametrize("name", CONTRACT_NAMES)
 def test_scalar_call_equals_array_element(name):
+    # ... and both equal the component of ``_evaluate`` that the method reads
     curve = contract_curve(name)
     points = [0.0, 1.0, math.inf]
     for kink in CONTRACT_KINKS.get(name, []):
@@ -295,12 +318,12 @@ def test_scalar_call_equals_array_element(name):
     alphas = np.array(sorted(p for p in points if p >= 0.0))
     # right derivatives are defined on [0, +inf), left ones on (0, +inf)
     domains = {
-        "value": alphas,
-        "gap": alphas,
-        "right_derivative": alphas[alphas < math.inf],
-        "left_derivative": alphas[alphas > 0.0],
+        "value": (alphas, None, 0),
+        "gap": (alphas, None, 1),
+        "right_derivative": (alphas[alphas < math.inf], True, 2),
+        "left_derivative": (alphas[alphas > 0.0], False, 2),
     }
-    for method, domain in domains.items():
+    for method, (domain, right, part) in domains.items():
         evaluate = getattr(curve, method)
         batch = evaluate(domain)
         assert isinstance(batch, np.ndarray) and batch.shape == domain.shape
@@ -308,6 +331,8 @@ def test_scalar_call_equals_array_element(name):
             single = evaluate(alpha)
             assert type(single) is float
             assert single.hex() == expected.hex(), (method, alpha)
+        every = np.concatenate([domain, LATTICE])
+        assert evaluate(every).tobytes() == curve._evaluate(every, right)[part].tobytes(), method
 
 
 @pytest.mark.parametrize("name", CONTRACT_NAMES)
@@ -322,3 +347,29 @@ def test_public_call_validates_its_input_once(name, monkeypatch):
         calls.clear()
         getattr(curve, method)(np.array([0.25, 0.99, 1.0, 1.5, 30.0]))
         assert len(calls) == 1, method
+
+
+class KernelOnlyCurve(pb.HockeyStickCurve):
+    """A curve that defines nothing but the kernel; an offset tags each component."""
+
+    def _evaluate(self, a, right=None):
+        slope = None if right is None else a + (3.0 if right else 4.0)
+        return a + 1.0, a + 2.0, slope
+
+
+def test_a_curve_that_defines_only_the_kernel_answers_every_public_method():
+    curve = KernelOnlyCurve()
+    offsets = {"value": 1.0, "gap": 2.0, "right_derivative": 3.0, "left_derivative": 4.0}
+    alphas = np.array([0.5, 1.0, 2.0])
+    for method, offset in offsets.items():
+        evaluate = getattr(curve, method)
+        single = evaluate(0.5)
+        assert type(single) is float and single == 0.5 + offset, method
+        batch = evaluate(alphas)
+        assert isinstance(batch, np.ndarray) and batch.tolist() == (alphas + offset).tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_piecewise_linear_curve_refuses_non_finite_node_values(bad):
+    with pytest.raises(pb.RequestError, match="node 1"):
+        pb.PiecewiseLinearCurve([0.0, 0.5, 1.5], [1.0, bad, 0.0])

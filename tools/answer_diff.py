@@ -17,8 +17,9 @@ zero budget; each answer is the result's ``pld_to_json`` text and its
 charge fields.  Then
 come the single-step rules (``CURVE_OPS``, ``BASELINE_OPS``): ``value``,
 ``gap`` and both derivatives of the identical-pair, Laplace,
-randomized-response, Gaussian and subsampled-Gaussian curves at 0, at each
-kink (1 where there is none) and one ulp either side of it, and in the far
+randomized-response and Gaussian curves, of each of them but the identical
+pair subsampled in each direction, and of piecewise-linear curves, at 0, at
+each kink (1 where there is none) and one ulp either side of it, and in the far
 tail (one scalar call per point), and over a linear and a geometric lattice
 (one array call each), with ``value`` and ``gap`` also at +inf, written
 with ``float.hex``; and both
@@ -104,11 +105,25 @@ CURVE_OPS = (
     *((f"gaussian-{s}", lambda pb, s=s: pb.GaussianCurve(s)) for s in (0.5, 1.0, 2.0, 80.0)),
     *(
         (
-            f"subsampled-gaussian-{s}-{q}-{side}",
-            lambda pb, m=("subsampled_gaussian", s, q, side): pb.curve_for(_spec(pb, m)),
+            f"{kind.replace('_', '-')}-{p}-{q}-{side}",
+            lambda pb, m=(kind, p, q, side): pb.curve_for(_spec(pb, m)),
         )
-        for s, q in ((1.0, 0.01), (2.0, 0.2))
+        for kind, p, q in (
+            ("subsampled_gaussian", 1.0, 0.01),
+            ("subsampled_gaussian", 2.0, 0.2),
+            ("subsampled_laplace", 1.0, 0.01),
+            ("subsampled_randomized_response", 1.0, 0.1),
+        )
         for side in ("add", "remove", "both")
+    ),
+    (
+        "piecewise-linear-laplace-pessimistic",
+        lambda pb: _pessimistic_curve(pb, pb.LaplaceCurve(1.0), 0.3),
+    ),
+    # constant from its last node, at alpha 0.8, on
+    (
+        "piecewise-linear-below-one",
+        lambda pb: pb.PiecewiseLinearCurve([0.0, 0.3, 0.8], [1.0, 0.75, 0.35]),
     ),
 )
 
@@ -190,6 +205,26 @@ def _spec(pb, mechanism):
     return getattr(spec_of, kind)(*args)
 
 
+def _lattice(pb, curve, spacing):
+    """The uniform grid of the given spacing over the curve's default range."""
+    return pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+
+
+def _pessimistic_curve(pb, curve, spacing):
+    """``curve_of`` the curve's pessimistic pair on its default-range lattice."""
+    return pb.curve_of(pb.pessimistic_pair(curve, _lattice(pb, curve, spacing)))
+
+
+def _kinks(curve) -> list[float]:
+    """Finite kinks of the curve or its parts: three-regime, subsampling and node kinks, else 1."""
+    kinks = set()
+    for part in getattr(curve, "curves", [curve]):
+        names = ("_alpha_lo", "_alpha_hi", "_keep", "_cut")
+        kinks |= {getattr(part, name) for name in names if hasattr(part, name)}
+        kinks |= set(getattr(part, "node_alphas", ()))
+    return sorted(k for k in kinks if math.isfinite(k)) or [1.0]
+
+
 def _hex(values) -> list[str]:
     return [float(x).hex() for x in np.atleast_1d(values)]
 
@@ -197,9 +232,8 @@ def _hex(values) -> list[str]:
 def _curve_answers(pb, make) -> dict[str, list[str]]:
     """Every kernel of one curve at 0, its kinks and one ulp either side, the far tail and +inf, and over lattices."""
     curve = make(pb)
-    kinks = sorted({getattr(curve, "_alpha_lo", 1.0), getattr(curve, "_alpha_hi", 1.0)})
     points = [0.0]
-    for kink in kinks:
+    for kink in _kinks(curve):
         points += [math.nextafter(kink, 0.0), kink, math.nextafter(kink, math.inf)]
     points += TAIL_ALPHAS
     lattice = np.linspace(0.0, 4.0, 161)
@@ -218,7 +252,7 @@ def _baseline_answers(pb, mechanism) -> dict[str, dict]:
     """Both rounded baselines from the curve and from its pessimistic pair on a 0.05 lattice."""
     curve = pb.curve_for(_spec(pb, mechanism))
     grid = pb.DiscretizationGrid.from_alphas([0.0, *BASELINE_ALPHAS, math.inf])
-    lattice = pb.DiscretizationGrid.uniform(0.05, *pb.default_epsilon_range(curve, 0.05))
+    lattice = _lattice(pb, curve, 0.05)
     sources = {"curve": lambda: curve, "pair": lambda: pb.pessimistic_pair(curve, lattice)}
     answers = {}
     for source, make in sources.items():
@@ -254,7 +288,7 @@ def _pair_answers(pb) -> dict[str, dict]:
     for name, mechanism in PAIR_MECHANISMS:
         curve = pb.curve_for(_spec(pb, mechanism))
         for spacing in PAIR_SPACINGS:
-            grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+            grid = _lattice(pb, curve, spacing)
             for builder in builders:
                 answer = _pair_answer(lambda: getattr(pb, builder)(curve, grid))
                 answers[f"{builder}/{name}/{spacing}"] = answer
@@ -272,7 +306,7 @@ def _pair_answers(pb) -> dict[str, dict]:
         curve = pb.curve_for(_spec(pb, mechanism))
         label = "-".join(str(part) for part in mechanism)
         for spacing in PAIR_SPACINGS:
-            grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+            grid = _lattice(pb, curve, spacing)
             h = curve.value(grid.alphas)
             h[-1] = h[-2]
             answer = _pair_answer(lambda: pb.discretize_from_curve(h, grid))
@@ -296,7 +330,7 @@ def _library_answer(pb, operation, mechanism, spacing, n, policy) -> dict:
     """The JSON-ready result of one ``LIBRARY_OPS`` call, or its failure."""
     try:
         curve = pb.curve_for(_spec(pb, mechanism))
-        grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+        grid = _lattice(pb, curve, spacing)
         build = pb.pessimistic_pair if policy.direction == "pessimistic" else pb.optimistic_pair
         single = pb.pld_of(build(curve, grid))
         out = pb.self_compose(single, n, policy)
