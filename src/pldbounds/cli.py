@@ -7,10 +7,14 @@ Three verbs:
 - ``sweep``: one row per composition count, CSV or JSON.
 - ``curve``: the single-step discretized curves next to the exact one.
 
-Flags can also be supplied through a flat JSON config file (``--config``)
-whose keys are the long flag names with dashes replaced by underscores;
-flags given on the command line win on conflict.  Each value must have its
-flag's type (``_config_value``); null leaves the flag unset.
+Each request flag is declared once, as a row of ``_FLAGS``: the parser
+registers the rows, and a flat JSON config file (``--config``) is checked
+against the same rows.  Its keys are the long flag names with dashes
+replaced by underscores; flags given on the command line win on conflict.
+Each value must have its flag's type (``_config_value``); null leaves the
+flag unset.  ``--mechanism`` names the rows of ``_MECHANISMS``: each row
+gives the mechanism's constructor, the flag that sets its parameter, and
+whether it is subsampled.
 
 Numbers are emitted with 12 significant digits and infinities as the string
 "inf".  Output is byte-identical across runs of the same request except for
@@ -36,13 +40,38 @@ from .report import AccountingRequest, run_compute, run_curve, run_sweep
 
 __all__ = ["main", "build_parser"]
 
-_MECHANISMS = (
-    "gaussian",
-    "laplace",
-    "randomized-response",
-    "subsampled-gaussian",
-    "subsampled-laplace",
-)
+#: Each ``--mechanism`` name: its ``MechanismSpec`` constructor, the flag that
+#: gives its parameter, and whether it is Poisson-subsampled.
+_MECHANISMS = {
+    "gaussian": (MechanismSpec.gaussian, "noise_scale", False),
+    "laplace": (MechanismSpec.laplace, "noise_scale", False),
+    "randomized-response": (MechanismSpec.randomized_response, "rr_epsilon", False),
+    "subsampled-gaussian": (MechanismSpec.gaussian, "noise_scale", True),
+    "subsampled-laplace": (MechanismSpec.laplace, "noise_scale", True),
+}
+
+#: Every request flag, in help order: its config key (the argparse dest) and
+#: its argparse keywords.  The parser and ``--config`` both read this table.
+_FLAGS = {
+    "mechanism": {"choices": tuple(_MECHANISMS)},
+    "noise_scale": {"type": float},
+    "rr_epsilon": {"type": float},
+    "sampling_prob": {"type": float},
+    "adjacency": {"choices": ("add", "remove", "both"),
+                  "help": "adjacency direction for subsampled mechanisms (default both)"},
+    "compositions": {"type": str,
+                     "help": "composition count; for sweep, a comma-separated ascending list"},
+    "delta": {"type": float, "help": "delta target (invert to epsilon)"},
+    "epsilon": {"type": float, "help": "epsilon target (evaluate delta)"},
+    "discretization": {"type": float, "help": "epsilon lattice spacing"},
+    "estimate": {"choices": ("pessimistic", "optimistic", "both")},
+    "baseline": {"choices": ("pb",)},
+    "grid_range": {"type": float, "nargs": 2, "metavar": ("EPS_MIN", "EPS_MAX"),
+                   "help": "override the automatic epsilon range"},
+    "output": {"choices": ("json", "csv")},
+    "out": {"type": str, "help": "write to FILE instead of stdout"},
+    "repeats": {"type": int, "help": "timing repetitions per sweep row"},
+}
 
 
 def _fmt(value) -> str:
@@ -76,54 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="flat JSON config file; flags win")
-        p.add_argument("--mechanism", choices=_MECHANISMS, default=None)
-        p.add_argument("--noise-scale", type=float, default=None)
-        p.add_argument("--rr-epsilon", type=float, default=None)
-        p.add_argument("--sampling-prob", type=float, default=None)
-        p.add_argument(
-            "--adjacency",
-            choices=("add", "remove", "both"),
-            default=None,
-            help="adjacency direction for subsampled mechanisms (default both)",
-        )
-        p.add_argument(
-            "--compositions",
-            type=str,
-            default=None,
-            help="composition count; for sweep, a comma-separated ascending list",
-        )
-        p.add_argument("--delta", type=float, default=None, help="delta target (invert to epsilon)")
-        p.add_argument("--epsilon", type=float, default=None, help="epsilon target (evaluate delta)")
-        p.add_argument("--discretization", type=float, default=None, help="epsilon lattice spacing")
-        p.add_argument("--estimate", choices=("pessimistic", "optimistic", "both"), default=None)
-        p.add_argument("--baseline", choices=("pb",), default=None)
-        p.add_argument(
-            "--grid-range",
-            type=float,
-            nargs=2,
-            metavar=("EPS_MIN", "EPS_MAX"),
-            default=None,
-            help="override the automatic epsilon range",
-        )
-        p.add_argument("--output", choices=("json", "csv"), default=None)
-        p.add_argument("--out", type=str, default=None, help="write to FILE instead of stdout")
-        p.add_argument("--repeats", type=int, default=None, help="timing repetitions per sweep row")
+        for key, keywords in _FLAGS.items():
+            p.add_argument(f"--{key.replace('_', '-')}", **keywords)
     return parser
 
 
-def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The verb's request flags by config key (argparse dest), without --config."""
-    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        action.dest: action
-        for action in verbs.choices[command]._actions
-        if action.dest not in ("help", "config")
-    }
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    actions = _option_actions(parser, args.command)
-    merged: dict = {key: getattr(args, key) for key in actions}
+def _merge_config(args: argparse.Namespace) -> dict:
+    merged: dict = {key: getattr(args, key) for key in _FLAGS}
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -134,9 +122,9 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise RequestError("config file must hold a flat JSON object")
         for raw_key, value in config.items():
             key = raw_key.replace("-", "_")
-            if key not in actions:
+            if key not in _FLAGS:
                 raise RequestError(f"unknown config key {raw_key!r}")
-            checked = None if value is None else _config_value(raw_key, actions[key], value)
+            checked = None if value is None else _config_value(raw_key, key, value)
             if merged[key] is None:
                 merged[key] = checked
     return merged
@@ -152,36 +140,38 @@ _CONFIG_KINDS = {
 }
 
 
-def _config_value(raw_key: str, action: argparse.Action, value):
+def _config_value(raw_key: str, key: str, value):
     """A config value in the form its flag parses to, or ``RequestError`` naming the key.
 
     Numbers exclude bools and strings, and integral counts go through
     ``_composition_count``; an integer or a list of integers for
     ``--compositions`` becomes the flag's comma-separated string.
     """
-    if action.choices is not None:
-        if value in action.choices:
+    flag = _FLAGS[key]
+    kind, nargs = flag.get("type"), flag.get("nargs")
+    if "choices" in flag:
+        if value in flag["choices"]:
             return value
         raise RequestError(
             f"config key {raw_key!r}: invalid choice {value!r} "
-            f"(choose from {', '.join(action.choices)})"
+            f"(choose from {', '.join(flag['choices'])})"
         )
     try:
-        if isinstance(value, str) and action.type is str:
+        if isinstance(value, str) and kind is str:
             return value
-        if action.dest == "compositions":
+        if key == "compositions":
             counts = value if isinstance(value, list) else [value]
             return ",".join(str(_composition_count(n)) for n in counts)
-        if action.type is int:
+        if kind is int:
             return _composition_count(value)
-        numbers = value if action.nargs else [value]
-        if action.type is float and isinstance(numbers, list) and len(numbers) == (action.nargs or 1):
+        numbers = value if nargs else [value]
+        if kind is float and isinstance(numbers, list) and len(numbers) == (nargs or 1):
             if all(type(x) in (int, float) for x in numbers):  # bools and strings are not numbers
                 floats = [float(x) for x in numbers]
-                return floats if action.nargs else floats[0]
+                return floats if nargs else floats[0]
     except (OverflowError, RequestError):
         pass
-    expected = _CONFIG_KINDS.get(action.dest, "a number")
+    expected = _CONFIG_KINDS.get(key, "a number")
     raise RequestError(f"config key {raw_key!r} must be {expected}, got {value!r}")
 
 
@@ -189,15 +179,9 @@ def _mechanism_from(settings: dict) -> MechanismSpec:
     name = settings["mechanism"]
     if name is None:
         raise RequestError("--mechanism is required")
-    if name == "randomized-response":
-        return MechanismSpec.randomized_response(_require(settings, "rr_epsilon"))
-    if name in ("gaussian", "subsampled-gaussian"):
-        base = MechanismSpec.gaussian(_require(settings, "noise_scale"))
-    elif name in ("laplace", "subsampled-laplace"):
-        base = MechanismSpec.laplace(_require(settings, "noise_scale"))
-    else:
-        raise RequestError(f"unknown mechanism {name!r}")
-    if not name.startswith("subsampled-"):
+    make, parameter, subsampled = _MECHANISMS[name]
+    base = make(_require(settings, parameter))
+    if not subsampled:
         return base
     return MechanismSpec.poisson_subsampled(
         base, _require(settings, "sampling_prob"), settings["adjacency"] or "both"
@@ -284,8 +268,8 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    settings = _merge_config(args, parser)
+def _run(args: argparse.Namespace) -> None:
+    settings = _merge_config(args)
     output = settings["output"] or ("csv" if args.command in ("sweep", "curve") else "json")
     counts = _parse_counts(settings["compositions"], args.command)
     repeats = 1 if settings["repeats"] is None else settings["repeats"]
@@ -310,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _run(args, parser)
+        _run(args)
     except RequestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

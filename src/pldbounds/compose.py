@@ -578,14 +578,14 @@ def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) ->
     )
 
 
-def _composition_count(n) -> int:
+def _composition_count(n, name: str = "composition count") -> int:
     """``n`` as an int, refused unless it is a non-negative integer (numpy's included, bools not)."""
     try:
         count = operator.index(None if isinstance(n, bool) else n)
     except TypeError:
-        raise RequestError(f"composition count must be an integer, got {n!r}") from None
+        raise RequestError(f"{name} must be an integer, got {n!r}") from None
     if count < 0:
-        raise RequestError(f"composition count must be non-negative, got {n}")
+        raise RequestError(f"{name} must be non-negative, got {n}")
     return count
 
 

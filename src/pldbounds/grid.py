@@ -45,8 +45,18 @@ def _frozen(values) -> np.ndarray:
     return view
 
 
+#: Largest lattice index binary64 holds exactly, and with it every smaller one.
+_INDEX_MAX = 1 << 53
+
+
 def _lattice(j0: int, size: int, spacing: float) -> np.ndarray:
-    """Epsilons (j0 + i) * spacing, i < size: a float arange, exact below 2^53, scaled in place."""
+    """Epsilons (j0 + i) * spacing, i < size: a float arange, scaled in place.
+
+    Refused with ``RequestError`` unless every index lies in [-2^53, 2^53],
+    where the float arange is exact and distinct indices stay distinct.
+    """
+    if j0 < -_INDEX_MAX or j0 + size - 1 > _INDEX_MAX:
+        raise RequestError(f"lattice indices {j0}..{j0 + size - 1} reach beyond +/-2^53")
     epsilons = np.arange(j0, j0 + size, dtype=float)
     epsilons *= spacing
     return epsilons

@@ -39,12 +39,15 @@ import bisect
 import dataclasses
 import json
 import math
+import reprlib
 
 import numpy as np
 
 from .curves import HockeyStickCurve, PiecewiseLinearCurve
 from .errors import NumericalValidityError, RequestError
-from .grid import DiscretizationGrid, _frozen, _lattice, _lattice_offset, _require_spacing
+from .grid import (
+    _INDEX_MAX, DiscretizationGrid, _frozen, _lattice, _lattice_offset, _require_spacing
+)
 
 __all__ = [
     "DiscreteDominatingPair",
@@ -666,13 +669,41 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
     return payload
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # bools and strings are not numbers
+
+
+#: What each key of a ``pld_to_json_dict`` payload must hold, and its check.
+_PAYLOAD_KEYS = {
+    "discretization": ("a number", _is_number),
+    "epsilon_offset": (
+        "an integer within +/-2^53", lambda v: type(v) is int and abs(v) <= _INDEX_MAX
+    ),
+    "masses": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "mass_at_infinity": ("a number", _is_number),
+    "mass_at_neg_infinity": ("a number", _is_number),
+}
+
+
 def pld_from_json_dict(payload: dict) -> FinitePLD:
-    neg_mass = float(payload.get("mass_at_neg_infinity", 0.0))
-    finite = np.asarray(payload["masses"], dtype=float)
+    """The distribution of a ``pld_to_json_dict`` payload; ``RequestError`` names a malformed key."""
+    if not isinstance(payload, dict):
+        raise RequestError(f"a PLD payload must be a JSON object, got {type(payload).__name__}")
+    payload = {"mass_at_neg_infinity": 0.0, **payload}  # omitted for a proper distribution
+    for key, (expected, valid) in _PAYLOAD_KEYS.items():
+        if key not in payload:
+            raise RequestError(f"PLD payload lacks key {key!r}")
+        if not valid(payload[key]):
+            got = reprlib.repr(payload[key])
+            raise RequestError(f"PLD payload key {key!r} must be {expected}, got {got}")
     return _lattice_pld(
         float(payload["discretization"]),
-        -int(payload["epsilon_offset"]),
-        np.concatenate(([neg_mass], finite, [float(payload["mass_at_infinity"])])),
+        -payload["epsilon_offset"],
+        np.concatenate((
+            [float(payload["mass_at_neg_infinity"])],
+            np.asarray(payload["masses"], dtype=float),
+            [float(payload["mass_at_infinity"])],
+        )),
     )
 
 

@@ -353,7 +353,7 @@ def run_sweep(
     """
     if request.delta_target is None:
         raise RequestError("sweeps invert delta to epsilon; set a delta target")
-    if repeats < 1:
+    if _composition_count(repeats, "repeats") < 1:
         raise RequestError(f"repeats must be >= 1, got {repeats}")
     counts = [_composition_count(n) for n in counts]
     if any(b <= a for a, b in zip(counts, counts[1:])):

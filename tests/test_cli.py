@@ -329,6 +329,82 @@ class TestConfigFile:
             assert f"config key {key!r}" in text
 
 
+#: Flags every parity request starts from, by config key.
+PARITY_BASE = {
+    "mechanism": "subsampled-gaussian",
+    "noise_scale": 1.0,
+    "sampling_prob": 0.01,
+    "discretization": 0.1,
+    "delta": 1e-5,
+}
+
+#: Per config key: the value given as the flag, a different value the config
+#: gives when the flag must win (null for the one-choice ``baseline``), and
+#: the base keys the flag replaces besides its own (``rr_epsilon`` also
+#: switches the mechanism to randomized response).
+PARITY_VALUES = {
+    "mechanism": ("laplace", "gaussian", ()),
+    "noise_scale": (2.0, 3.0, ()),
+    "rr_epsilon": (0.5, 1.0, ("noise_scale", "sampling_prob")),
+    "sampling_prob": (0.02, 0.03, ()),
+    "adjacency": ("add", "remove", ()),
+    "compositions": ("1,2", "3", ()),
+    "delta": (1e-6, 1e-7, ()),
+    "epsilon": (1.0, 2.0, ("delta",)),
+    "discretization": (0.05, 0.2, ()),
+    "estimate": ("optimistic", "pessimistic", ()),
+    "baseline": ("pb", None, ()),
+    "grid_range": ([-1.0, 1.0], [-2.0, 2.0], ()),
+    "output": ("json", "csv", ()),
+    "out": ("first.csv", "second.csv", ()),
+    "repeats": (2, 3, ()),
+}
+
+
+def as_flags(settings: dict) -> list[str]:
+    words = []
+    for key, value in settings.items():
+        values = value if isinstance(value, list) else [value]
+        words += [f"--{key.replace('_', '-')}", *map(str, values)]
+    return words
+
+
+def test_flag_table_is_what_parity_covers():
+    assert list(PARITY_VALUES) == list(cli._FLAGS)
+
+
+@pytest.mark.parametrize("key", PARITY_VALUES)
+def test_a_flag_and_its_config_key_build_the_same_request(monkeypatch, tmp_path, key):
+    calls = []
+
+    def sweep(request, counts, repeats):
+        calls.append((request, counts, repeats))
+        return ["compositions"], [{"compositions": counts[0]}]
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    monkeypatch.setattr(cli, "_emit", lambda text, out: calls.append((text, out)))
+    flag_value, other, replaced = PARITY_VALUES[key]
+    base = {name: v for name, v in PARITY_BASE.items() if name not in (key, *replaced)}
+    if key == "rr_epsilon":
+        base["mechanism"] = "randomized-response"
+
+    def built(flags: dict, config: dict | None = None) -> list:
+        args = ["sweep", *as_flags({**base, **flags})]
+        if config is not None:
+            path = tmp_path / "req.json"
+            path.write_text(json.dumps(config))
+            args += ["--config", str(path)]
+        calls.clear()
+        assert cli.main(args) == 0
+        return list(calls)
+
+    from_flag = built({key: flag_value})
+    assert built({}, {key: flag_value}) == from_flag
+    assert built({key: flag_value}, {key: other}) == from_flag
+    # the value reaches the request: another one, or none, builds another
+    assert built({} if other is None else {key: other}) != from_flag
+
+
 class TestSweep:
     def test_columns_and_ordering(self, capsys):
         code, out = run_cli(

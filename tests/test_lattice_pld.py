@@ -210,3 +210,67 @@ def test_the_callers_epsilons_stay_writable_and_the_plds_are_frozen():
         assert caller.flags.writeable
         assert not kept.flags.writeable
         assert np.shares_memory(kept, caller)
+
+
+def test_lattices_beyond_two_to_the_53_are_refused():
+    # 1e29 / 0.1 is far past 2^53: both epsilons used to be accepted as two
+    # "lattice points" of equal value, and self_compose returned four more
+    with pytest.raises(pb.RequestError, match="beyond"):
+        pb.FinitePLD([1e29, 1e29], [0.0, 0.5, 0.5, 0.0], spacing=0.1)
+    top = 2**53
+    edge = pb.FinitePLD([top - 1.0, float(top)], [0.0, 0.5, 0.5, 0.0], spacing=1.0)
+    assert edge.lattice_offset == top - 1
+    # 2^53 + 1 rounds to 2^53: the second point would repeat the first
+    with pytest.raises(pb.RequestError, match="beyond"):
+        pb.FinitePLD([float(top), float(top)], [0.0, 0.5, 0.5, 0.0], spacing=1.0)
+    low = pb.FinitePLD([-float(top)], [0.0, 1.0, 0.0], spacing=1.0)
+    assert low.lattice_offset == -top
+    # the trusted path of composition results is checked too
+    half = pb.FinitePLD([2.0**52 - 1.0, 2.0**52], [0.0, 0.5, 0.5, 0.0], spacing=1.0)
+    policy = pb.CompositionPolicy("pessimistic", method="direct")
+    assert pb.self_compose(half, 2, policy).finite_epsilons[-1] == top
+    with pytest.raises(pb.RequestError, match="beyond"):
+        pb.self_compose(half, 3, policy)
+
+
+_PAYLOAD = {"discretization": 0.1, "epsilon_offset": 1, "masses": [0.5, 0.5], "mass_at_infinity": 0.0}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # a float offset used to be truncated; the rest were accepted
+        ("epsilon_offset", 1.5),
+        ("epsilon_offset", True),
+        ("epsilon_offset", "2"),
+        ("epsilon_offset", 10**30),
+        ("discretization", "0.1"),
+        ("discretization", True),
+        ("masses", ["0.5", 0.5]),
+        ("masses", [0.5, True]),
+        ("mass_at_infinity", "0"),
+        ("mass_at_neg_infinity", "0"),
+        # these used to raise TypeError
+        ("masses", None),
+        ("mass_at_infinity", None),
+    ],
+)
+def test_malformed_json_payloads_are_refused_naming_the_key(key, value):
+    text = json.dumps({**_PAYLOAD, key: value})
+    with pytest.raises(pb.RequestError, match=f"'{key}'"):
+        pb.pld_from_json(text)
+
+
+@pytest.mark.parametrize("key", ["discretization", "epsilon_offset", "masses", "mass_at_infinity"])
+def test_json_payloads_lacking_a_key_are_refused_naming_it(key):
+    # a missing key used to raise KeyError
+    payload = {name: value for name, value in _PAYLOAD.items() if name != key}
+    with pytest.raises(pb.RequestError, match=f"'{key}'"):
+        pb.pld_from_json_dict(payload)
+
+
+def test_json_payloads_must_be_objects():
+    # a list used to raise AttributeError
+    with pytest.raises(pb.RequestError, match="JSON object"):
+        pb.pld_from_json("[0.1, 1, [0.5, 0.5], 0.0]")
+    assert pb.pld_from_json(json.dumps(_PAYLOAD)).lattice_offset == -1

@@ -82,3 +82,18 @@ def test_set_up_runs_once_per_sweep(monkeypatch, repeats):
     _, rows = pb.run_sweep(request, [1, 2, 4, 8], repeats=repeats)
     assert len(rows) == 4
     assert sorted(calls) == sorted(["default_epsilon_range", *report._SINGLE_STEP_BUILDERS])
+
+
+@pytest.mark.parametrize("repeats", [2.5, True, "3", 0, -1])
+def test_repeats_are_refused_before_the_set_up(monkeypatch, repeats):
+    # 2.5 and "3" used to die with a raw TypeError, 2.5 only after the set-up
+    # had been built, and True ran one repeat
+    def set_up(request):
+        raise AssertionError("the set-up ran before repeats were checked")
+
+    monkeypatch.setattr(report, "_set_up", set_up)
+    request = pb.AccountingRequest(
+        mechanism=pb.MechanismSpec.gaussian(2.0), discretization=0.05, delta_target=1e-5
+    )
+    with pytest.raises(pb.RequestError, match="repeats must be"):
+        pb.run_sweep(request, [1, 2], repeats=repeats)

@@ -24,7 +24,7 @@ tail (one scalar call per point), and over a linear and a geometric lattice
 (one array call each), with ``value`` and ``gap`` also at +inf, written
 with ``float.hex``; and both
 privacy-buckets baselines, rounded up and down, from a curve and from a
-pair, on a grid built ``from_alphas``.  Last come the single-step pairs
+pair, on a grid built ``from_alphas``.  Then come the single-step pairs
 (``PAIR_OPS``): P, Q and ``clamp_count`` of ``pessimistic_pair`` and
 ``optimistic_pair``, or the build's failure, for every mechanism kind and
 adjacency at spacings 0.3 to 1e-4 and on a grid whose last finite alpha
@@ -33,7 +33,14 @@ pairs and on the pessimistic node values of the ``DISCRETIZE_OPS``
 mechanisms.  Masses are written with ``float.hex``, or as the SHA-256 of
 their float64 bytes past ``HEX_MAX`` values.  Then each column of the
 ``run_curve`` rows (the ``curve`` verb) of the ``RUN_CURVE_OPS`` requests,
-one op per column, every row written with ``float.hex``.  An answer is
+one op per column, every row written with ``float.hex``.  Last, the
+command line (``_cli_ops``): ``pldbounds.cli.main`` on the README's commands
+with ``--out`` dropped so that they write to stdout, on ``compute`` with
+``--output csv``, on one ``--config`` file per ``CONFIG_ENTRIES`` entry and
+on ``--help`` for the top level and each verb; each answer is the exit code,
+stderr, and stdout without its ``runtime_ms*`` JSON keys and CSV columns.
+The README is read from the checkout this tool sits in, so both checkouts
+run the same commands.  An answer is
 compared as its JSON text, so floats must agree bit for bit; a
 failure's traceback, which names the checkout's paths, is left out.  BLAS
 and OpenMP pools run one thread, as in ``perfbench/run.py``.  The tool
@@ -46,12 +53,17 @@ exits 0.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +204,36 @@ RUN_CURVE_OPS = (
     ("subsampled-gaussian", ("subsampled_gaussian", 1.0, 0.01), 5e-3, None),
 )
 
+#: Config values, one file each, of ``sweep --config`` on ``CONFIG_BASE``:
+#: the entries of ``tests/test_cli.py``'s
+#: ``test_config_values_must_have_their_flags_types``.
+CONFIG_ENTRIES = (
+    {"compositions": [2.5, 4.9]},
+    {"compositions": [True]},
+    {"compositions": True},
+    {"repeats": 2.7},
+    {"repeats": "x"},
+    {"discretization": "x"},
+    {"noise_scale": "abc"},
+    {"delta": "1e-5x"},
+    {"grid_range": "ab"},
+    {"grid_range": [-1]},
+    {"delta": True},
+    {"out": ["x"]},
+    {"compositions": [1, 2]},
+    {"compositions": 2},
+    {"compositions": "1,2"},
+    {"repeats": 2},
+    {"grid_range": [-1, 1]},
+)
+
+CONFIG_BASE = {
+    "mechanism": "randomized-response",
+    "rr_epsilon": math.log(2.0),
+    "discretization": math.log(2.0),
+    "delta": 0.2,
+}
+
 #: Longest mass array written value by value; longer ones are hashed.
 HEX_MAX = 1000
 
@@ -326,6 +368,59 @@ def _run_curve_answers(pb, mechanism, spacing, grid_range) -> dict[str, list[str
     return {column: [float(row[column]).hex() for row in rows] for column in columns}
 
 
+def _readme_commands() -> list[list[str]]:
+    """The ``pldbounds`` commands of the README's CLI section, without ``--out FILE``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("pldbounds "):
+            args = shlex.split(line)[1:]
+            if "--out" in args:
+                at = args.index("--out")
+                del args[at : at + 2]
+            commands.append(args)
+    return commands
+
+
+def _cli_ops(config_dir: Path) -> list[tuple[str, list[str]]]:
+    """(label, arguments) of every command-line op; config files are written to ``config_dir``."""
+    readme = _readme_commands()
+    ops = [(f"readme/{args[0]}-{args[args.index('--mechanism') + 1]}", args) for args in readme]
+    compute = next(args for args in readme if args[0] == "compute")
+    ops.append(("compute-csv", [*compute, "--output", "csv"]))
+    for index, entry in enumerate(CONFIG_ENTRIES):
+        path = config_dir / f"config-{index}.json"
+        path.write_text(json.dumps({**CONFIG_BASE, **entry}))
+        ops.append((f"config/{index}/{json.dumps(entry)}", ["sweep", "--config", str(path)]))
+    ops.append(("help/top", ["--help"]))
+    ops += [(f"help/{verb}", [verb, "--help"]) for verb in ("compute", "sweep", "curve")]
+    return ops
+
+
+def _without_runtime(text: str) -> str:
+    """CLI output without its ``runtime_ms*`` JSON keys or CSV columns (JSON is printed a key a line)."""
+    lines = [line for line in text.splitlines(True) if not line.lstrip().startswith('"runtime_ms')]
+    rows = list(csv.reader(lines))
+    if not rows or not any(name.startswith("runtime_ms") for name in rows[0]):
+        return "".join(lines)
+    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("runtime_ms")]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
+    return out.getvalue()
+
+
+def _cli_answer(cli, args: list[str]) -> dict:
+    """Exit code, stderr and stdout without runtimes of ``cli.main(args)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # --help, and argparse's usage errors
+            code = exc.code
+    return {"exit": code, "stderr": err.getvalue(), "stdout": _without_runtime(out.getvalue())}
+
+
 def _library_answer(pb, operation, mechanism, spacing, n, policy) -> dict:
     """The JSON-ready result of one ``LIBRARY_OPS`` call, or its failure."""
     try:
@@ -380,6 +475,11 @@ def _answers(checkout: Path) -> dict[str, str]:
     for name, mechanism, spacing, grid_range in RUN_CURVE_OPS:
         for column, answer in _run_curve_answers(pb, mechanism, spacing, grid_range).items():
             answers[f"library/run_curve/{name}/{column}"] = json.dumps(answer, sort_keys=True)
+    from pldbounds import cli
+
+    with tempfile.TemporaryDirectory() as config_dir:
+        for name, args in _cli_ops(Path(config_dir)):
+            answers[f"cli/{name}"] = json.dumps(_cli_answer(cli, args), sort_keys=True)
     return answers
 
 
