@@ -34,9 +34,9 @@ import math
 import sys
 
 from .compose import _composition_count
-from .curves import MechanismSpec
+from .curves import _DIRECTIONS, MechanismSpec
 from .errors import NumericalValidityError, RequestError
-from .report import AccountingRequest, run_compute, run_curve, run_sweep
+from .report import _BASELINES, _ESTIMATES, AccountingRequest, run_compute, run_curve, run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -57,15 +57,15 @@ _FLAGS = {
     "noise_scale": {"type": float},
     "rr_epsilon": {"type": float},
     "sampling_prob": {"type": float},
-    "adjacency": {"choices": ("add", "remove", "both"),
+    "adjacency": {"choices": _DIRECTIONS,
                   "help": "adjacency direction for subsampled mechanisms (default both)"},
     "compositions": {"type": str,
                      "help": "composition count; for sweep, a comma-separated ascending list"},
     "delta": {"type": float, "help": "delta target (invert to epsilon)"},
     "epsilon": {"type": float, "help": "epsilon target (evaluate delta)"},
     "discretization": {"type": float, "help": "epsilon lattice spacing"},
-    "estimate": {"choices": ("pessimistic", "optimistic", "both")},
-    "baseline": {"choices": ("pb",)},
+    "estimate": {"choices": _ESTIMATES},
+    "baseline": {"choices": _BASELINES},
     "grid_range": {"type": float, "nargs": 2, "metavar": ("EPS_MIN", "EPS_MAX"),
                    "help": "override the automatic epsilon range"},
     "output": {"choices": ("json", "csv")},

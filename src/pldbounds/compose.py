@@ -7,14 +7,16 @@ distributions.  Finite masses convolve on the shared epsilon lattice
 -inf) are absorbing, so they combine by inclusion-exclusion while the finite
 parts convolve at their complementary weight.
 
-One engine, ``_compose``, composes n_f copies of each factor f:
-``self_compose(pld, n)`` is the factor (pld, n), ``convolve(a, b)`` the
-factors (a, 1) and (b, 1).  It multiplies the factors' n_f-th spectral
-powers on a Chernoff-sized window of the composed lattice (Koskela, Jalko
-and Honkela, "Computing Tight Differential Privacy Guarantees Using FFT",
-AISTATS 2020), charges the wrap and the round-off on the safe side inside
-the result, cleans the masses with ``_guard`` and builds the result with
-``pld._lattice_pld`` at the factors' ``FinitePLD.lattice_offset``.
+One engine composes n_f copies of each factor f: ``self_compose(pld, n)``
+is the factor (pld, n), ``convolve(a, b)`` the factors (a, 1) and (b, 1).
+``_plan`` makes every decision that needs no transform: the lattice, the
+window, direct or FFT and the transform size.  ``_execute`` runs the plan:
+it multiplies the factors' n_f-th spectral powers on a Chernoff-sized
+window of the composed lattice (Koskela, Jalko and Honkela, "Computing
+Tight Differential Privacy Guarantees Using FFT", AISTATS 2020), charges
+the wrap and the round-off on the safe side inside the result, cleans the
+masses with ``_guard`` and builds the result with ``pld._lattice_pld`` at
+the factors' ``FinitePLD.lattice_offset``.
 
 The transforms are ``numpy.fft``'s: the C++ pocketfft that ``scipy.fft``
 ships too, with the same bits, but without scipy's plan cache, which keeps
@@ -69,7 +71,7 @@ class CompositionPolicy:
     ``truncation_tail_mass`` is the mass one composition may relocate per
     side: its transform window leaves at most W = truncation_tail_mass / N
     outside on each side, N the total count of single steps, and charges
-    it (see ``_compose``).  With ``method="direct"`` a composition never
+    it (see ``_execute``).  With ``method="direct"`` a composition never
     truncates: the exact reference works at the full composed support and
     raises on ``max_support`` when that is longer.
     """
@@ -98,12 +100,6 @@ def point_mass_pld(spacing: float) -> FinitePLD:
     return _lattice_pld(spacing, 0, np.array([0.0, 1.0, 0.0]))
 
 
-def _require_no_clash(a: FinitePLD, b: FinitePLD) -> None:
-    """Reject composing a -inf atom with a +inf atom: their product has no loss value."""
-    if (a.masses[0] > 0.0 and b.masses[-1] > 0.0) or (b.masses[0] > 0.0 and a.masses[-1] > 0.0):
-        raise RequestError("cannot compose -inf mass against +inf mass")
-
-
 def _guard(finite: np.ndarray) -> None:
     """Clip FFT round-off at 0, failing beyond ``_FFT_NEG_TOL``, and flush below ``_MASS_FLOOR``."""
     worst = float(finite.min())
@@ -114,13 +110,13 @@ def _guard(finite: np.ndarray) -> None:
 
 
 def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD:
-    """Compose two loss distributions on one lattice: ``_compose`` with the factors (a, 1), (b, 1).
+    """Compose two loss distributions on one lattice: ``_execute`` of the factors (a, 1), (b, 1).
 
     A positive budget windows and charges as in ``self_compose``; a zero
     one gives ``scipy.signal.fftconvolve``'s bits (after ``_guard``), and
     ``method="direct"`` gives ``np.convolve``'s at full support.
     """
-    return _compose([(a, 1), (b, 1)], policy)
+    return _execute(_plan([(a, 1), (b, 1)], policy), policy.direction)
 
 
 def _log_mgf(terms: list[tuple], t: float) -> tuple[float, float, float]:
@@ -237,36 +233,6 @@ def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: f
             newton = t - math.log(h / log_inv_w) * h / (n * t * var)
         t = newton if lo < newton < hi else (2.0 * t if hi == math.inf else 0.5 * (lo + hi))
     return best
-
-
-def _window(factors: list[tuple[FinitePLD, int]], budget: float, full: int) -> tuple[int, int]:
-    """Start and length of the index window the composition of ``factors`` is computed on.
-
-    Indices count from the sum of each factor's count times its first index,
-    so the composed support is [0, full).  At most ``budget`` of the composed
-    finite mass lies below the window and at most ``budget`` above it; the
-    Chernoff edges are rounded outward and the length is a fast transform
-    length.  The whole support is returned when that is no longer, or when
-    ``budget`` is 0.
-    """
-    if budget <= 0.0:
-        return 0, full
-    steps, n, center = [], 0, 0
-    for pld, count in factors:
-        step = _step(pld)
-        if not step.log_f.size:
-            return 0, full
-        steps.append((step, count))
-        n += count
-        center += count * step.center
-    log_inv_w = -math.log(budget)
-    hi = math.floor(center + _tail_edge(steps, n, 1.0, log_inv_w)) + 1
-    lo = math.ceil(center - _tail_edge(steps, n, -1.0, log_inv_w))
-    lo, hi = max(lo, 0), min(hi, full)
-    length = _fast_length(max(hi - lo, 1))
-    if length >= full:
-        return 0, full
-    return min(lo, full - length), length
 
 
 def _fast_length(n: int) -> int:
@@ -444,12 +410,82 @@ def _charge(finite: np.ndarray, budget: float, direction: str) -> tuple[np.ndarr
     return finite[: finite.size - cut], 0, taken
 
 
-def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> FinitePLD:
-    """The composition of n_f copies of each factor f = (single step, n_f), n_f >= 1.
+@dataclasses.dataclass
+class _Plan:
+    """Every decision of one composition that needs no transform: what ``_plan`` returns.
+
+    ``factors`` holds each factor's single step and count n_f, and ``n`` is
+    N, the sum of the n_f.  Composed indices count from ``j0``, the sum of
+    each factor's count times its first index, so the composed support is
+    [0, full).  ``budget`` is W = truncation_tail_mass / N, and the window
+    [start, start + length) leaves at most W of the composed finite mass
+    below it and at most W above it.  ``size`` is the transform length, or
+    0 where ``_execute`` composes directly.
+    """
+
+    factors: list[tuple[FinitePLD, int]]
+    n: int
+    j0: int
+    full: int
+    budget: float
+    start: int
+    length: int
+    size: int
+
+
+def _plan(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> _Plan:
+    """The ``_Plan`` of composing n_f copies of each factor f = (single step, n_f), n_f >= 1.
+
+    Refuses factors on different lattices, a -inf atom against a +inf one
+    (their product has no loss value), and a window longer than
+    ``max_support``, all before any transform.  The window's Chernoff edges
+    (``_tail_edge``) are rounded outward and its length is a fast transform
+    length.  It is the whole support when that is no longer, when W is 0,
+    when a factor has no positive finite mass, and when the composition is
+    direct (see ``_execute``).
+    """
+    spacing = factors[0][0].spacing
+    if spacing is None or any(pld.spacing != spacing for pld, _ in factors):
+        spacings = " and ".join(str(pld.spacing) for pld, _ in factors)
+        raise RequestError(f"composition needs one lattice spacing, got {spacings}")
+    direct, n, full, j0 = policy.method == "direct", 0, 1, 0
+    for f, (pld, count) in enumerate(factors):
+        for other, _ in factors[f if count > 1 else f + 1 :]:
+            if (pld.masses[0] > 0.0 and other.masses[-1] > 0.0) or (
+                other.masses[0] > 0.0 and pld.masses[-1] > 0.0
+            ):
+                raise RequestError("cannot compose -inf mass against +inf mass")
+        direct = direct or pld.support_size == 1
+        n += count
+        full += count * (pld.support_size - 1)
+        j0 += count * pld.lattice_offset
+    budget = policy.truncation_tail_mass / n
+    start, length = 0, full
+    steps = [] if direct or budget <= 0.0 else [(_step(pld), count) for pld, count in factors]
+    if steps and all(step.log_f.size for step, _ in steps):
+        center = sum(count * step.center for step, count in steps)
+        log_inv_w = -math.log(budget)
+        hi = min(math.floor(center + _tail_edge(steps, n, 1.0, log_inv_w)) + 1, full)
+        lo = max(math.ceil(center - _tail_edge(steps, n, -1.0, log_inv_w)), 0)
+        length = min(_fast_length(max(hi - lo, 1)), full)
+        start = min(lo, full - length)
+    direct = direct or (0.0 < budget and length == full <= _DIRECT_MAX)
+    if length > policy.max_support:
+        raise RequestError(
+            f"composed support {length} exceeds max_support "
+            f"{policy.max_support}; raise the cap or allow more truncation"
+        )
+    # a window shorter than the support already has a fast length
+    size = 0 if direct else length if length < full else _fast_length(full)
+    return _Plan(factors, n, j0, full, budget, start, length, size)
+
+
+def _execute(plan: _Plan, direction: str) -> FinitePLD:
+    """The composition that ``plan`` describes, on the ``direction`` side.
 
     Every factor's finite masses are transformed once on a window of the
     composed lattice, raised to n_f, multiplied and transformed back; the
-    atoms are 1 - prod (1 - m_f)^n_f.  The window (see ``_window``) leaves
+    atoms are 1 - prod (1 - m_f)^n_f.  The window (see ``_plan``) leaves
     at most W = truncation_tail_mass / N of the composed finite mass outside
     it on each side, N the sum of the n_f, and that mass wraps around into
     it: the high tail lands on the window's low end, the low tail on its
@@ -497,48 +533,17 @@ def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) ->
     transform's result at full support without charge: for two factors,
     the bits of ``scipy.signal.fftconvolve``.
     """
-    spacing = factors[0][0].spacing
-    if spacing is None or any(pld.spacing != spacing for pld, _ in factors):
-        spacings = " and ".join(str(pld.spacing) for pld, _ in factors)
-        raise RequestError(f"composition needs one lattice spacing, got {spacings}")
-    exact, proper = policy.method == "direct", True
-    singles, n, full, j0 = [], 0, 1, 0
-    # what the factors' n_f copies carry in: atoms' log-complements and charges
-    log_neg = log_inf = low = high = charged = -0.0
-    for f, (pld, count) in enumerate(factors):
-        for other, _ in factors[f if count > 1 else f + 1 :]:
-            _require_no_clash(pld, other)
-        single = pld.masses[1:-1]
-        singles.append((single, count))
-        exact = exact or single.size == 1
-        proper = proper and pld.proper
-        n += count
-        full += count * (single.size - 1)
-        j0 += count * pld.lattice_offset
-        log_neg += count * math.log1p(-float(pld.masses[0]))
-        log_inf += count * math.log1p(-float(pld.masses[-1]))
-        low += count * pld.truncated_low
-        high += count * pld.truncated_high
-        charged += count * pld.rounding_charge
-    budget = policy.truncation_tail_mass / n
-    start, length = (0, full) if exact else _window(factors, budget, full)
-    exact = exact or (0.0 < budget and length == full <= _DIRECT_MAX)
-    if length > policy.max_support:
-        raise RequestError(
-            f"composed support {length} exceeds max_support "
-            f"{policy.max_support}; raise the cap or allow more truncation"
-        )
-    pessimistic = policy.direction == "pessimistic"
+    singles = [(pld.masses[1:-1], count) for pld, count in plan.factors]
+    start, length, size = plan.start, plan.length, plan.size
+    pessimistic = direction == "pessimistic"
     rounding = lacking = taken = 0.0
-    if exact:
+    if not size:
         powers = (_binary_power(single, count, np.convolve) for single, count in singles)
         power, first = functools.reduce(np.convolve, powers), 0
     else:
-        # a window shorter than the support already has a fast length
-        size = length if length < full else _fast_length(length)
         power = _spectral_power(singles, size)
-        if budget > 0.0:
-            totals = [_step(pld).mass for pld, _ in factors]
+        if plan.budget > 0.0:
+            totals = [_step(pld).mass for pld, _ in plan.factors]
             rounding = _rounding_bound(singles, totals, size, power)
         first = start % size
     # the window starts at first and may wrap past the power's end; it goes
@@ -554,13 +559,22 @@ def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) ->
         # each mass_f^n_f rounds within (n_f + 2) u and each product of them
         # within u; the contiguous sum within _sum_error
         total = float(finite.sum()) / (1.0 + _sum_error(length))
-        mass = math.prod(m**count for m, (_, count) in zip(totals, factors))
-        lacking = max(mass * (1.0 + (n + 3 * len(factors) - 1) * _U) - total, 0.0)
+        mass = math.prod(m**count for m, (_, count) in zip(totals, singles))
+        lacking = max(mass * (1.0 + (plan.n + 3 * len(singles) - 1) * _U) - total, 0.0)
+    # what the factors' n_f copies carry in: atoms' log-complements, -inf for
+    # an atom that holds all the mass, and charges
+    log_neg = log_inf = low = high = charged = -0.0
+    for pld, count in plan.factors:
+        log_neg += count * math.log1p(-float(pld.masses[0])) if pld.masses[0] < 1.0 else -math.inf
+        log_inf += count * math.log1p(-float(pld.masses[-1])) if pld.masses[-1] < 1.0 else -math.inf
+        low += count * pld.truncated_low
+        high += count * pld.truncated_high
+        charged += count * pld.rounding_charge
     neg_mass, inf_mass = -math.expm1(log_neg), -math.expm1(log_inf)
-    wrap = budget if length < full else 0.0
+    wrap = plan.budget if length < plan.full else 0.0
     dropped = 0
     if wrap + rounding > 0.0:
-        finite, dropped, taken = _charge(finite, wrap + rounding, policy.direction)
+        finite, dropped, taken = _charge(finite, wrap + rounding, direction)
         start += dropped
         if pessimistic:
             inf_mass += taken + lacking
@@ -570,8 +584,8 @@ def _compose(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) ->
     masses = buffer[dropped : dropped + finite.size + 2]
     masses[0], masses[-1] = neg_mass, inf_mass
     return _lattice_pld(
-        spacing, j0 + start, masses,
-        proper=proper,
+        plan.factors[0][0].spacing, plan.j0 + start, masses,
+        proper=all(pld.proper for pld, _ in plan.factors),
         truncated_low=low + (0.0 if pessimistic else truncated),
         truncated_high=high + (truncated if pessimistic else 0.0),
         rounding_charge=charged + taken - truncated + lacking,
@@ -590,7 +604,7 @@ def _composition_count(n, name: str = "composition count") -> int:
 
 
 def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD:
-    """n-fold self-composition by one power of the spectrum: ``_compose`` with the factor (pld, n).
+    """n-fold self-composition by one power of the spectrum: ``_execute`` of the factor (pld, n).
 
     n = 0 is the empty composition (a point mass at 0), not an error, and
     n = 1 returns ``pld``.  The wrap W = truncation_tail_mass / n and the
@@ -605,4 +619,4 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
         return point_mass_pld(spacing)
     if n == 1:
         return pld
-    return _compose([(pld, n)], policy)
+    return _execute(_plan([(pld, n)], policy), policy.direction)

@@ -97,6 +97,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
+import numbers
 
 import numpy as np
 
@@ -124,10 +125,26 @@ def _prepare(alpha) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number, the one rule for every number a
+    caller hands in: mechanism parameters and ``pld_from_json_dict`` payloads.
+
+    Python ints and floats count, and so do numpy scalars, which a sweep or a
+    payload built in Python may hold.  None, bools, strings, NaN, +-inf and
+    ints beyond float range do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _require_positive(value, name: str) -> None:
-    """Refuse a parameter that is not positive and finite (None, NaN and +inf included)."""
-    if value is None or not (value > 0.0 and math.isfinite(value)):
-        raise RequestError(f"{name} must be positive, got {value}")
+    """Refuse a parameter that is not a positive finite number."""
+    if not (_is_finite_real(value) and value > 0.0):
+        raise RequestError(f"{name} must be positive, got {value!r}")
 
 
 def _before(a: np.ndarray, kink: float, right: bool) -> np.ndarray:
@@ -453,7 +470,7 @@ class RandomizedResponseCurve(_ThreeRegimeCurve):
     """Curve of binary randomized response with parameter eps."""
 
     def __init__(self, epsilon: float):
-        _require_positive(epsilon, "rr epsilon")
+        _require_positive(epsilon, "rr_epsilon")
         self.epsilon = float(epsilon)
         self._alpha_lo = math.exp(-epsilon)
         self._alpha_hi = math.exp(epsilon)
@@ -479,8 +496,8 @@ class PoissonSubsampledCurve(HockeyStickCurve):
     """
 
     def __init__(self, inner: HockeyStickCurve, sampling_prob: float, direction: str):
-        if not (0.0 < sampling_prob <= 1.0):
-            raise RequestError(f"sampling_prob must be in (0, 1], got {sampling_prob}")
+        if not (_is_finite_real(sampling_prob) and 0.0 < sampling_prob <= 1.0):
+            raise RequestError(f"sampling_prob must be in (0, 1], got {sampling_prob!r}")
         if direction not in ("add", "remove"):
             raise RequestError(f"direction must be 'add' or 'remove', got {direction!r}")
         if not inner.symmetric_pair:
@@ -616,7 +633,13 @@ class PiecewiseLinearCurve(HockeyStickCurve):
 # Mechanism specifications
 # ---------------------------------------------------------------------------
 
-_KINDS = ("gaussian", "laplace", "randomized_response", "poisson_subsampled")
+#: Each mechanism kind but ``poisson_subsampled``: its curve class and the
+#: ``MechanismSpec`` field that holds its one parameter.
+_CURVES = {
+    "gaussian": (GaussianCurve, "noise_scale"),
+    "laplace": (LaplaceCurve, "noise_scale"),
+    "randomized_response": (RandomizedResponseCurve, "rr_epsilon"),
+}
 _DIRECTIONS = ("add", "remove", "both")
 
 
@@ -639,17 +662,12 @@ class MechanismSpec:
     adjacency_direction: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise RequestError(f"unknown mechanism kind {self.kind!r}")
+        """Check the structural rules, then the parameters' values by building the curve."""
         if self.kind == "poisson_subsampled":
-            if self.inner is None:
+            if not isinstance(self.inner, MechanismSpec):
                 raise RequestError("poisson_subsampled requires an inner mechanism")
             if self.inner.kind == "poisson_subsampled":
                 raise RequestError("subsampled mechanisms cannot be nested")
-            if self.sampling_prob is None or not (0.0 < self.sampling_prob <= 1.0):
-                raise RequestError(
-                    f"sampling_prob must be in (0, 1], got {self.sampling_prob}"
-                )
             if self.adjacency_direction is None:
                 object.__setattr__(self, "adjacency_direction", "both")
             if self.adjacency_direction not in _DIRECTIONS:
@@ -659,18 +677,18 @@ class MechanismSpec:
                 )
             if self.noise_scale is not None or self.rr_epsilon is not None:
                 raise RequestError("noise parameters belong on the inner mechanism")
+        elif self.kind not in _CURVES:
+            raise RequestError(f"unknown mechanism kind {self.kind!r}")
         else:
             for field in ("sampling_prob", "inner", "adjacency_direction"):
                 if getattr(self, field) is not None:
                     raise RequestError(f"{field} applies to subsampled mechanisms only")
-            if self.kind in ("gaussian", "laplace"):
-                _require_positive(self.noise_scale, "noise_scale")
-                if self.rr_epsilon is not None:
-                    raise RequestError("rr_epsilon applies to randomized response only")
-            else:  # randomized_response
-                _require_positive(self.rr_epsilon, "rr_epsilon")
-                if self.noise_scale is not None:
-                    raise RequestError("noise_scale does not apply to randomized response")
+            own = _CURVES[self.kind][1]
+            for field in dict.fromkeys(f for _, f in _CURVES.values()):
+                if field != own and getattr(self, field) is not None:
+                    owners = [k.replace("_", " ") for k, (_, f) in _CURVES.items() if f == field]
+                    raise RequestError(f"{field} applies to {' or '.join(owners)} only")
+        curve_for(self)
 
     # -- convenience constructors ------------------------------------------
 
@@ -703,12 +721,9 @@ class MechanismSpec:
 
 def curve_for(spec: MechanismSpec) -> HockeyStickCurve:
     """Exact trade-off curve of the mechanism's dominating pair."""
-    if spec.kind == "gaussian":
-        return GaussianCurve(spec.noise_scale)
-    if spec.kind == "laplace":
-        return LaplaceCurve(spec.noise_scale)
-    if spec.kind == "randomized_response":
-        return RandomizedResponseCurve(spec.rr_epsilon)
+    if spec.kind in _CURVES:
+        make, field = _CURVES[spec.kind]
+        return make(getattr(spec, field))
     inner = curve_for(spec.inner)
     if spec.adjacency_direction == "both":
         return PointwiseMaxCurve(

@@ -43,7 +43,7 @@ import reprlib
 
 import numpy as np
 
-from .curves import HockeyStickCurve, PiecewiseLinearCurve
+from .curves import HockeyStickCurve, PiecewiseLinearCurve, _is_finite_real
 from .errors import NumericalValidityError, RequestError
 from .grid import (
     _INDEX_MAX, DiscretizationGrid, _frozen, _lattice, _lattice_offset, _require_spacing
@@ -241,7 +241,7 @@ class FinitePLD:
     ``truncated_low`` and ``truncated_high`` record the tail mass that
     composition relocated from the low and the high end; ``rounding_charge``
     records the mass it moved, or added at +inf, to cover a bound on its
-    round-off (see ``compose._compose``).
+    round-off (see ``compose._execute``).
 
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
     read-only view of it, and the caller's array stays writable.  The masses
@@ -423,7 +423,10 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
     non-negativity), at least [1 - alpha]_+ (checked through Q(0) >= 0), and
     constant from a_{k-1} to +inf.  Violations beyond 1e-12 are rejected with
     the offending grid index.  The pair is built by connect-the-dots' rule,
-    with gaps h - (1 - alpha).
+    with gaps h - (1 - alpha).  Where no value lies below 1 - alpha, that is
+    ``pessimistic_pair`` of the values' ``PiecewiseLinearCurve`` bit for
+    bit.  That curve floors its gaps at 0, so a value that rounding left
+    below 1 - alpha gives it another Q(0) and first kink.
 
     Plain values carry no cancellation-free gap: near alpha = 0 each gap
     errs by about ulp(1), so each chord slope errs by about ulp(1) over the
@@ -669,19 +672,18 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
     return payload
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)  # bools and strings are not numbers
-
-
 #: What each key of a ``pld_to_json_dict`` payload must hold, and its check.
 _PAYLOAD_KEYS = {
-    "discretization": ("a number", _is_number),
+    "discretization": ("a finite number", _is_finite_real),
     "epsilon_offset": (
         "an integer within +/-2^53", lambda v: type(v) is int and abs(v) <= _INDEX_MAX
     ),
-    "masses": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "mass_at_infinity": ("a number", _is_number),
-    "mass_at_neg_infinity": ("a number", _is_number),
+    "masses": (
+        "a non-empty list of finite numbers",
+        lambda v: isinstance(v, list) and bool(v) and all(map(_is_finite_real, v)),
+    ),
+    "mass_at_infinity": ("a finite number", _is_finite_real),
+    "mass_at_neg_infinity": ("a finite number", _is_finite_real),
 }
 
 

@@ -37,6 +37,7 @@ from .pld import FinitePLD, _curve_at, curve_of, delta_at, epsilon_for_delta, pl
 __all__ = ["AccountingRequest", "BoundOutcome", "PrivacyBoundReport", "run_compute", "run_sweep", "run_curve"]
 
 _ESTIMATES = ("pessimistic", "optimistic", "both")
+_BASELINES = ("pb",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,8 +65,9 @@ class AccountingRequest:
         _composition_count(self.compositions)
         if self.estimate not in _ESTIMATES:
             raise RequestError(f"estimate must be one of {_ESTIMATES}")
-        if self.baseline not in (None, "pb"):
-            raise RequestError(f"baseline must be 'pb' or omitted, got {self.baseline!r}")
+        if self.baseline not in (None, *_BASELINES):
+            choices = " or ".join(map(repr, _BASELINES))
+            raise RequestError(f"baseline must be {choices} or omitted, got {self.baseline!r}")
         if self.grid_range is not None:
             lo, hi = self.grid_range
             if not (lo < 0.0 < hi):
@@ -105,19 +107,12 @@ class PrivacyBoundReport:
     runtime_ms: float
 
     def __post_init__(self):
+        """Refuse an optimistic answer above the pessimistic one."""
         lo = self.outcomes.get("optimistic")
         hi = self.outcomes.get("pessimistic")
-        if lo is not None and hi is not None:
-            if self.query == "epsilon_for_delta":
-                if not lo.epsilon <= hi.epsilon:
-                    raise NumericalValidityError(
-                        "bound inversion: optimistic epsilon above pessimistic"
-                    )
-            else:
-                if not lo.delta <= hi.delta:
-                    raise NumericalValidityError(
-                        "bound inversion: optimistic delta above pessimistic"
-                    )
+        answer = "epsilon" if self.query == "epsilon_for_delta" else "delta"
+        if lo is not None and hi is not None and not getattr(lo, answer) <= getattr(hi, answer):
+            raise NumericalValidityError(f"bound inversion: optimistic {answer} above pessimistic")
 
     @property
     def eps_low(self) -> float | None:

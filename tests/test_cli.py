@@ -230,6 +230,26 @@ class TestValidation:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compute", "--config", "no/such/config.json"], "cannot read config file"),
+            (["compute", "--config", "LIST"], "flat JSON object"),
+            (["compute", "--discretization", "0.1", "--delta", "1e-5"], "--mechanism is required"),
+            (["compute", *RR_ARGS, "--delta", "0.2", "--compositions", "a"], "bad composition count"),
+            (["sweep", *RR_ARGS, "--delta", "0.2", "--compositions", ","], "no composition counts given"),
+            (["compute", *RR_ARGS, "--delta", "0.2", "--compositions", "1,2"], "compute takes a single"),
+            (["compute", "--mechanism", "gaussian", "--noise-scale", "1", "--delta", "1e-5"],
+             "--discretization is required"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, tmp_path, args, message):
+        listing = tmp_path / "list.json"
+        listing.write_text("[1, 2]")
+        code, err = run_cli([str(listing) if arg == "LIST" else arg for arg in args], capsys)
+        assert code == 2
+        assert message in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, capsys, tmp_path):
@@ -673,6 +693,46 @@ def test_curve_rows_match_per_sample_evaluation(mechanism, spacing):
             assert row[column].hex() == reference.value(a).hex(), (column, a)
         expected = pb.delta_at(pb_pld, math.log(a) if a > 0 else -math.inf)
         assert abs(row["h_pb_pessimistic"] - expected) <= 1e-12
+
+
+_RR = pb.MechanismSpec.randomized_response(1.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"delta_target": 0.0}, r"delta_target must lie in \(0, 1\]"),
+        ({"delta_target": 1.5}, r"delta_target must lie in \(0, 1\]"),
+        ({"epsilon_target": math.inf}, "epsilon_target must be finite"),
+        ({"delta_target": 1e-5, "discretization": 0.0}, "discretization must be positive"),
+        ({"delta_target": 1e-5, "discretization": math.nan}, "discretization must be positive"),
+        ({"delta_target": 1e-5, "estimate": "middle"}, "estimate must be one of"),
+        ({"delta_target": 1e-5, "baseline": "exact"}, "baseline must be 'pb' or omitted, got 'exact'"),
+    ],
+)
+def test_requests_are_refused_naming_the_field(fields, message):
+    with pytest.raises(pb.RequestError, match=message):
+        pb.AccountingRequest(**{"mechanism": _RR, "discretization": 0.01, **fields})
+
+
+@pytest.mark.parametrize("query, answer", [("epsilon_for_delta", "epsilon"), ("delta_for_epsilon", "delta")])
+def test_reports_refuse_an_optimistic_answer_above_the_pessimistic(query, answer):
+    def outcome(method, value):
+        values = {"epsilon": None, "delta": None, answer: value}
+        return report.BoundOutcome(method, values["epsilon"], values["delta"], 3, 0.0, 0.0, 0.0)
+
+    def make(low, high):
+        return report.PrivacyBoundReport(
+            query=query, delta_target=None, epsilon_target=None, compositions=1,
+            discretization=0.1, grid_epsilon_range=(-1.0, 1.0),
+            outcomes={"pessimistic": outcome("pessimistic", high), "optimistic": outcome("optimistic", low)},
+            runtime_ms=0.0,
+        )
+
+    make(0.5, 0.5)
+    message = f"bound inversion: optimistic {answer} above pessimistic"
+    with pytest.raises(pb.NumericalValidityError, match=message):
+        make(0.5, 0.25)
 
 
 def test_twelve_significant_digits():

@@ -266,6 +266,67 @@ def test_cross_infinity_composition_rejected():
         pb.convolve(low, high, OPT)
 
 
+def _atom_only(atom: str) -> pb.FinitePLD:
+    """A 50-point lattice distribution whose +inf (or -inf) atom holds all its mass."""
+    masses = np.zeros(52)
+    masses[-1 if atom == "inf" else 0] = 1.0
+    return pb.FinitePLD(np.arange(50) * 0.1, masses, spacing=0.1, proper=atom == "inf")
+
+
+@pytest.mark.parametrize("atom", ["inf", "neg"])
+@pytest.mark.parametrize(
+    "operation, n, method, budget",
+    [
+        ("self_compose", 3, "fft", 1e-9),
+        ("self_compose", 3, "fft", 0.0),
+        ("self_compose", 3, "direct", 1e-9),
+        # a full support of 9801 points exceeds _DIRECT_MAX: the window finds
+        # no positive finite mass, and the transform and its charge run
+        ("self_compose", 200, "fft", 1e-9),
+        ("convolve", 1, "fft", 1e-9),
+        ("convolve", 1, "direct", 1e-9),
+    ],
+)
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+def test_an_atom_that_holds_all_the_mass_composes_to_itself(atom, operation, n, method, budget, direction):
+    # the atom fold took log1p(-1.0) and raised "math domain error"
+    pld = _atom_only(atom)
+    policy = pb.CompositionPolicy(direction, method=method, truncation_tail_mass=budget)
+    out = pb.self_compose(pld, n, policy) if operation == "self_compose" else pb.convolve(pld, pld, policy)
+    assert out.masses[-1 if atom == "inf" else 0] == 1.0
+    assert not out.masses[1:-1].any()
+    assert out.proper == (atom == "inf")
+    if atom == "inf":
+        assert (pb.delta_at(out, 3.0), pb.epsilon_for_delta(out, 0.5)) == (1.0, math.inf)
+    else:
+        assert (pb.delta_at(out, 3.0), pb.epsilon_for_delta(out, 0.5)) == (0.0, -math.inf)
+
+
+def test_a_plan_is_made_before_any_transform_and_executed_bit_for_bit(monkeypatch):
+    pld = random_pld(np.random.default_rng(7), 0.01, 400)
+    n = 60
+    policy = pb.CompositionPolicy("pessimistic", truncation_tail_mass=1e-9)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("transform ran")
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(compose, name, fail)
+    monkeypatch.setattr(np, "convolve", fail)
+    plan = compose._plan([(pld, n)], policy)
+    monkeypatch.undo()
+    # a window shorter than the full support, which is already a fast length
+    assert plan.full == n * (pld.support_size - 1) + 1
+    assert 0 < plan.start < plan.start + plan.length < plan.full
+    assert plan.size == plan.length == compose._fast_length(plan.length)
+    out = compose._execute(plan, policy.direction)
+    expected = pb.self_compose(pld, n, policy)
+    assert pb.pld_to_json(out) == pb.pld_to_json(expected)
+    fields = ("truncated_low", "truncated_high", "rounding_charge")
+    assert [getattr(out, f) for f in fields] == [getattr(expected, f) for f in fields]
+    assert out.finite_epsilons[0] >= (plan.j0 + plan.start) * pld.spacing - 1e-9
+
+
 @st.composite
 def lattice_pairs(draw) -> tuple[pb.FinitePLD, pb.FinitePLD]:
     """Two random lattice PLDs of 200 to 3000 points whose atoms may compose.

@@ -195,12 +195,76 @@ def test_mechanism_spec_validation():
         pb.MechanismSpec(kind="gaussian", noise_scale=1.0, sampling_prob=0.5)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# a string raised TypeError, True was accepted as 1.0, and an int beyond
+# float range raised OverflowError
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, None, "1", True, 10**400, np.float32("inf")]
+)
 @pytest.mark.parametrize("make", ["gaussian", "laplace", "randomized_response"])
 def test_mechanism_spec_refuses_non_finite_parameters(make, value):
     # refused at construction, as the curve itself would refuse it
     with pytest.raises(pb.RequestError, match="must be positive"):
         getattr(pb.MechanismSpec, make)(value)
+
+
+_G = pb.MechanismSpec.gaussian(1.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "poisson_subsampled", "sampling_prob": 0.1}, "requires an inner mechanism"),
+        # a non-spec inner raised AttributeError
+        ({"kind": "poisson_subsampled", "inner": "gaussian", "sampling_prob": 0.1}, "requires an inner"),
+        ({"kind": "poisson_subsampled", "inner": _G}, r"sampling_prob must be in \(0, 1\], got None"),
+        # a string raised TypeError, and True was accepted as 1
+        ({"kind": "poisson_subsampled", "inner": _G, "sampling_prob": "0.1"}, "sampling_prob must be in"),
+        ({"kind": "poisson_subsampled", "inner": _G, "sampling_prob": True}, "sampling_prob must be in"),
+        (
+            {"kind": "poisson_subsampled", "inner": _G, "sampling_prob": 0.1, "adjacency_direction": "up"},
+            "adjacency_direction must be one of",
+        ),
+        (
+            {"kind": "poisson_subsampled", "inner": _G, "sampling_prob": 0.1, "noise_scale": 1.0},
+            "noise parameters belong on the inner mechanism",
+        ),
+        ({"kind": "bogus", "noise_scale": 1.0}, "unknown mechanism kind 'bogus'"),
+        ({"kind": "gaussian", "noise_scale": 1.0, "rr_epsilon": 1.0}, "rr_epsilon applies to randomized response only"),
+        (
+            {"kind": "randomized_response", "rr_epsilon": 1.0, "noise_scale": 1.0},
+            "noise_scale applies to gaussian or laplace only",
+        ),
+        ({"kind": "laplace", "noise_scale": 1.0, "inner": _G}, "inner applies to subsampled"),
+    ],
+)
+def test_mechanism_spec_refusals_name_the_field(fields, message):
+    with pytest.raises(pb.RequestError, match=message):
+        pb.MechanismSpec(**fields)
+
+
+def test_a_subsampled_spec_without_adjacency_covers_both():
+    spec = pb.MechanismSpec(kind="poisson_subsampled", inner=_G, sampling_prob=0.1)
+    assert spec.adjacency_direction == "both"
+    assert spec == pb.MechanismSpec.poisson_subsampled(_G, 0.1)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: pb.PoissonSubsampledCurve(pb.GaussianCurve(1.0), 0.0, "add"), r"sampling_prob must be in \(0, 1\]"),
+        (lambda: pb.PoissonSubsampledCurve(pb.GaussianCurve(1.0), 0.1, "both"), "direction must be 'add' or"),
+        (
+            lambda: pb.PoissonSubsampledCurve(pb.PiecewiseLinearCurve([0.0, 1.0], [1.0, 0.0]), 0.1, "add"),
+            "symmetric dominating pair",
+        ),
+        (lambda: pb.PointwiseMaxCurve([pb.GaussianCurve(1.0)]), "at least two curves"),
+        (lambda: pb.PiecewiseLinearCurve([0.0], [1.0]), ">= 2 nodes"),
+        (lambda: pb.PiecewiseLinearCurve([0.0, 2.0, 1.0], [1.0, 0.5, 0.2]), "strictly increasing"),
+    ],
+)
+def test_curve_constructors_refuse_bad_parameters(make, message):
+    with pytest.raises(pb.RequestError, match=message):
+        make()
 
 
 def test_derivative_at_rejects_boundary():

@@ -56,6 +56,57 @@ class TestDiscretizationGrid:
             RR_GRID.lattice_offset()  # spacing unset
 
 
+_GRID3 = pb.DiscretizationGrid.from_alphas([0.0, 1.0, INF])
+_REQUEST, _VALIDITY = pb.RequestError, pb.NumericalValidityError
+
+
+def _grid(alphas, epsilons):
+    return pb.DiscretizationGrid(np.array(alphas), np.array(epsilons))
+
+
+def _pair(p, q):
+    return pb.DiscreteDominatingPair(_GRID3, np.array(p, dtype=float), np.array(q, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        # DiscretizationGrid
+        (lambda: _grid([0.0, INF], [-INF, INF]), _REQUEST, ">= 3 points"),
+        (lambda: _grid([0.5, 1.0, INF], [-INF, 0.0, INF]), _REQUEST, "start at 0"),
+        (lambda: _grid([0.0, 1.0, INF], [-INF, 0.0, 1.0]), _REQUEST, "from -inf to \\+inf"),
+        (lambda: _grid([0.0, 1.0, INF], [-INF, 0.5, INF]), _REQUEST, "logs of the interior alphas"),
+        (lambda: pb.DiscretizationGrid.from_epsilons([]), _REQUEST, "non-empty 1-D array"),
+        (lambda: pb.DiscretizationGrid.from_epsilons([0.5, 0.0]), _REQUEST, "strictly increasing"),
+        (lambda: pb.DiscretizationGrid.from_epsilons([0.0, 701.0]), _VALIDITY, "700"),
+        (lambda: pb.DiscretizationGrid.uniform(0.1, 1.0, -1.0), _REQUEST, "bad epsilon range"),
+        # DiscreteDominatingPair
+        (lambda: _pair([0.0, 1.0], [0.0, 1.0]), _REQUEST, "match the grid size"),
+        (lambda: _pair([0.0, 1.1, -0.1], [0.0, 1.1, -0.1]), _VALIDITY, "negative probability mass"),
+        (lambda: _pair([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]), _VALIDITY, "no mass at \\+inf"),
+        (lambda: _pair([0.5, 0.5, 0.0], [0.5, 0.5, 0.0]), _VALIDITY, "no mass at alpha = 0"),
+        (lambda: _pair([0.0, 0.5, 0.5], [0.4, 0.6, 0.0]), _VALIDITY, "alpha \\* Q"),
+        # FinitePLD
+        (lambda: pb.FinitePLD([0.0], [0.0, 1.0]), _REQUEST, "both atoms"),
+        (lambda: pb.FinitePLD([0.5, 0.0], [0.0, 0.5, 0.5, 0.0]), _REQUEST, "strictly increasing"),
+        (lambda: pb.FinitePLD([0.0], [0.5, 0.5, 0.0]), _VALIDITY, "no mass at -inf"),
+        # discretize_from_curve
+        (lambda: pb.discretize_from_curve([1.0, 0.0], _GRID3), _REQUEST, "one curve value per grid point"),
+        (lambda: pb.discretize_from_curve([1.0, 1.5, 1.5], _GRID3), _VALIDITY, "outside \\[0, 1\\]"),
+        (lambda: pb.non_uniqueness_fixture(0.0), _REQUEST, "epsilon must be positive"),
+        # self_compose needs a lattice
+        (
+            lambda: pb.self_compose(pb.FinitePLD([0.0], [0.0, 1.0, 0.0]), 2, pb.CompositionPolicy("pessimistic")),
+            _REQUEST,
+            "uniform-lattice",
+        ),
+    ],
+)
+def test_malformed_objects_are_refused(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------

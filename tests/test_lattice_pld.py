@@ -253,6 +253,20 @@ _PAYLOAD = {"discretization": 0.1, "epsilon_offset": 1, "masses": [0.5, 0.5], "m
         # these used to raise TypeError
         ("masses", None),
         ("mass_at_infinity", None),
+        # non-finite numbers exited as "PLD masses sum to nan" (or inf), a
+        # non-finite spacing and empty masses as "need a non-empty 1-D array
+        # of finite epsilons", and an integer beyond float range as OverflowError
+        ("masses", [math.nan, 1.0]),
+        ("masses", [math.inf, 0.5]),
+        ("masses", [-math.inf, 1.0]),
+        ("masses", [10**400, 0.5]),
+        ("masses", []),
+        ("mass_at_infinity", math.nan),
+        ("mass_at_infinity", math.inf),
+        ("mass_at_neg_infinity", math.nan),
+        ("mass_at_neg_infinity", -math.inf),
+        ("discretization", math.nan),
+        ("discretization", math.inf),
     ],
 )
 def test_malformed_json_payloads_are_refused_naming_the_key(key, value):

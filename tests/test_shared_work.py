@@ -266,20 +266,25 @@ def test_the_public_constructor_still_checks_every_lattice():
 
 
 @pytest.mark.parametrize(
-    "spacing, message",
+    "spacing, message, payload_message",
     [
-        (0.0, "spacing must be positive and finite"),
-        (-0.1, "spacing must be positive and finite"),
-        (math.nan, "finite epsilons"),
-        (math.inf, "finite epsilons"),
+        (0.0, "spacing must be positive and finite", "spacing must be positive and finite"),
+        (-0.1, "spacing must be positive and finite", "spacing must be positive and finite"),
+        (math.nan, "finite epsilons", "'discretization' must be a finite number"),
+        (math.inf, "finite epsilons", "'discretization' must be a finite number"),
     ],
 )
-def test_a_trusted_lattice_still_needs_a_positive_finite_spacing(spacing, message):
+def test_a_trusted_lattice_still_needs_a_positive_finite_spacing(spacing, message, payload_message):
     payload = pb.pld_to_json_dict(compose.point_mass_pld(0.1))
     payload["discretization"] = spacing
     payload["epsilon_offset"] = 3
-    with pytest.raises(pb.RequestError, match=message):
+    with pytest.raises(pb.RequestError, match=payload_message):
         pb.pld_from_json_dict(payload)
+    # the payload reader refuses a non-finite spacing itself, naming the key,
+    # before the lattice it builds would
+    masses = compose.point_mass_pld(0.1).masses.copy()
+    with pytest.raises(pb.RequestError, match=message):
+        pld._lattice_pld(spacing, -3, masses)
 
 
 def test_the_public_constructor_takes_no_offset():

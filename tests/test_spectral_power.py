@@ -117,7 +117,8 @@ class TestAgainstDirect:
         single = pld.masses[1:-1]
         full = n * (single.size - 1) + 1
         w = budget / n
-        start, length = compose._window([(pld, n)], w, full)
+        plan = compose._plan([(pld, n)], _policy("pessimistic", budget))
+        start, length = plan.start, plan.length
         assert 0 <= start and start + length <= full
         exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
         below, above = _outside_window(exact, pld, n, start, length)
@@ -149,7 +150,8 @@ def test_a_window_shorter_than_the_single_step_folds_it():
     pld = _pld(finite, -2000)
     single = pld.masses[1:-1]
     n = 2
-    start, length = compose._window([(pld, n)], 1e-6 / n, n * (single.size - 1) + 1)
+    plan = compose._plan([(pld, n)], _policy("pessimistic", 1e-6))
+    start, length = plan.start, plan.length
     assert length < single.size
     exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
     for direction in ("pessimistic", "optimistic"):
@@ -167,7 +169,8 @@ def test_a_heavy_extreme_atom_stays_in_the_window():
     n = 20
     single = pld.masses[1:-1]
     full = n * (single.size - 1) + 1
-    start, length = compose._window([(pld, n)], 1e-9 / n, full)
+    plan = compose._plan([(pld, n)], _policy("pessimistic", 1e-9))
+    start, length = plan.start, plan.length
     assert start + length == full
     exact = pb.self_compose(pld, n, _policy("pessimistic", 0.0, "direct"))
     for direction in ("pessimistic", "optimistic"):
@@ -252,8 +255,8 @@ def test_the_window_is_the_rolled_power(monkeypatch, center, n, budget, placemen
     offsets = np.arange(61.0)
     pld = _pld(np.exp(-0.5 * ((offsets - center) / 3.0) ** 2), -20)
     single = pld.masses[1:-1]
-    full = n * (single.size - 1) + 1
-    start, length = compose._window([(pld, n)], budget / n, full)
+    plan = compose._plan([(pld, n)], _policy(direction, budget))
+    start, length = plan.start, plan.length
     size = next_fast_len(length, True)
     wraps = start % size + length > size
     assert (start >= size, wraps) == {
@@ -311,8 +314,7 @@ def _assert_flush_keeps_the_masses(single: np.ndarray, n: int, size: int) -> Non
 
 
 def _transform_size(pld: pb.FinitePLD, n: int, budget: float) -> int:
-    full = n * (pld.support_size - 1) + 1
-    _, length = compose._window([(pld, n)], budget / n, full)
+    length = compose._plan([(pld, n)], _policy("pessimistic", budget)).length
     return next_fast_len(length, True)
 
 

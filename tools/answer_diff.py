@@ -33,7 +33,13 @@ pairs and on the pessimistic node values of the ``DISCRETIZE_OPS``
 mechanisms.  Masses are written with ``float.hex``, or as the SHA-256 of
 their float64 bytes past ``HEX_MAX`` values.  Then each column of the
 ``run_curve`` rows (the ``curve`` verb) of the ``RUN_CURVE_OPS`` requests,
-one op per column, every row written with ``float.hex``.  Last, the
+one op per column, every row written with ``float.hex``.  Then the edge
+inputs (``ATOM_OPS``, ``PAYLOAD_OPS``, ``SPEC_OPS``): ``self_compose`` and
+``convolve`` of a distribution whose +inf or -inf atom holds all its mass,
+in both directions, ``pld_from_json_dict`` on malformed payloads, and
+``MechanismSpec`` on misused fields; each answer is the result (the
+composition's ``pld_to_json`` text and charge fields, the payload's
+``pld_to_json`` text, the spec's ``repr``) or the failure.  Last, the
 command line (``_cli_ops``): ``pldbounds.cli.main`` on the README's commands
 with ``--out`` dropped so that they write to stdout, on ``compute`` with
 ``--output csv``, on one ``--config`` file per ``CONFIG_ENTRIES`` entry and
@@ -60,6 +66,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import shlex
 import subprocess
 import sys
@@ -233,6 +240,60 @@ CONFIG_BASE = {
     "discretization": math.log(2.0),
     "delta": 0.2,
 }
+
+#: (operation, count, CompositionPolicy arguments) of the compositions of
+#: ``_atom_only`` distributions, made for both atoms and both directions.
+#: At 200 steps the full support (9801 points) is too long to compose
+#: directly, so the transform and its charge run.
+ATOM_OPS = (
+    ("self_compose", 3, {"truncation_tail_mass": 1e-9}),
+    ("self_compose", 3, {"method": "direct"}),
+    ("self_compose", 200, {"truncation_tail_mass": 1e-9}),
+    ("convolve", 1, {"truncation_tail_mass": 1e-9}),
+    ("convolve", 1, {"method": "direct"}),
+)
+
+#: A well-formed ``pld_from_json_dict`` payload, and the (key, value) each
+#: ``PAYLOAD_OPS`` op puts in it.
+PAYLOAD = {"discretization": 0.1, "epsilon_offset": 1, "masses": [0.5, 0.5], "mass_at_infinity": 0.0}
+PAYLOAD_OPS = (
+    ("masses", [math.nan, 1.0]),
+    ("masses", [math.inf, 0.5]),
+    ("masses", [10**400, 0.5]),
+    ("masses", []),
+    ("mass_at_infinity", math.nan),
+    ("mass_at_infinity", -math.inf),
+    ("mass_at_neg_infinity", math.nan),
+    ("discretization", math.nan),
+    ("discretization", math.inf),
+    ("discretization", 0.1),
+)
+
+#: (label, function of the ``pldbounds`` module that gives the
+#: ``MechanismSpec`` fields) of the ``SPEC_OPS`` constructions.
+SPEC_OPS = (
+    ("gaussian-true", lambda pb: {"kind": "gaussian", "noise_scale": True}),
+    ("gaussian-string", lambda pb: {"kind": "gaussian", "noise_scale": "1"}),
+    ("gaussian-none", lambda pb: {"kind": "gaussian"}),
+    ("rr-string", lambda pb: {"kind": "randomized_response", "rr_epsilon": "1"}),
+    ("rr-negative", lambda pb: {"kind": "randomized_response", "rr_epsilon": -1.0}),
+    ("rr-with-noise", lambda pb: {"kind": "randomized_response", "rr_epsilon": 1.0, "noise_scale": 1.0}),
+    ("laplace-with-rr", lambda pb: {"kind": "laplace", "noise_scale": 1.0, "rr_epsilon": 1.0}),
+    ("unknown-kind", lambda pb: {"kind": "bogus"}),
+    ("inner-string", lambda pb: {"kind": "poisson_subsampled", "inner": "gaussian", "sampling_prob": 0.1}),
+    ("inner-none", lambda pb: {"kind": "poisson_subsampled", "sampling_prob": 0.1}),
+    *(
+        (f"sampling-{label}", lambda pb, q=q: {**_subsampled(pb), "sampling_prob": q})
+        for label, q in (("string", "0.1"), ("true", True), ("two", 2.0), ("none", None))
+    ),
+    ("adjacency-default", lambda pb: {**_subsampled(pb), "sampling_prob": 0.1}),
+)
+
+
+def _subsampled(pb) -> dict:
+    """``MechanismSpec`` fields of a Poisson-subsampled Gaussian without its sampling rate."""
+    return {"kind": "poisson_subsampled", "inner": pb.MechanismSpec.gaussian(1.0)}
+
 
 #: Longest mass array written value by value; longer ones are hashed.
 HEX_MAX = 1000
@@ -433,8 +494,52 @@ def _library_answer(pb, operation, mechanism, spacing, n, policy) -> dict:
             out = pb.convolve(single, out, policy)
     except Exception as err:  # a failure is an answer too
         return {"error": type(err).__name__, "message": str(err)}
+    return _composed(pb, out)
+
+
+def _outcome(call) -> dict:
+    """``call()``'s result, or its failure."""
+    try:
+        return {"result": call()}
+    except Exception as err:  # a failure is an answer too
+        return {"error": type(err).__name__, "message": str(err)}
+
+
+def _atom_only(pb, atom: str):
+    """A 50-point lattice distribution whose +inf (or -inf) atom holds all its mass."""
+    masses = np.zeros(52)
+    masses[-1 if atom == "inf" else 0] = 1.0
+    return pb.FinitePLD(np.arange(50) * 0.1, masses, spacing=0.1, proper=atom == "inf")
+
+
+def _composed(pb, out) -> dict:
+    """A composition's ``pld_to_json`` text and charge fields."""
     fields = ("truncated_low", "truncated_high", "rounding_charge")
     return {"pld": pb.pld_to_json(out), **{name: getattr(out, name) for name in fields}}
+
+
+def _edge_answers(pb) -> dict[str, dict]:
+    """Every ``ATOM_OPS``, ``PAYLOAD_OPS`` and ``SPEC_OPS`` answer, by op."""
+    answers = {}
+    for operation, n, arguments in ATOM_OPS:
+        for atom in ("inf", "neg"):
+            for direction in ("pessimistic", "optimistic"):
+                policy = pb.CompositionPolicy(direction, **arguments)
+                pld = _atom_only(pb, atom)
+                if operation == "self_compose":
+                    call = lambda: _composed(pb, pb.self_compose(pld, n, policy))  # noqa: E731
+                else:
+                    call = lambda: _composed(pb, pb.convolve(pld, pld, policy))  # noqa: E731
+                label = f"atom/{operation}/{n}/{json.dumps(arguments, sort_keys=True)}/{atom}/{direction}"
+                answers[label] = _outcome(call)
+    for key, value in PAYLOAD_OPS:
+        payload = {**PAYLOAD, key: value}
+        answers[f"payload/{key}/{reprlib.repr(value)}"] = _outcome(
+            lambda: pb.pld_to_json(pb.pld_from_json_dict(payload))
+        )
+    for label, fields in SPEC_OPS:
+        answers[f"spec/{label}"] = _outcome(lambda: repr(pb.MechanismSpec(**fields(pb))))
+    return answers
 
 
 def _answers(checkout: Path) -> dict[str, str]:
@@ -475,6 +580,8 @@ def _answers(checkout: Path) -> dict[str, str]:
     for name, mechanism, spacing, grid_range in RUN_CURVE_OPS:
         for column, answer in _run_curve_answers(pb, mechanism, spacing, grid_range).items():
             answers[f"library/run_curve/{name}/{column}"] = json.dumps(answer, sort_keys=True)
+    for op, answer in _edge_answers(pb).items():
+        answers[f"library/edge/{op}"] = json.dumps(answer, sort_keys=True)
     from pldbounds import cli
 
     with tempfile.TemporaryDirectory() as config_dir:
