@@ -58,10 +58,21 @@ _FFT_PASS_ERR = 8.0 * _U
 #: takes about full^2 / 3 products there, a few milliseconds.
 _DIRECT_MAX = 1 << 13
 
-#: Newton steps for a Chernoff window edge, and the relative residual that
-#: stops them; every step's bound is valid, so stopping early only widens.
-_NEWTON_STEPS = 40
-_NEWTON_RTOL = 1e-2
+#: Lattice points per octave of t at which window edges are sought: t_j = 2^(j / 8).
+_OCTAVE = 8
+
+#: The walk for a window edge stays within |j| <= this, t in [2^-64, 2^64].
+_WALK_MAX = 64 * _OCTAVE
+
+#: t_j at index j + _WALK_MAX, computed once, so every read of t_j has the same bits.
+_TS = np.exp2(np.arange(-_WALK_MAX, _WALK_MAX + 1) / _OCTAVE)
+_TS_LIST = _TS.tolist()
+
+#: A lattice evaluation of a single step of K points covers this // K lattice
+#: points in one array call, at least 3 (a point and its neighbours) and at
+#: most ``_BLOCK_MAX``, which walks on short steps seldom outrun.
+_BLOCK_SUMMANDS = 1 << 14
+_BLOCK_MAX = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -105,7 +116,7 @@ def _guard(finite: np.ndarray) -> None:
     worst = float(finite.min())
     if worst < -_FFT_NEG_TOL:
         raise NumericalValidityError(f"fft composition went negative ({worst:.3e})")
-    np.maximum(finite, 0.0, out=finite)
+    # the negatives lie below the floor too
     finite[finite < _MASS_FLOOR] = 0.0
 
 
@@ -119,26 +130,21 @@ def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD
     return _execute(_plan([(a, 1), (b, 1)], policy), policy.direction)
 
 
-def _log_mgf(terms: list[tuple], t: float) -> tuple[float, float, float]:
-    """log M(t) and its first two derivatives, averaged over ``terms`` by their shares.
+def _log_mgf(log_f: np.ndarray, offsets: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """log M(t) at each t > 0 of ``ts``, M(t) the sum of e^(log_f + t * offsets), in one array call.
 
-    Each term is (share, log_f, offsets, squares) with M(t) the sum of
-    e^(log_f + t * offsets) and ``squares`` the squared offsets.  Summands
-    below e^-700 of the largest are raised to it, which keeps denormals out
-    of the sums and can only overstate M.
+    The exponents are taken relative to s(t) = max log_f + t max offsets, at
+    least the largest of them, and those below s(t) - 700 are raised to it,
+    which keeps denormals out of the sums and can only overstate M.  Each
+    t's value is computed by elementwise operations and a sum along its own
+    row, so it does not depend on which other t share the call.
     """
-    log_m = mean = var = -0.0
-    for share, log_f, offsets, squares in terms:
-        exponents = log_f + t * offsets
-        top = float(exponents.max())
-        exponents -= top
-        weights = np.exp(np.maximum(exponents, -700.0, out=exponents), out=exponents)
-        total = float(weights.sum())
-        part_mean = float(weights @ offsets) / total
-        log_m += share * (top + math.log(total))
-        mean += share * part_mean
-        var += share * max(float(weights @ squares) / total - part_mean * part_mean, 0.0)
-    return log_m, mean, var
+    top_f, top = float(log_f.max()), float(offsets.max())
+    exponents = np.multiply.outer(ts, offsets - top)
+    exponents += log_f - top_f
+    np.maximum(exponents, -700.0, out=exponents)
+    np.exp(exponents, out=exponents)
+    return top_f + ts * top + np.log(exponents.sum(axis=1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,20 +153,25 @@ class _Step:
 
     ``mass`` is the exact total of the finite masses.  The positive ones
     have logs ``log_f`` and lie at ``offsets`` from ``center``, their
-    mass-weighted mean index rounded; ``squares`` are the squared offsets.
-    log M(0) and the variance at t = 0 (``_log_mgf``) are the same for
-    ``offsets`` and their negation, so one evaluation serves both window
-    edges and every count.  Without positive finite masses the moments are
-    NaN and no window is sought.
+    mass-weighted mean index rounded.  ``log_m0`` and ``var0`` are log M(0)
+    and the variance of the offsets under the masses, the same for
+    ``offsets`` and their negation.  ``memo`` maps lattice indices j to
+    log M(t_j) per sign, the offsets times -1 (index 0) or 1 (index 1), for
+    the points evaluated so far: a window edge (``_tail_edge``) that reads
+    a missing one evaluates ``block`` points in one call
+    (``_lattice_log_mgf``).  Every entry is a pure function of the step,
+    the sign and j, so no order of counts changes a window.  Without positive finite
+    masses the moments are NaN and no window is sought.
     """
 
     mass: float
     center: int
     log_f: np.ndarray
     offsets: np.ndarray
-    squares: np.ndarray
     log_m0: float
     var0: float
+    block: int
+    memo: tuple[dict, dict]
 
 
 def _step(pld: FinitePLD) -> _Step:
@@ -170,15 +181,36 @@ def _step(pld: FinitePLD) -> _Step:
         single = pld.masses[1:-1]
         at = np.flatnonzero(single)
         positive = single[at]
-        center = round(float(at @ positive) / float(positive.sum())) if at.size else 0
+        total = float(positive.sum())
+        center = round(float(at @ positive) / total) if at.size else 0
         offsets = (at - center).astype(float)
-        log_f = np.log(positive)
-        squares = offsets * offsets
-        terms = [(1.0, log_f, offsets, squares)]
-        log_m0, _, var0 = _log_mgf(terms, 0.0) if at.size else (math.nan,) * 3
-        step = _Step(_exact_sum(single), center, log_f, offsets, squares, log_m0, var0)
+        log_m0 = var0 = math.nan
+        if at.size:
+            mean = float(offsets @ positive) / total
+            log_m0 = math.log(total)
+            var0 = max(float((offsets * offsets) @ positive) / total - mean * mean, 0.0)
+        block = min(max(3, _BLOCK_SUMMANDS // max(at.size, 1)), _BLOCK_MAX)
+        step = _Step(
+            _exact_sum(single), center, np.log(positive), offsets, log_m0, var0, block, ({}, {})
+        )
         object.__setattr__(pld, "_window_step", step)
     return step
+
+
+def _lattice_log_mgf(step: _Step, sign: float, j: int, ahead: int) -> float:
+    """log M(t_j) of ``step``'s offsets times ``sign``, evaluated into ``step.memo``.
+
+    Evaluates ``step.block`` lattice points in one ``_log_mgf`` call: j and
+    those beyond it in the direction ``ahead``, or centred on j when
+    ``ahead`` is 0, within |j| <= ``_WALK_MAX``.
+    """
+    first = j - step.block // 2 if ahead == 0 else j if ahead > 0 else j - step.block + 1
+    first = max(first, -_WALK_MAX)
+    stop = min(first + step.block, _WALK_MAX + 1)
+    ts = _TS[first + _WALK_MAX : stop + _WALK_MAX]
+    memo = step.memo[sign > 0.0]
+    memo.update(zip(range(first, stop), _log_mgf(step.log_f, sign * step.offsets, ts).tolist()))
+    return memo[j]
 
 
 def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: float) -> float:
@@ -187,54 +219,63 @@ def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: f
     ``steps`` holds each factor's ``_Step`` and count n_f; the offsets are
     ``step.offsets`` times ``sign``: 1 for the high edge, -1 for the low
     one.  ``log_inv_w`` is -log W, n = sum n_f, and log M(t) is the
-    n_f-weighted mean of the factors' log moment generating functions
-    (``_log_mgf``).  For every t > 0
-    Chernoff's bound mass{S >= s} <= e^(-ts) M(t)^n meets W at
-    g(t) = (n log M(t) - log W) / t, so every g(t) is a valid b.  Safeguarded
-    Newton steps solve g'(t) = 0, that is n (t (log M)'(t) - log M(t)) = -log W,
-    and the least g(t) met is returned.  Without a root, either the top point
-    alone keeps mass >= W and g falls to sum n_f max(offsets_f), or the
-    composed mass is at most W and any b will do.
+    n_f-weighted mean of the factors' log moment generating functions.
+    For every t > 0 Chernoff's bound mass{S >= s} <= e^(-ts) M(t)^n meets W
+    at g(t) = (n log M(t) - log W) / t, so every g(t) is a valid b.  The
+    edge is the least g on the lattice t_j = 2^(j / 8): n log M - log W is
+    convex in t and positive at 0, so g falls, then rises, and a walk
+    downhill from the Gaussian start (below) ends at the lattice minimum.
+    The factors' log M(t_j) are memoised on their steps
+    (``_lattice_log_mgf``), so a count near one already planned reads
+    them back.  Without a minimum, either the top point alone keeps mass
+    >= W and g falls to sum n_f max(offsets_f), or the composed mass is at
+    most W and any b will do.
     """
-    terms = [
-        (count / n, s.log_f, s.offsets if sign > 0.0 else -s.offsets, s.squares) for s, count in steps
-    ]
     # the offsets ascend, so the largest is the last one, or the first once negated
     top = -1 if sign > 0.0 else 0
     log_top = highest = lowest = log_m = var = -0.0
-    for (step, count), (share, _, offsets, _) in zip(steps, terms):
+    for step, count in steps:
+        share = count / n
         log_top += count * float(step.log_f[top])
-        highest += count * float(offsets[top])
-        lowest += count * float(offsets[-1 - top])
+        highest += count * sign * float(step.offsets[top])
+        lowest += count * sign * float(step.offsets[-1 - top])
         log_m += share * step.log_m0
         var += share * step.var0
     if -log_top <= log_inv_w:
         return highest
     if -n * log_m >= log_inv_w:
         return lowest
+
+    memos = [(step, step.memo[sign > 0.0], count) for step, count in steps]
+
+    def g(j: int, ahead: int) -> float:
+        total = log_inv_w
+        for step, memo, count in memos:
+            value = memo.get(j)
+            total += count * (_lattice_log_mgf(step, sign, j, ahead) if value is None else value)
+        return total / _TS_LIST[j + _WALK_MAX]
+
     # the Gaussian approximation log M(t) = log M(0) + mean t + var t^2 / 2
-    # puts the root at t below; Newton steps then run on log(n h) against t,
-    # which stays nearly linear where a rare far component makes h explode
-    t = math.sqrt(2.0 * (log_inv_w / n + log_m) / var)
-    lo, hi = 0.0, math.inf
-    best = math.inf
-    for _ in range(_NEWTON_STEPS):
-        log_m, mean, var = _log_mgf(terms, t)
-        best = min(best, (n * log_m + log_inv_w) / t)
-        h = n * (t * mean - log_m)
-        if abs(h - log_inv_w) <= _NEWTON_RTOL * log_inv_w:
+    # puts the minimum of g at this t; a variance that rounded to 0 puts it
+    # beyond the lattice's top
+    j = _WALK_MAX
+    if var > 0.0:
+        t = math.sqrt(2.0 * (log_inv_w / n + log_m) / var)
+        j = min(max(round(_OCTAVE * math.log2(t)), -_WALK_MAX), _WALK_MAX)
+    here = g(j, 0)
+    for ahead in (1, -1):
+        start = j
+        while abs(j + ahead) <= _WALK_MAX:
+            there = g(j + ahead, ahead)
+            if not there < here:
+                break
+            j, here = j + ahead, there
+        if j != start:
             break
-        if h < log_inv_w:
-            lo = t
-        else:
-            hi = t
-        newton = math.nan
-        if var > 0.0 and h > 0.0:
-            newton = t - math.log(h / log_inv_w) * h / (n * t * var)
-        t = newton if lo < newton < hi else (2.0 * t if hi == math.inf else 0.5 * (lo + hi))
-    return best
+    return here
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _fast_length(n: int) -> int:
     """The smallest 5-smooth integer >= n >= 1: ``scipy.fft.next_fast_len(n, real=True)``."""
     best = 1 << (n - 1).bit_length()
@@ -284,7 +325,9 @@ def _spectral_power(factors: list[tuple[np.ndarray, int]], size: int) -> np.ndar
     product = None
     for single, n in factors:
         if single.size > size:
-            single = np.pad(single, (0, -single.size % size)).reshape(-1, size).sum(axis=0)
+            padded = np.zeros(-(-single.size // size) * size)
+            padded[: single.size] = single
+            single = padded.reshape(-1, size).sum(axis=0)
         spectrum = rfft(single, size)
         live = np.abs(spectrum) >= _live_threshold(n)
         count = int(np.count_nonzero(live))
@@ -438,11 +481,13 @@ def _plan(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> _P
 
     Refuses factors on different lattices, a -inf atom against a +inf one
     (their product has no loss value), and a window longer than
-    ``max_support``, all before any transform.  The window's Chernoff edges
-    (``_tail_edge``) are rounded outward and its length is a fast transform
-    length.  It is the whole support when that is no longer, when W is 0,
-    when a factor has no positive finite mass, and when the composition is
-    direct (see ``_execute``).
+    ``max_support``, all before any transform.  The window's edges
+    (``_tail_edge``) are lattice minima of the Chernoff bound g, each itself
+    a Chernoff bound, read from log M values memoised on the factors'
+    single steps; they are rounded outward and the window's length is a
+    fast transform length.  It is the whole support when that is no longer,
+    when W is 0, when a factor has no positive finite mass, and when the
+    composition is direct (see ``_execute``).
     """
     spacing = factors[0][0].spacing
     if spacing is None or any(pld.spacing != spacing for pld, _ in factors):

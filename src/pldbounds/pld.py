@@ -153,7 +153,7 @@ def _mass_total(masses: np.ndarray, *cuts: float) -> float:
     ``_exact_sum`` (fsum's total), as for strided masses or a NaN or inf total.
     """
     if masses.flags.c_contiguous:
-        total = float(np.sum(masses))
+        total = float(masses.sum())
         bound = _sum_error(masses.size) * (total + 2 * masses.size * _MASS_SLACK)
         if all(abs(total - cut) > bound for cut in cuts):
             return total
@@ -161,7 +161,7 @@ def _mass_total(masses: np.ndarray, *cuts: float) -> float:
 
 
 #: Length of the first prefix ``_tail_count`` sums; supports up to this size take one pass.
-_CUT_PREFIX = 4096
+_CUT_PREFIX = 512
 
 
 def _tail_count(values: np.ndarray, budget: float) -> int:
@@ -174,7 +174,7 @@ def _tail_count(values: np.ndarray, budget: float) -> int:
     """
     prefix = _CUT_PREFIX
     while True:
-        count = int(np.searchsorted(np.cumsum(values[:prefix]), budget, side="right"))
+        count = int(values[:prefix].cumsum().searchsorted(budget, side="right"))
         if count < prefix or prefix >= values.size:
             return count
         prefix *= 2
@@ -284,7 +284,7 @@ class FinitePLD:
     def __post_init__(self):
         eps = _frozen(self.finite_epsilons)
         m = np.asarray(self.masses, dtype=float)
-        if eps.ndim != 1 or eps.size == 0 or not np.all(np.isfinite(eps)):
+        if eps.ndim != 1 or eps.size == 0 or not np.isfinite(eps).all():
             raise RequestError("need a non-empty 1-D array of finite epsilons")
         if m.shape != (eps.size + 2,):
             raise RequestError("mass array must hold the finite epsilons plus both atoms")
@@ -530,11 +530,12 @@ def delta_at(pld: FinitePLD, epsilon: float) -> float:
     if epsilon == -math.inf:
         return _exact_sum(m[1:])
     eps_f = pld.finite_epsilons
-    first = int(np.searchsorted(eps_f, epsilon, side="right"))
+    first = int(eps_f.searchsorted(epsilon, side="right"))
     if first == eps_f.size:
         return m_inf
-    weights = -np.expm1(epsilon - eps_f[first:])
-    return float(max(m_inf + float(np.dot(m[1 + first : -1], weights)), 0.0))
+    # the weights are 1 - e^(epsilon - eps'); subtracting the dot product with
+    # their negation gives the same bits, as rounding is symmetric about 0
+    return float(max(m_inf - float(np.dot(m[1 + first : -1], np.expm1(epsilon - eps_f[first:]))), 0.0))
 
 
 def _curve_at(
@@ -580,16 +581,17 @@ def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
     first = 0
     if count < finite.size:
         bound = float(eps_f[finite.size - 1 - count]) - math.log(2.0)
-        first = int(np.searchsorted(eps_f, bound, side="right"))
+        first = int(eps_f.searchsorted(bound, side="right"))
     eps = eps_f[first:]
     m = finite[first:]
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = m * np.exp(eps[0] - eps)
-        above = np.cumsum(m[:0:-1])[::-1]
-        weighted = np.cumsum(scaled[:0:-1])[::-1]
+        above = m[:0:-1].cumsum()[::-1]
+        weighted = scaled[:0:-1].cumsum()[::-1]
         delta = pld.mass_at_infinity + above - np.exp(eps[:-1] - eps[0]) * weighted
     # the top point meets every target the +inf atom meets
-    return first + int(np.argmax(np.append(delta <= delta_target, True)))
+    meets = np.flatnonzero(delta <= delta_target)
+    return first + (int(meets[0]) if meets.size else delta.size)
 
 
 def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
@@ -688,7 +690,12 @@ _PAYLOAD_KEYS = {
 
 
 def pld_from_json_dict(payload: dict) -> FinitePLD:
-    """The distribution of a ``pld_to_json_dict`` payload; ``RequestError`` names a malformed key."""
+    """The distribution of a ``pld_to_json_dict`` payload; ``RequestError`` names a malformed key.
+
+    Besides each key's form, the payload's masses and atoms must not be
+    negative and must sum to 1 within ``_MASS_ATOL``, by the rule the
+    distribution's own gate applies.
+    """
     if not isinstance(payload, dict):
         raise RequestError(f"a PLD payload must be a JSON object, got {type(payload).__name__}")
     payload = {"mass_at_neg_infinity": 0.0, **payload}  # omitted for a proper distribution
@@ -698,15 +705,21 @@ def pld_from_json_dict(payload: dict) -> FinitePLD:
         if not valid(payload[key]):
             got = reprlib.repr(payload[key])
             raise RequestError(f"PLD payload key {key!r} must be {expected}, got {got}")
-    return _lattice_pld(
-        float(payload["discretization"]),
-        -payload["epsilon_offset"],
-        np.concatenate((
-            [float(payload["mass_at_neg_infinity"])],
-            np.asarray(payload["masses"], dtype=float),
-            [float(payload["mass_at_infinity"])],
-        )),
-    )
+    for key in ("masses", "mass_at_neg_infinity", "mass_at_infinity"):
+        if np.min(payload[key]) < 0.0:
+            got = reprlib.repr(payload[key])
+            raise RequestError(f"PLD payload key {key!r} must not be negative, got {got}")
+    masses = np.concatenate((
+        [float(payload["mass_at_neg_infinity"])],
+        np.asarray(payload["masses"], dtype=float),
+        [float(payload["mass_at_infinity"])],
+    ))
+    if not abs(_mass_total(masses, 1.0 - _MASS_ATOL, 1.0 + _MASS_ATOL) - 1.0) <= _MASS_ATOL:
+        raise RequestError(
+            f"PLD payload key 'masses' and the atoms must sum to 1 within {_MASS_ATOL}, "
+            f"got {_exact_sum(masses)!r}"
+        )
+    return _lattice_pld(float(payload["discretization"]), -payload["epsilon_offset"], masses)
 
 
 def pld_to_json(pld: FinitePLD) -> str:

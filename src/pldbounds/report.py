@@ -17,7 +17,6 @@ wall-clock runtime.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import statistics
 import time
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .compose import CompositionPolicy, _composition_count, self_compose
-from .curves import MechanismSpec, curve_for
+from .curves import MechanismSpec, _is_finite_real, curve_for
 from .errors import NumericalValidityError, RequestError
 from .grid import DiscretizationGrid, default_epsilon_range
 from .optimistic import optimistic_pair, pb_optimistic_pld
@@ -54,14 +53,20 @@ class AccountingRequest:
     grid_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if (self.delta_target is None) == (self.epsilon_target is None):
+        """Refuse misuse with a ``RequestError`` that names the field.
+
+        Every number must pass ``curves._is_finite_real``: bools, strings,
+        NaN and infinities are refused, each with its field's message.
+        """
+        delta, epsilon, spacing = self.delta_target, self.epsilon_target, self.discretization
+        if (delta is None) == (epsilon is None):
             raise RequestError("set exactly one of delta_target / epsilon_target")
-        if self.delta_target is not None and not (0.0 < self.delta_target <= 1.0):
-            raise RequestError(f"delta_target must lie in (0, 1], got {self.delta_target}")
-        if self.epsilon_target is not None and not math.isfinite(self.epsilon_target):
-            raise RequestError(f"epsilon_target must be finite, got {self.epsilon_target}")
-        if not (self.discretization > 0 and math.isfinite(self.discretization)):
-            raise RequestError(f"discretization must be positive, got {self.discretization}")
+        if delta is not None and not (_is_finite_real(delta) and 0.0 < delta <= 1.0):
+            raise RequestError(f"delta_target must lie in (0, 1], got {delta!r}")
+        if epsilon is not None and not _is_finite_real(epsilon):
+            raise RequestError(f"epsilon_target must be finite, got {epsilon!r}")
+        if not (_is_finite_real(spacing) and spacing > 0.0):
+            raise RequestError(f"discretization must be positive, got {spacing!r}")
         _composition_count(self.compositions)
         if self.estimate not in _ESTIMATES:
             raise RequestError(f"estimate must be one of {_ESTIMATES}")
@@ -69,10 +74,15 @@ class AccountingRequest:
             choices = " or ".join(map(repr, _BASELINES))
             raise RequestError(f"baseline must be {choices} or omitted, got {self.baseline!r}")
         if self.grid_range is not None:
-            lo, hi = self.grid_range
-            if not (lo < 0.0 < hi):
+            try:
+                lo, hi = self.grid_range
+            except (TypeError, ValueError):
                 raise RequestError(
-                    f"grid range must satisfy eps_min < 0 < eps_max, got [{lo}, {hi}]"
+                    f"grid_range must be a pair (eps_min, eps_max), got {self.grid_range!r}"
+                ) from None
+            if not (_is_finite_real(lo) and _is_finite_real(hi) and lo < 0.0 < hi):
+                raise RequestError(
+                    f"grid range must satisfy eps_min < 0 < eps_max, got [{lo!r}, {hi!r}]"
                 )
 
     @property

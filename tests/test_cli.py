@@ -708,6 +708,18 @@ _RR = pb.MechanismSpec.randomized_response(1.0)
         ({"delta_target": 1e-5, "discretization": math.nan}, "discretization must be positive"),
         ({"delta_target": 1e-5, "estimate": "middle"}, "estimate must be one of"),
         ({"delta_target": 1e-5, "baseline": "exact"}, "baseline must be 'pb' or omitted, got 'exact'"),
+        # bools and strings are not numbers, and the grid range is a pair of finite numbers
+        ({"delta_target": True}, r"delta_target must lie in \(0, 1\], got True"),
+        ({"delta_target": "1e-5"}, r"delta_target must lie in \(0, 1\], got '1e-5'"),
+        ({"epsilon_target": True}, "epsilon_target must be finite, got True"),
+        ({"epsilon_target": "1"}, "epsilon_target must be finite, got '1'"),
+        ({"delta_target": 1e-5, "discretization": True}, "discretization must be positive, got True"),
+        ({"delta_target": 1e-5, "discretization": "0.1"}, "discretization must be positive, got '0.1'"),
+        ({"delta_target": 1e-5, "grid_range": ("a", "b")}, r"grid range must satisfy .* got \['a', 'b'\]"),
+        ({"delta_target": 1e-5, "grid_range": (-1.0, 0.0, 1.0)}, r"grid_range must be a pair \(eps_min, eps_max\)"),
+        ({"delta_target": 1e-5, "grid_range": 1.0}, r"grid_range must be a pair \(eps_min, eps_max\), got 1.0"),
+        ({"delta_target": 1e-5, "grid_range": (-math.inf, math.inf)}, r"grid range must satisfy .* got \[-inf, inf\]"),
+        ({"delta_target": 1e-5, "grid_range": (-1.0, math.nan)}, r"grid range must satisfy .* got \[-1.0, nan\]"),
     ],
 )
 def test_requests_are_refused_naming_the_field(fields, message):

@@ -327,6 +327,55 @@ def test_a_plan_is_made_before_any_transform_and_executed_bit_for_bit(monkeypatc
     assert out.finite_epsilons[0] >= (plan.j0 + plan.start) * pld.spacing - 1e-9
 
 
+def _readme_step(direction: str) -> pb.FinitePLD:
+    """A fresh single step of the README's subsampled-Gaussian sweep (sigma 1, q 0.01, spacing 0.005)."""
+    curve = pb.curve_for(pb.MechanismSpec.poisson_subsampled(pb.MechanismSpec.gaussian(1.0), 0.01))
+    grid = pb.DiscretizationGrid.uniform(0.005, *pb.default_epsilon_range(curve, 0.005))
+    build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
+    return pb.pld_of(build(curve, grid))
+
+
+def _plan_fields(plan) -> tuple:
+    return (plan.n, plan.j0, plan.full, plan.budget, plan.start, plan.length, plan.size)
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+def test_plans_do_not_depend_on_the_order_of_counts_or_the_memo(direction):
+    # the memoised lattice values are pure functions of the step, so a
+    # count's window is the same whatever was planned before it
+    counts = range(100, 1001, 100)
+    policy = pb.CompositionPolicy(direction, truncation_tail_mass=1e-8)
+
+    def plans(step, order):
+        return {n: _plan_fields(compose._plan([(step, n)], policy)) for n in order}
+
+    ascending = _readme_step(direction)
+    reference = plans(ascending, counts)
+    assert plans(ascending, counts) == reference  # warm memo
+    assert plans(_readme_step(direction), reversed(counts)) == reference
+    for n in counts:
+        assert plans(_readme_step(direction), [n]) == {n: reference[n]}
+    # every window lies inside the full support and is shorter than it
+    for _, _, full, _, start, length, _ in reference.values():
+        assert 0 <= start < start + length < full
+
+
+def test_a_window_edge_is_the_least_chernoff_bound_on_the_lattice():
+    step = compose._step(_readme_step("pessimistic"))
+    n, log_inv_w = 500, -math.log(1e-8 / 500)
+    for sign in (1.0, -1.0):
+        edge = compose._tail_edge([(step, n)], n, sign, log_inv_w)
+        # a wide lattice range around the edge: none of its bounds is lower
+        ts = compose._TS[compose._WALK_MAX - 120 : compose._WALK_MAX + 41]
+        log_m = compose._log_mgf(step.log_f, sign * step.offsets, ts)
+        bounds = (n * log_m + log_inv_w) / ts
+        assert edge == bounds.min()
+        # and one lattice value does not depend on the call it came from
+        at = int(np.argmin(bounds))
+        alone = compose._log_mgf(step.log_f, sign * step.offsets, ts[at : at + 1])
+        assert alone[0] == log_m[at]
+
+
 @st.composite
 def lattice_pairs(draw) -> tuple[pb.FinitePLD, pb.FinitePLD]:
     """Two random lattice PLDs of 200 to 3000 points whose atoms may compose.

@@ -267,6 +267,14 @@ _PAYLOAD = {"discretization": 0.1, "epsilon_offset": 1, "masses": [0.5, 0.5], "m
         ("mass_at_neg_infinity", -math.inf),
         ("discretization", math.nan),
         ("discretization", math.inf),
+        # negative masses and totals off 1 exited 3 as "negative probability
+        # mass in PLD" and "PLD masses sum to 0.9, expected 1"
+        ("masses", [0.6, -0.1, 0.5]),
+        ("masses", [1.0, -1e-20]),
+        ("mass_at_infinity", -0.1),
+        ("mass_at_neg_infinity", -1e-20),
+        ("masses", [0.5, 0.4]),
+        ("masses", [0.5, 0.5 + 2e-11]),
     ],
 )
 def test_malformed_json_payloads_are_refused_naming_the_key(key, value):

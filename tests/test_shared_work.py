@@ -213,17 +213,46 @@ def test_uniform_refuses_a_lattice_too_long_to_allocate():
 # ---------------------------------------------------------------------------
 
 
-def test_the_window_moments_are_computed_once_per_single_step(monkeypatch):
-    single = _composed(_M.gaussian(2.0), 0.05, 1, "pessimistic")
+def _count_lattice_calls(monkeypatch) -> list[int]:
+    """The number of lattice points of each ``compose._log_mgf`` call made from now on."""
     calls = []
     log_mgf = compose._log_mgf
-    monkeypatch.setattr(compose, "_log_mgf", lambda *args: calls.append(args[-1]) or log_mgf(*args))
+    monkeypatch.setattr(compose, "_log_mgf", lambda *args: calls.append(args[-1].size) or log_mgf(*args))
+    return calls
+
+
+def test_the_window_moments_are_computed_once_per_single_step(monkeypatch):
+    single = _composed(_M.gaussian(2.0), 0.05, 1, "pessimistic")
+    calls = _count_lattice_calls(monkeypatch)
     policy = pb.CompositionPolicy("pessimistic", truncation_tail_mass=1e-9)
     for n in (10, 100, 1000):
         pb.self_compose(single, n, policy)
-    assert calls.count(0.0) == 1
+    made = len(calls)
+    assert made
+    # the lattice values are memoised on the step, so the same counts read them back
+    for n in (1000, 100, 10):
+        pb.self_compose(single, n, policy)
+    assert len(calls) == made
     fresh = pb.FinitePLD(single.finite_epsilons, single.masses, spacing=single.spacing)
     assert compose._step(fresh) is not compose._step(single)
+
+
+def test_a_readme_sweep_reads_its_window_edges_from_few_lattice_calls(monkeypatch):
+    # 10 counts times 4 estimators make 80 window edges, which a Newton
+    # search per edge served with 424 evaluations of log M
+    calls = _count_lattice_calls(monkeypatch)
+    request = pb.AccountingRequest(
+        _M.poisson_subsampled(_M.gaussian(1.0), 0.01), 0.005, delta_target=1e-5, baseline="pb"
+    )
+    pb.run_sweep(request, list(range(100, 1001, 100)))
+    assert 0 < len(calls) <= 120
+
+
+def test_a_gaussian_step_finds_each_window_edge_in_one_lattice_call(monkeypatch):
+    # the Gaussian start is the lattice minimum, and the first block holds its neighbours
+    calls = _count_lattice_calls(monkeypatch)
+    pb.run_compute(pb.AccountingRequest(_M.gaussian(2.0), 1e-3, compositions=100, delta_target=1e-6))
+    assert calls == [3] * 4
 
 
 def _public(dist: pb.FinitePLD) -> pb.FinitePLD:

@@ -34,12 +34,13 @@ mechanisms.  Masses are written with ``float.hex``, or as the SHA-256 of
 their float64 bytes past ``HEX_MAX`` values.  Then each column of the
 ``run_curve`` rows (the ``curve`` verb) of the ``RUN_CURVE_OPS`` requests,
 one op per column, every row written with ``float.hex``.  Then the edge
-inputs (``ATOM_OPS``, ``PAYLOAD_OPS``, ``SPEC_OPS``): ``self_compose`` and
-``convolve`` of a distribution whose +inf or -inf atom holds all its mass,
-in both directions, ``pld_from_json_dict`` on malformed payloads, and
-``MechanismSpec`` on misused fields; each answer is the result (the
-composition's ``pld_to_json`` text and charge fields, the payload's
-``pld_to_json`` text, the spec's ``repr``) or the failure.  Last, the
+inputs (``ATOM_OPS``, ``PAYLOAD_OPS``, ``SPEC_OPS``, ``REQUEST_OPS``):
+``self_compose`` and ``convolve`` of a distribution whose +inf or -inf atom
+holds all its mass, in both directions, ``pld_from_json_dict`` on malformed
+payloads, and ``MechanismSpec`` and ``AccountingRequest`` on misused
+fields; each answer is the result (the composition's ``pld_to_json`` text
+and charge fields, the payload's ``pld_to_json`` text, the spec's or the
+request's ``repr``) or the failure.  Last, the
 command line (``_cli_ops``): ``pldbounds.cli.main`` on the README's commands
 with ``--out`` dropped so that they write to stdout, on ``compute`` with
 ``--output csv``, on one ``--config`` file per ``CONFIG_ENTRIES`` entry and
@@ -267,6 +268,12 @@ PAYLOAD_OPS = (
     ("discretization", math.nan),
     ("discretization", math.inf),
     ("discretization", 0.1),
+    ("masses", [0.6, -0.1, 0.5]),
+    ("mass_at_infinity", -0.1),
+    ("mass_at_neg_infinity", -1e-20),
+    ("masses", [0.5, 0.4]),
+    ("masses", [0.5, 0.5 + 2e-11]),
+    ("masses", [0.5, 0.5 + 5e-12]),
 )
 
 #: (label, function of the ``pldbounds`` module that gives the
@@ -287,6 +294,27 @@ SPEC_OPS = (
         for label, q in (("string", "0.1"), ("true", True), ("two", 2.0), ("none", None))
     ),
     ("adjacency-default", lambda pb: {**_subsampled(pb), "sampling_prob": 0.1}),
+)
+
+
+#: (label, ``AccountingRequest`` fields besides the mechanism, a randomized
+#: response with epsilon 1, and the spacing 0.01) of the ``REQUEST_OPS``
+#: constructions.
+REQUEST_OPS = (
+    ("delta-true", {"delta_target": True}),
+    ("delta-string", {"delta_target": "1e-5"}),
+    ("delta-nan", {"delta_target": math.nan}),
+    ("epsilon-true", {"epsilon_target": True}),
+    ("epsilon-string", {"epsilon_target": "1"}),
+    ("epsilon-inf", {"epsilon_target": math.inf}),
+    ("discretization-true", {"delta_target": 1e-5, "discretization": True}),
+    ("discretization-string", {"delta_target": 1e-5, "discretization": "0.1"}),
+    ("discretization-zero", {"delta_target": 1e-5, "discretization": 0.0}),
+    ("grid-strings", {"delta_target": 1e-5, "grid_range": ("a", "b")}),
+    ("grid-three", {"delta_target": 1e-5, "grid_range": (-1.0, 0.0, 1.0)}),
+    ("grid-infinite", {"delta_target": 1e-5, "grid_range": (-math.inf, math.inf)}),
+    ("grid-nan", {"delta_target": 1e-5, "grid_range": (-1.0, math.nan)}),
+    ("grid-pair", {"delta_target": 1e-5, "grid_range": (-1.0, 1.0)}),
 )
 
 
@@ -519,7 +547,7 @@ def _composed(pb, out) -> dict:
 
 
 def _edge_answers(pb) -> dict[str, dict]:
-    """Every ``ATOM_OPS``, ``PAYLOAD_OPS`` and ``SPEC_OPS`` answer, by op."""
+    """Every ``ATOM_OPS``, ``PAYLOAD_OPS``, ``SPEC_OPS`` and ``REQUEST_OPS`` answer, by op."""
     answers = {}
     for operation, n, arguments in ATOM_OPS:
         for atom in ("inf", "neg"):
@@ -539,6 +567,11 @@ def _edge_answers(pb) -> dict[str, dict]:
         )
     for label, fields in SPEC_OPS:
         answers[f"spec/{label}"] = _outcome(lambda: repr(pb.MechanismSpec(**fields(pb))))
+    mechanism = pb.MechanismSpec.randomized_response(1.0)
+    for label, fields in REQUEST_OPS:
+        answers[f"request/{label}"] = _outcome(
+            lambda: repr(pb.AccountingRequest(**{"mechanism": mechanism, "discretization": 0.01, **fields}))
+        )
     return answers
 
 
