@@ -35,7 +35,7 @@ import sys
 
 from .compose import _composition_count
 from .curves import _DIRECTIONS, MechanismSpec
-from .errors import NumericalValidityError, RequestError
+from .errors import NumericalValidityError, RequestError, _is_finite_real
 from .report import _BASELINES, _ESTIMATES, AccountingRequest, run_compute, run_curve, run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -116,7 +116,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: malformed JSON, or an int past 4300 digits
             raise RequestError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise RequestError("config file must hold a flat JSON object")
@@ -166,10 +166,10 @@ def _config_value(raw_key: str, key: str, value):
             return _composition_count(value)
         numbers = value if nargs else [value]
         if kind is float and isinstance(numbers, list) and len(numbers) == (nargs or 1):
-            if all(type(x) in (int, float) for x in numbers):  # bools and strings are not numbers
+            if all(map(_is_finite_real, numbers)):
                 floats = [float(x) for x in numbers]
                 return floats if nargs else floats[0]
-    except (OverflowError, RequestError):
+    except RequestError:
         pass
     expected = _CONFIG_KINDS.get(key, "a number")
     raise RequestError(f"config key {raw_key!r} must be {expected}, got {value!r}")

@@ -34,7 +34,7 @@ import operator
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import NumericalValidityError, RequestError
+from .errors import NumericalValidityError, RequestError, _is_finite_real, _require_positive
 from .pld import _U, FinitePLD, _exact_sum, _lattice_pld, _sum_error, _tail_count
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
@@ -75,6 +75,22 @@ _BLOCK_SUMMANDS = 1 << 14
 _BLOCK_MAX = 16
 
 
+def _composition_count(n, name: str = "composition count") -> int:
+    """``n`` as an int, refused unless it is a non-negative integer (numpy's included, bools not).
+
+    The one rule for every integer a caller hands in, as ``errors._is_finite_real``
+    is for reals: composition counts, sweep repeats, ``max_support`` and the
+    CLI's integer ``--config`` values.
+    """
+    try:
+        count = operator.index(None if isinstance(n, bool) else n)
+    except TypeError:
+        raise RequestError(f"{name} must be an integer, got {n!r}") from None
+    if count < 0:
+        raise RequestError(f"{name} must be non-negative, got {n}")
+    return count
+
+
 @dataclasses.dataclass(frozen=True)
 class CompositionPolicy:
     """How to compose: direction, method, per-side budget, support cap.
@@ -97,18 +113,24 @@ class CompositionPolicy:
             raise RequestError(f"direction must be one of {_DIRECTIONS}")
         if self.method not in _METHODS:
             raise RequestError(f"method must be one of {_METHODS}")
-        if not (0.0 <= self.truncation_tail_mass <= 1e-6):
-            raise RequestError(
-                f"truncation_tail_mass must lie in [0, 1e-6], got "
-                f"{self.truncation_tail_mass}"
-            )
-        if self.max_support < 2:
-            raise RequestError("max_support must be at least 2")
+        budget = self.truncation_tail_mass
+        if not (_is_finite_real(budget) and 0.0 <= budget <= 1e-6):
+            raise RequestError(f"truncation_tail_mass must lie in [0, 1e-6], got {budget!r}")
+        if _composition_count(self.max_support, "max_support") < 2:
+            raise RequestError(f"max_support must be at least 2, got {self.max_support!r}")
 
 
 def point_mass_pld(spacing: float) -> FinitePLD:
     """Loss distribution of an empty composition: all mass at epsilon = 0."""
+    _require_positive(spacing, "spacing")
     return _lattice_pld(spacing, 0, np.array([0.0, 1.0, 0.0]))
+
+
+def _policy(policy) -> CompositionPolicy:
+    """``policy``, refused unless it is a ``CompositionPolicy``."""
+    if not isinstance(policy, CompositionPolicy):
+        raise RequestError(f"policy must be a CompositionPolicy, got {policy!r}")
+    return policy
 
 
 def _guard(finite: np.ndarray) -> None:
@@ -127,7 +149,7 @@ def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD
     one gives ``scipy.signal.fftconvolve``'s bits (after ``_guard``), and
     ``method="direct"`` gives ``np.convolve``'s at full support.
     """
-    return _execute(_plan([(a, 1), (b, 1)], policy), policy.direction)
+    return _execute(_plan([(a, 1), (b, 1)], _policy(policy)), policy.direction)
 
 
 def _log_mgf(log_f: np.ndarray, offsets: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -637,17 +659,6 @@ def _execute(plan: _Plan, direction: str) -> FinitePLD:
     )
 
 
-def _composition_count(n, name: str = "composition count") -> int:
-    """``n`` as an int, refused unless it is a non-negative integer (numpy's included, bools not)."""
-    try:
-        count = operator.index(None if isinstance(n, bool) else n)
-    except TypeError:
-        raise RequestError(f"{name} must be an integer, got {n!r}") from None
-    if count < 0:
-        raise RequestError(f"{name} must be non-negative, got {n}")
-    return count
-
-
 def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD:
     """n-fold self-composition by one power of the spectrum: ``_execute`` of the factor (pld, n).
 
@@ -656,7 +667,7 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     round-off are charged on the safe side, as ``convolve`` charges a
     product; ``method="direct"`` has support n (K - 1) + 1 for K points.
     """
-    n = _composition_count(n)
+    n, policy = _composition_count(n), _policy(policy)
     spacing = pld.spacing
     if spacing is None:
         raise RequestError("composition requires uniform-lattice distributions")

@@ -97,11 +97,10 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-import numbers
 
 import numpy as np
 
-from .errors import RequestError
+from .errors import RequestError, _is_finite_real, _require_positive
 
 __all__ = [
     "MechanismSpec",
@@ -123,28 +122,6 @@ def _prepare(alpha) -> tuple[np.ndarray, bool]:
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise RequestError(f"alpha must lie in [0, +inf], got {alpha!r}")
     return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _is_finite_real(value) -> bool:
-    """Whether ``value`` is a finite real number, the one rule for every number a
-    caller hands in: mechanism parameters and ``pld_from_json_dict`` payloads.
-
-    Python ints and floats count, and so do numpy scalars, which a sweep or a
-    payload built in Python may hold.  None, bools, strings, NaN, +-inf and
-    ints beyond float range do not.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
-
-
-def _require_positive(value, name: str) -> None:
-    """Refuse a parameter that is not a positive finite number."""
-    if not (_is_finite_real(value) and value > 0.0):
-        raise RequestError(f"{name} must be positive, got {value!r}")
 
 
 def _before(a: np.ndarray, kink: float, right: bool) -> np.ndarray:
@@ -739,8 +716,8 @@ def derivative_at(curve: HockeyStickCurve, alpha: float, side: str) -> float:
     """One-sided derivative of the curve at a finite positive alpha."""
     if side not in ("left", "right"):
         raise RequestError(f"side must be 'left' or 'right', got {side!r}")
-    if not (0.0 < alpha < math.inf):
-        raise RequestError(f"alpha must lie in (0, +inf), got {alpha}")
+    if not (_is_finite_real(alpha) and alpha > 0.0):
+        raise RequestError(f"alpha must lie in (0, +inf), got {alpha!r}")
     if side == "right":
         return float(curve.right_derivative(alpha))
     return float(curve.left_derivative(alpha))

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the rule for every number a caller hands in.
 
 Two failure families matter to callers (and to the CLI exit codes):
 
@@ -8,6 +8,9 @@ Two failure families matter to callers (and to the CLI exit codes):
   validity gate failed (non-convex curve values, negative probability mass
   beyond tolerance, mass-conservation breakage).
 """
+
+import math
+import numbers
 
 
 class PLDBoundsError(Exception):
@@ -20,3 +23,38 @@ class RequestError(PLDBoundsError, ValueError):
 
 class NumericalValidityError(PLDBoundsError, ArithmeticError):
     """A numerical validity gate failed (CLI exit code 3)."""
+
+
+def _is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number: the one rule for every real a caller hands in.
+
+    Python ints and floats count, and so do numpy scalars, which a sweep or a
+    payload built in Python may hold.  None, bools, strings, NaN, +-inf and
+    ints beyond float range do not.  ``compose._composition_count`` is its
+    counterpart for integers.  The doors it guards, each refusing with a
+    ``RequestError`` that names the argument:
+
+    - ``MechanismSpec`` and the curve constructors: every parameter;
+    - ``AccountingRequest``: the targets, the discretization and the grid range;
+    - ``pld_from_json_dict``: the spacing, the masses and the atoms;
+    - ``CompositionPolicy``: ``truncation_tail_mass``;
+    - ``delta_at`` (which also takes +-inf) and ``epsilon_for_delta``;
+    - ``default_epsilon_range``, ``DiscretizationGrid.uniform`` (the spacing
+      and both bounds), and the spacing of every lattice ``FinitePLD``,
+      ``point_mass_pld`` included;
+    - ``FinitePLD``'s ``truncated_low``, ``truncated_high`` and ``rounding_charge``;
+    - ``derivative_at`` and ``non_uniqueness_fixture``;
+    - the CLI's ``--config`` values, which are refused naming their key.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _require_positive(value, name: str) -> None:
+    """Refuse ``value`` unless it is a positive finite real, naming it ``name``."""
+    if not (_is_finite_real(value) and value > 0.0):
+        raise RequestError(f"{name} must be positive and finite, got {value!r}")

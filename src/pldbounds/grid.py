@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .curves import HockeyStickCurve
-from .errors import NumericalValidityError, RequestError
+from .errors import NumericalValidityError, RequestError, _is_finite_real, _require_positive
 
 __all__ = ["DiscretizationGrid", "default_epsilon_range"]
 
@@ -62,14 +62,9 @@ def _lattice(j0: int, size: int, spacing: float) -> np.ndarray:
     return epsilons
 
 
-def _require_spacing(spacing: float) -> None:
-    if not (spacing > 0 and math.isfinite(spacing)):
-        raise RequestError(f"spacing must be positive and finite, got {spacing}")
-
-
 def _lattice_offset(epsilons: np.ndarray, spacing: float) -> int:
     """The j0 that puts each epsilon within ``_SPACING_ATOL`` of ``_lattice``; else RequestError."""
-    _require_spacing(spacing)
+    _require_positive(spacing, "spacing")
     j0 = round(float(epsilons[0]) / spacing)
     off = _lattice(j0, epsilons.size, spacing)
     off -= epsilons
@@ -146,9 +141,9 @@ class DiscretizationGrid:
         holds at most ``_GRID_MAX_POINTS`` points; a longer one is refused
         before anything is allocated.
         """
-        _require_spacing(spacing)
-        if not (math.isfinite(eps_min) and math.isfinite(eps_max) and eps_min <= eps_max):
-            raise RequestError(f"bad epsilon range [{eps_min}, {eps_max}]")
+        _require_positive(spacing, "spacing")
+        if not (_is_finite_real(eps_min) and _is_finite_real(eps_max) and eps_min <= eps_max):
+            raise RequestError(f"bad epsilon range [{eps_min!r}, {eps_max!r}]")
         low, high = min(eps_min / spacing + 1e-9, 0.0), max(eps_max / spacing - 1e-9, 0.0)
         # the quotients can overflow to inf, which floor and ceil reject
         points = math.ceil(high) - math.floor(low) + 1 if math.isfinite(high - low) else math.inf
@@ -211,6 +206,7 @@ def default_epsilon_range(curve: HockeyStickCurve, spacing: float) -> tuple[floa
     round.  The alphas e^(+-j spacing) are ``math.exp``'s, +inf where it
     overflows.
     """
+    _require_positive(spacing, "spacing")
 
     def smallest_step():
         # smallest j >= 1 whose probe falls below the threshold; yields the

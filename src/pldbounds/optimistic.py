@@ -94,7 +94,7 @@ import math
 import numpy as np
 
 from .curves import HockeyStickCurve
-from .errors import RequestError
+from .errors import RequestError, _is_finite_real, _require_positive
 from .grid import DiscretizationGrid
 from .pld import (
     DiscreteDominatingPair,
@@ -329,17 +329,16 @@ def non_uniqueness_fixture(
     second strictly higher past the first one's landing point, so the two
     curves cross and the pairs are incomparable under domination.
     """
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise RequestError(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon, "epsilon")
     k_lo = math.exp(-epsilon)
     k_hi = math.exp(epsilon)
     limit = min(k_hi - k_lo, k_lo)
     if gamma is None:
         gamma = 0.1 * limit
-    if not (0.0 < gamma < limit):
+    if not (_is_finite_real(gamma) and 0.0 < gamma < limit):
         raise RequestError(
             f"gamma must lie in (0, {limit}) for straddle points "
-            f"e^(-eps) +/- gamma to stay admissible, got {gamma}"
+            f"e^(-eps) +/- gamma to stay admissible, got {gamma!r}"
         )
     straddle_hi = k_lo + gamma
     if straddle_hi >= 1.0:

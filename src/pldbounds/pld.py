@@ -43,10 +43,10 @@ import reprlib
 
 import numpy as np
 
-from .curves import HockeyStickCurve, PiecewiseLinearCurve, _is_finite_real
-from .errors import NumericalValidityError, RequestError
+from .curves import HockeyStickCurve, PiecewiseLinearCurve
+from .errors import NumericalValidityError, RequestError, _is_finite_real, _require_positive
 from .grid import (
-    _INDEX_MAX, DiscretizationGrid, _frozen, _lattice, _lattice_offset, _require_spacing
+    _INDEX_MAX, DiscretizationGrid, _frozen, _lattice, _lattice_offset
 )
 
 __all__ = [
@@ -241,7 +241,7 @@ class FinitePLD:
     ``truncated_low`` and ``truncated_high`` record the tail mass that
     composition relocated from the low and the high end; ``rounding_charge``
     records the mass it moved, or added at +inf, to cover a bound on its
-    round-off (see ``compose._execute``).
+    round-off (see ``compose._execute``).  Each must be a finite number >= 0.
 
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
     read-only view of it, and the caller's array stays writable.  The masses
@@ -294,7 +294,7 @@ class FinitePLD:
             if offset is None:
                 offset = _lattice_offset(eps, self.spacing)
             else:
-                _require_spacing(self.spacing)
+                _require_positive(self.spacing, "spacing")
             object.__setattr__(self, "lattice_offset", offset)
         elif not np.all(np.diff(eps) > 0):
             raise RequestError("finite epsilons must be strictly increasing")
@@ -306,6 +306,9 @@ class FinitePLD:
         _require_unit_mass(m, "PLD")
         if self.proper and m[0] != 0.0:
             raise NumericalValidityError("a proper PLD carries no mass at -inf")
+        for name in ("truncated_low", "truncated_high", "rounding_charge"):
+            if not (_is_finite_real(value := getattr(self, name)) and value >= 0.0):
+                raise RequestError(f"{name} must be a finite number >= 0, got {value!r}")
 
     @property
     def mass_at_infinity(self) -> float:
@@ -521,8 +524,8 @@ def _rounded_pld(
 
 def delta_at(pld: FinitePLD, epsilon: float) -> float:
     """Hockey-stick divergence of the loss distribution at e^epsilon."""
-    if math.isnan(epsilon):
-        raise RequestError("epsilon must not be NaN")
+    if not (_is_finite_real(epsilon) or epsilon in (-math.inf, math.inf)):
+        raise RequestError(f"epsilon must be a real number or +-inf, not NaN, got {epsilon!r}")
     m = pld.masses
     m_inf = float(m[-1])
     if epsilon == math.inf:
@@ -611,8 +614,8 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     whose root is stepped up (one ulp, then doubling strides) until
     ``delta_at`` meets the target.
     """
-    if not (0.0 < delta_target <= 1.0):
-        raise RequestError(f"delta target must lie in (0, 1], got {delta_target}")
+    if not (_is_finite_real(delta_target) and 0.0 < delta_target <= 1.0):
+        raise RequestError(f"delta target must lie in (0, 1], got {delta_target!r}")
     if pld.mass_at_infinity > delta_target:
         return math.inf
     # delta at -inf is the fsum total of masses[1:]

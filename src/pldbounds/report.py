@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .compose import CompositionPolicy, _composition_count, self_compose
-from .curves import MechanismSpec, _is_finite_real, curve_for
-from .errors import NumericalValidityError, RequestError
+from .curves import MechanismSpec, curve_for
+from .errors import NumericalValidityError, RequestError, _is_finite_real
 from .grid import DiscretizationGrid, default_epsilon_range
 from .optimistic import optimistic_pair, pb_optimistic_pld
 from .pessimistic import pb_pessimistic_pld, pessimistic_pair
@@ -55,7 +55,7 @@ class AccountingRequest:
     def __post_init__(self):
         """Refuse misuse with a ``RequestError`` that names the field.
 
-        Every number must pass ``curves._is_finite_real``: bools, strings,
+        Every number must pass ``errors._is_finite_real``: bools, strings,
         NaN and infinities are refused, each with its field's message.
         """
         delta, epsilon, spacing = self.delta_target, self.epsilon_target, self.discretization
@@ -360,7 +360,12 @@ def run_sweep(
         raise RequestError("sweeps invert delta to epsilon; set a delta target")
     if _composition_count(repeats, "repeats") < 1:
         raise RequestError(f"repeats must be >= 1, got {repeats}")
-    counts = [_composition_count(n) for n in counts]
+    try:
+        counts = [_composition_count(n) for n in counts]
+    except TypeError:  # not iterable
+        raise RequestError(f"composition counts must be a list of integers, got {counts!r}") from None
+    if not counts:
+        raise RequestError("no composition counts given")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise RequestError("composition counts must be strictly ascending")
     methods = _estimator_plan(request)

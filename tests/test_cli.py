@@ -280,6 +280,14 @@ class TestConfigFile:
         assert code == 2
         assert "mechanismm" in err
 
+    def test_a_config_integer_too_long_to_read_is_refused(self, capsys, tmp_path):
+        # json reads no int of more than 4300 digits; that used to escape as a raw ValueError
+        path = tmp_path / "req.json"
+        path.write_text('{"mechanism": "gaussian", "compositions": 1' + "0" * 5000 + "}")
+        code, err = run_cli(["compute", "--config", str(path)], capsys)
+        assert code == 2
+        assert "cannot read config file" in err
+
     @pytest.mark.parametrize("command", ["compute", "sweep"])
     def test_misspelt_mechanism_rejected(self, capsys, tmp_path, command):
         # used to run subsampled Laplace: every unknown name fell through to it
@@ -330,6 +338,11 @@ class TestConfigFile:
             ({"compositions": "1,2"}, 0),
             ({"repeats": 2}, 0),
             ({"grid_range": [-1, 1]}, 0),
+            # JSON's NaN and Infinity used to pass the config and be refused
+            # later, without the key
+            ({"delta": math.nan}, 2),
+            ({"rr_epsilon": math.inf}, 2),
+            ({"grid_range": [-1, math.nan]}, 2),
         ],
     )
     def test_config_values_must_have_their_flags_types(self, capsys, tmp_path, entry, code):

@@ -100,6 +100,18 @@ def _pair(p, q):
             _REQUEST,
             "uniform-lattice",
         ),
+        # a policy is a CompositionPolicy, not its direction's name
+        (
+            lambda: pb.self_compose(pb.pld_of(rr_pair()), 2, "pessimistic"),
+            _REQUEST,
+            "policy must be a CompositionPolicy, got 'pessimistic'",
+        ),
+        (lambda: pb.self_compose(pb.pld_of(rr_pair()), 1, None), _REQUEST, "policy must be a CompositionPolicy"),
+        (
+            lambda: pb.convolve(pb.pld_of(rr_pair()), pb.pld_of(rr_pair()), "optimistic"),
+            _REQUEST,
+            "policy must be a CompositionPolicy, got 'optimistic'",
+        ),
     ],
 )
 def test_malformed_objects_are_refused(make, error, message):

@@ -97,3 +97,21 @@ def test_repeats_are_refused_before_the_set_up(monkeypatch, repeats):
     )
     with pytest.raises(pb.RequestError, match="repeats must be"):
         pb.run_sweep(request, [1, 2], repeats=repeats)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # [] used to return the header and no rows, and a count that is
+        # not a list raised TypeError
+        ([], "no composition counts given"),
+        (3, "composition counts must be a list of integers, got 3"),
+        (None, "composition counts must be a list of integers, got None"),
+    ],
+)
+def test_a_sweep_without_a_list_of_counts_is_refused(counts, message):
+    request = pb.AccountingRequest(
+        mechanism=pb.MechanismSpec.gaussian(2.0), discretization=0.05, delta_target=1e-5
+    )
+    with pytest.raises(pb.RequestError, match=message):
+        pb.run_sweep(request, counts)

@@ -40,7 +40,12 @@ holds all its mass, in both directions, ``pld_from_json_dict`` on malformed
 payloads, and ``MechanismSpec`` and ``AccountingRequest`` on misused
 fields; each answer is the result (the composition's ``pld_to_json`` text
 and charge fields, the payload's ``pld_to_json`` text, the spec's or the
-request's ``repr``) or the failure.  Last, the
+request's ``repr``) or the failure.  Then the number doors
+(``DOOR_OPS``): each public door that reads a caller's number, called
+with ``True``, ``"0.1"``, None, NaN and +-inf, with a value it takes and
+with that value as a numpy scalar, and ``run_sweep`` with counts that are
+empty or not a list; each answer is the door's result or the failure.
+Last, the
 command line (``_cli_ops``): ``pldbounds.cli.main`` on the README's commands
 with ``--out`` dropped so that they write to stdout, on ``compute`` with
 ``--output csv``, on one ``--config`` file per ``CONFIG_ENTRIES`` entry and
@@ -233,6 +238,9 @@ CONFIG_ENTRIES = (
     {"compositions": "1,2"},
     {"repeats": 2},
     {"grid_range": [-1, 1]},
+    {"delta": math.nan},
+    {"rr_epsilon": math.inf},
+    {"grid_range": [-1, math.nan]},
 )
 
 CONFIG_BASE = {
@@ -316,6 +324,64 @@ REQUEST_OPS = (
     ("grid-nan", {"delta_target": 1e-5, "grid_range": (-1.0, math.nan)}),
     ("grid-pair", {"delta_target": 1e-5, "grid_range": (-1.0, 1.0)}),
 )
+
+
+#: The values each ``DOOR_OPS`` door is called with, besides its own good
+#: value and that value as a numpy scalar.
+DOOR_VALUES = (("true", True), ("string", "0.1"), ("none", None), ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf))
+
+#: (label, a value the door takes, function of the ``pldbounds`` module and
+#: a value that calls one public door with it and returns its JSON-ready
+#: answer) of the ``DOOR_OPS``: every door that reads a caller's number
+#: through ``errors._is_finite_real`` or ``compose._composition_count``.
+DOOR_OPS = (
+    ("policy-budget", 1e-9, lambda pb, v: repr(pb.CompositionPolicy("pessimistic", truncation_tail_mass=v))),
+    ("policy-max-support", 64, lambda pb, v: repr(pb.CompositionPolicy("pessimistic", max_support=v))),
+    ("epsilon-for-delta", 0.01, lambda pb, v: pb.epsilon_for_delta(_door_pld(pb), v)),
+    ("delta-at", 0.5, lambda pb, v: pb.delta_at(_door_pld(pb), v)),
+    ("default-epsilon-range", 0.1, lambda pb, v: pb.default_epsilon_range(pb.GaussianCurve(1.0), v)),
+    ("uniform-spacing", 0.1, lambda pb, v: _bits(pb.DiscretizationGrid.uniform(v, -1.0, 1.0).epsilons)),
+    ("uniform-low", -1.0, lambda pb, v: _bits(pb.DiscretizationGrid.uniform(0.1, v, 1.0).epsilons)),
+    ("uniform-high", 1.0, lambda pb, v: _bits(pb.DiscretizationGrid.uniform(0.1, -1.0, v).epsilons)),
+    ("finite-pld-spacing", 0.1, lambda pb, v: _pld_fields(pb.FinitePLD([0.0, 0.1], [0.0, 0.5, 0.5, 0.0], spacing=v))),
+    ("point-mass-pld", 0.1, lambda pb, v: _pld_fields(pb.point_mass_pld(v))),
+    *(
+        (name, 1e-12, lambda pb, v, name=name: _pld_fields(
+            pb.FinitePLD([0.0, 0.1], [0.0, 0.5, 0.5, 0.0], spacing=0.1, **{name: v})
+        ))
+        for name in ("truncated_low", "truncated_high", "rounding_charge")
+    ),
+    ("derivative-at", 0.5, lambda pb, v: pb.derivative_at(pb.GaussianCurve(1.0), v, "left")),
+    ("fixture-epsilon", 1.0, lambda pb, v: [_pair_answer(lambda: p) for p in pb.non_uniqueness_fixture(v)]),
+    ("fixture-gamma", 0.01, lambda pb, v: [_pair_answer(lambda: p) for p in pb.non_uniqueness_fixture(1.0, v)]),
+    ("config-delta", 1e-5, lambda pb, v: pb.cli._config_value("delta", "delta", v)),
+    ("config-grid-range", 1.0, lambda pb, v: pb.cli._config_value("grid_range", "grid_range", [-1.0, v])),
+    ("self-compose-policy", "pessimistic", lambda pb, v: _composed(pb, pb.self_compose(_door_pld(pb), 2, _policy(pb, v)))),
+    ("convolve-policy", "optimistic", lambda pb, v: _composed(pb, pb.convolve(_door_pld(pb), _door_pld(pb), _policy(pb, v)))),
+    ("sweep-count", 2, lambda pb, v: pb.run_sweep(_door_request(pb), [v])[1][0]["eps_pessimistic"]),
+    ("sweep-repeats", 1, lambda pb, v: pb.run_sweep(_door_request(pb), [2], repeats=v)[1][0]["eps_pessimistic"]),
+)
+
+
+def _door_pld(pb):
+    """The pessimistic single step of a Gaussian, sigma 1, on the lattice of spacing 0.1 over [-3, 3]."""
+    grid = pb.DiscretizationGrid.uniform(0.1, -3.0, 3.0)
+    return pb.pld_of(pb.pessimistic_pair(pb.GaussianCurve(1.0), grid))
+
+
+def _policy(pb, value):
+    """The policy of a direction's name, else ``value`` itself: a policy door's misuse."""
+    return pb.CompositionPolicy(value) if value in ("pessimistic", "optimistic") else value
+
+
+def _door_request(pb):
+    return pb.AccountingRequest(pb.MechanismSpec.randomized_response(1.0), 0.01, delta_target=1e-5)
+
+
+def _pld_fields(pld) -> dict:
+    """A distribution's masses, spacing, lattice offset and charge fields."""
+    fields = ("spacing", "lattice_offset", "truncated_low", "truncated_high", "rounding_charge")
+    return {"masses": _hex(pld.masses), **{name: repr(getattr(pld, name)) for name in fields}}
 
 
 def _subsampled(pb) -> dict:
@@ -575,6 +641,22 @@ def _edge_answers(pb) -> dict[str, dict]:
     return answers
 
 
+def _door_answers(pb) -> dict[str, dict]:
+    """Every ``DOOR_OPS`` door at each ``DOOR_VALUES`` value, its good value and that value as a
+    numpy scalar, and ``run_sweep`` with counts that are empty or not a list."""
+    import pldbounds.cli  # noqa: F401  (the config doors read pb.cli)
+
+    answers = {}
+    for label, good, call in DOOR_OPS:
+        numpy_good = {float: np.float64, int: np.int64}.get(type(good), str)(good)
+        values = (*DOOR_VALUES, ("good", good), ("numpy", numpy_good))
+        for name, value in values:
+            answers[f"door/{label}/{name}"] = _outcome(lambda: call(pb, value))
+    for name, counts in (("empty", []), ("int", 3), ("none", None)):
+        answers[f"door/sweep-counts/{name}"] = _outcome(lambda: pb.run_sweep(_door_request(pb), counts)[1])
+    return answers
+
+
 def _answers(checkout: Path) -> dict[str, str]:
     """Label -> JSON answer of every op, computed in this process from ``checkout``."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
@@ -615,6 +697,8 @@ def _answers(checkout: Path) -> dict[str, str]:
             answers[f"library/run_curve/{name}/{column}"] = json.dumps(answer, sort_keys=True)
     for op, answer in _edge_answers(pb).items():
         answers[f"library/edge/{op}"] = json.dumps(answer, sort_keys=True)
+    for op, answer in _door_answers(pb).items():
+        answers[f"library/{op}"] = json.dumps(answer, sort_keys=True)
     from pldbounds import cli
 
     with tempfile.TemporaryDirectory() as config_dir:
