@@ -33,9 +33,8 @@ import json
 import math
 import sys
 
-from .compose import _composition_count
 from .curves import _DIRECTIONS, MechanismSpec
-from .errors import NumericalValidityError, RequestError, _is_finite_real
+from .errors import NumericalValidityError, RequestError, _composition_count, _is_finite_real
 from .report import _BASELINES, _ESTIMATES, AccountingRequest, run_compute, run_curve, run_sweep
 
 __all__ = ["main", "build_parser"]

@@ -29,13 +29,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import NumericalValidityError, RequestError, _is_finite_real, _require_positive
-from .pld import _U, FinitePLD, _exact_sum, _lattice_pld, _sum_error, _tail_count
+from .errors import (
+    NumericalValidityError, RequestError, _composition_count, _is_finite_real, _require_positive
+)
+from .pld import _U, FinitePLD, _exact_sum, _lattice_pld, _sum_error, _tail_sums
 
 __all__ = ["CompositionPolicy", "convolve", "self_compose", "point_mass_pld"]
 
@@ -73,22 +74,6 @@ _TS_LIST = _TS.tolist()
 #: most ``_BLOCK_MAX``, which walks on short steps seldom outrun.
 _BLOCK_SUMMANDS = 1 << 14
 _BLOCK_MAX = 16
-
-
-def _composition_count(n, name: str = "composition count") -> int:
-    """``n`` as an int, refused unless it is a non-negative integer (numpy's included, bools not).
-
-    The one rule for every integer a caller hands in, as ``errors._is_finite_real``
-    is for reals: composition counts, sweep repeats, ``max_support`` and the
-    CLI's integer ``--config`` values.
-    """
-    try:
-        count = operator.index(None if isinstance(n, bool) else n)
-    except TypeError:
-        raise RequestError(f"{name} must be an integer, got {n!r}") from None
-    if count < 0:
-        raise RequestError(f"{name} must be non-negative, got {n}")
-    return count
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,8 +123,9 @@ def _guard(finite: np.ndarray) -> None:
     worst = float(finite.min())
     if worst < -_FFT_NEG_TOL:
         raise NumericalValidityError(f"fft composition went negative ({worst:.3e})")
-    # the negatives lie below the floor too
-    finite[finite < _MASS_FLOOR] = 0.0
+    # the negatives lie below the floor too; above it, nothing is flushed
+    if worst < _MASS_FLOOR:
+        finite[finite < _MASS_FLOOR] = 0.0
 
 
 def convolve(a: FinitePLD, b: FinitePLD, policy: CompositionPolicy) -> FinitePLD:
@@ -336,21 +322,30 @@ def _spectral_power(factors: list[tuple[np.ndarray, int]], size: int) -> np.ndar
     are gathered into a compact band when they are at most half of the
     spectrum, and powered in place otherwise: squaring the zeros in place
     would still pass over the whole spectrum per product.  A lone factor's
-    band goes to ``irfft`` only up to its last live entry, so the inverse
-    transform does not hold a second full-length array.  Gathering every
+    band goes to ``irfft`` only up to its last live entry.  Gathering every
     spectrum into a band instead was measured on the ``readme-sweep``
     reference op (33 of its 40 spectra are powered in place, 7 in a band),
     in one process on a 2-vCPU Xeon, 30 alternating rounds: 4.58 ms per op
     in this function against 4.22 ms, faster in only 6 of 30 rounds, with
     bit-identical answers.
+
+    The power is returned as ``buffer[1 : size + 1]`` of a fresh ``buffer``
+    of ``size + 2`` floats, which ``_execute`` keeps as its result: its end
+    slots hold the atoms.  The first factor's spectrum is computed in the
+    buffer's memory and the inverse transform writes into it, so a lone
+    factor's composition allocates no other full-length array; a fresh
+    array per transform would pay its page faults again.
     """
+    buffer = np.empty(size + 2)
+    power = buffer[1:-1]
     product = None
     for single, n in factors:
         if single.size > size:
             padded = np.zeros(-(-single.size // size) * size)
             padded[: single.size] = single
             single = padded.reshape(-1, size).sum(axis=0)
-        spectrum = rfft(single, size)
+        out = buffer[: 2 * (size // 2 + 1)].view(complex) if product is None else None
+        spectrum = rfft(single, size, out=out)
         live = np.abs(spectrum) >= _live_threshold(n)
         count = int(np.count_nonzero(live))
         if 2 * count > live.size:
@@ -364,13 +359,32 @@ def _spectral_power(factors: list[tuple[np.ndarray, int]], size: int) -> np.ndar
             band = _binary_power(spectrum[at], n, _times_in_place)
             if len(factors) == 1:
                 # irfft pads a short spectrum with zeros, so a lone factor's
-                # can end at its last live entry and the full one be released
+                # can end at its last live entry, outside the buffer
                 spectrum = np.zeros(at[-1] + 1 if count else 1, dtype=complex)
             else:
                 spectrum.fill(0.0)
             spectrum[at] = band
         product = spectrum if product is None else _times_in_place(product, spectrum)
-    return irfft(product, size)
+    # numpy copies a product that still lies in the buffer before it writes there
+    return irfft(product, size, out=power)
+
+
+def _rotate(values: np.ndarray, shift: int) -> None:
+    """Move ``values[(i + shift) % size]`` to ``values[i]`` in place.
+
+    Only the shorter of the two parts is copied out first: numpy copies
+    between overlapping slices of one array, strided the same way, without
+    a temporary.
+    """
+    size = values.size
+    if shift <= size - shift:
+        head = values[:shift].copy()
+        values[: size - shift] = values[shift:]
+        values[size - shift :] = head
+    else:
+        tail = values[shift:].copy()
+        values[size - shift :] = values[:shift]
+        values[: size - shift] = tail
 
 
 def _fft_error(size: int) -> float:
@@ -462,7 +476,7 @@ def _charge(finite: np.ndarray, budget: float, direction: str) -> tuple[np.ndarr
     mass taken is ``budget`` unless the finite mass is smaller.
     """
     tail = finite if direction == "pessimistic" else finite[::-1]
-    cut = _tail_count(tail, budget)
+    cut = _tail_sums(tail, budget)[0]
     taken = _exact_sum(tail[:cut])
     tail[:cut] = 0.0
     if cut < tail.size:
@@ -606,21 +620,19 @@ def _execute(plan: _Plan, direction: str) -> FinitePLD:
     rounding = lacking = taken = 0.0
     if not size:
         powers = (_binary_power(single, count, np.convolve) for single, count in singles)
-        power, first = functools.reduce(np.convolve, powers), 0
+        buffer = np.empty(length + 2)
+        buffer[1:-1] = functools.reduce(np.convolve, powers)
     else:
         power = _spectral_power(singles, size)
         if plan.budget > 0.0:
             totals = [_step(pld).mass for pld, _ in plan.factors]
             rounding = _rounding_bound(singles, totals, size, power)
-        first = start % size
-    # the window starts at first and may wrap past the power's end; it goes
-    # between two atom slots, so the result keeps this one copy of it
-    buffer = np.empty(length + 2)
-    finite = buffer[1:-1]
-    head = min(power.size - first, length)
-    finite[:head] = power[first : first + head]
-    finite[head:] = power[: length - head]
-    del power
+        # the window starts at start % size and may wrap past the power's end;
+        # rotated to 0, it lies between the atom slots of the power's buffer
+        if start % size:
+            _rotate(power, start % size)
+        buffer = power.base
+    finite = buffer[1 : length + 1]
     _guard(finite)
     if rounding and pessimistic:
         # each mass_f^n_f rounds within (n_f + 2) u and each product of them

@@ -11,6 +11,7 @@ Two failure families matter to callers (and to the CLI exit codes):
 
 import math
 import numbers
+import operator
 
 
 class PLDBoundsError(Exception):
@@ -30,7 +31,7 @@ def _is_finite_real(value) -> bool:
 
     Python ints and floats count, and so do numpy scalars, which a sweep or a
     payload built in Python may hold.  None, bools, strings, NaN, +-inf and
-    ints beyond float range do not.  ``compose._composition_count`` is its
+    ints beyond float range do not.  ``_composition_count`` is its
     counterpart for integers.  The doors it guards, each refusing with a
     ``RequestError`` that names the argument:
 
@@ -43,7 +44,8 @@ def _is_finite_real(value) -> bool:
       and both bounds), and the spacing of every lattice ``FinitePLD``,
       ``point_mass_pld`` included;
     - ``FinitePLD``'s ``truncated_low``, ``truncated_high`` and ``rounding_charge``;
-    - ``derivative_at`` and ``non_uniqueness_fixture``;
+    - ``derivative_at`` and ``non_uniqueness_fixture`` (whose epsilon must
+      also keep e^epsilon finite);
     - the CLI's ``--config`` values, which are refused naming their key.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -58,3 +60,20 @@ def _require_positive(value, name: str) -> None:
     """Refuse ``value`` unless it is a positive finite real, naming it ``name``."""
     if not (_is_finite_real(value) and value > 0.0):
         raise RequestError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _composition_count(n, name: str = "composition count") -> int:
+    """``n`` as an int, refused unless it is a non-negative integer (numpy's included, bools not).
+
+    The one rule for every integer a caller hands in, as ``_is_finite_real``
+    is for reals: composition counts, sweep repeats, ``max_support``,
+    ``DiscreteDominatingPair.clamp_count`` and the CLI's integer
+    ``--config`` values.
+    """
+    try:
+        count = operator.index(None if isinstance(n, bool) else n)
+    except TypeError:
+        raise RequestError(f"{name} must be an integer, got {n!r}") from None
+    if count < 0:
+        raise RequestError(f"{name} must be non-negative, got {n}")
+    return count

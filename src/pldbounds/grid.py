@@ -97,9 +97,13 @@ class DiscretizationGrid:
         if epsilons[0] != -math.inf or epsilons[-1] != math.inf:
             raise RequestError("epsilon grid must run from -inf to +inf")
         interior = alphas[1:-1]
-        if not np.all(np.isfinite(interior)) or not np.all(np.diff(alphas) > 0):
+        if not (np.isfinite(interior).all() and (alphas[1:] > alphas[:-1]).all()):
             raise RequestError("alpha grid must be strictly increasing and finite inside")
-        if not np.allclose(np.log(interior), epsilons[1:-1], rtol=0, atol=1e-9):
+        # np.allclose(logs, epsilons, rtol=0, atol=1e-9) for the finite logs
+        # of positive alphas, in place: a NaN or infinite epsilon fails both
+        off = np.log(interior)
+        off -= epsilons[1:-1]
+        if not np.abs(off, out=off).max() <= 1e-9:
             raise RequestError("epsilons must be the logs of the interior alphas")
         if self.spacing is not None:
             object.__setattr__(self, "_offset", _lattice_offset(epsilons[1:-1], self.spacing))
@@ -111,16 +115,19 @@ class DiscretizationGrid:
     @classmethod
     def from_epsilons(cls, finite_epsilons, spacing: float | None = None) -> "DiscretizationGrid":
         finite = np.asarray(finite_epsilons, dtype=float)
-        if finite.ndim != 1 or finite.size == 0 or not np.all(np.isfinite(finite)):
+        if finite.ndim != 1 or finite.size == 0 or not np.isfinite(finite).all():
             raise RequestError("need a non-empty 1-D array of finite epsilons")
-        if not np.all(np.diff(finite) > 0):
+        if not (finite[1:] > finite[:-1]).all():
             raise RequestError("finite epsilons must be strictly increasing")
-        if np.max(np.abs(finite)) > 700.0:
+        # the epsilons ascend, so the largest magnitude is at an end
+        if max(-finite[0], finite[-1]) > 700.0:
             raise NumericalValidityError(
                 "finite epsilons beyond +/-700 are not representable as alphas"
             )
         epsilons = np.concatenate(([-math.inf], finite, [math.inf]))
-        alphas = np.concatenate(([0.0], np.exp(finite), [math.inf]))
+        alphas = np.empty_like(epsilons)
+        alphas[0], alphas[-1] = 0.0, math.inf
+        np.exp(finite, out=alphas[1:-1])
         return cls(alphas=alphas, epsilons=epsilons, spacing=spacing)
 
     @classmethod

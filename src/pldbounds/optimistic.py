@@ -168,13 +168,13 @@ def _local_candidates(
         )
     k = grid.k
     a = grid.alphas[:k]
-    left = np.arange(k - 1) < i_one
     # midpoint tangent of interval i, evaluated at a_i (lo) and a_{i+1} (hi);
-    # distances run from the rounded midpoint, where the curve was evaluated
+    # distances run from the rounded midpoint, where the curve was evaluated;
+    # the first i_one intervals lie left of 1
     mid = 0.5 * (a[:-1] + a[1:])
-    value, gap, slope = curve._evaluate(mid, right=True)
-    height = np.where(left, gap, value)
-    slope[left] += 1.0
+    height, gap, slope = curve._evaluate(mid, right=True)
+    height[:i_one] = gap[:i_one]
+    slope[:i_one] += 1.0
     lo = height - (mid - a[:-1]) * slope
     hi = height + (a[1:] - mid) * slope
     # endpoint tangents on the first and last interval and wherever the
@@ -195,9 +195,11 @@ def _local_candidates(
 def _both_coordinates(
     c: np.ndarray, a: np.ndarray, right: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gap and value heights of local-coordinate heights ``c``."""
-    gap = np.where(right, c + (a - 1.0), c)
-    value = np.where(right, c, c + (1.0 - a))
+    """Gap and value heights of local-coordinate heights ``c``; ``right`` marks a suffix of ``a``."""
+    split = right.size - int(np.count_nonzero(right))
+    gap, value = c.copy(), c.copy()
+    gap[split:] += a[split:] - 1.0
+    value[:split] += 1.0 - a[:split]
     return gap, value
 
 
@@ -211,8 +213,8 @@ def candidate_set(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Candidat
 
 def _lower_hull(
     xs: np.ndarray, gaps: np.ndarray, values: np.ndarray, right: np.ndarray
-) -> list[int]:
-    """Monotone-chain lower hull over points sorted by x; returns vertex indices.
+) -> np.ndarray:
+    """Monotone-chain lower hull over points sorted by x; returns the vertex indices, ascending.
 
     Convexity at a vertex is tested on slopes in its own coordinates: gap
     heights up to alpha = 1, value heights past it (``right``).  The slope
@@ -234,6 +236,14 @@ def _lower_hull(
     (or the last node); that is what the fast-forward pushes.  Every other
     node takes the sweep's step as written, so the vertices are exactly the
     sweep's.
+
+    The stack is kept as runs of consecutive nodes, ``starts[r]`` up to
+    ``ends[r] - 1``, so a pushed run costs no Python object per node.  A
+    node's slope is s_in of it, the sweep's slope from the node before it,
+    unless it starts its run; a run's first slope is kept in ``firsts``
+    (none for node 0).  A node pushed onto the node just before it joins
+    that node's run: the sweep's slope is then s_in's, bit for bit.  Runs
+    are therefore never adjacent, which the vertex mask below relies on.
     """
     k = xs.size
     dx = xs[1:] - xs[:-1]
@@ -251,32 +261,40 @@ def _lower_hull(
     # which pays off where the sweep's own steps are frequent
     view = np.ndarray.tolist if 8 * len(stops) > k else memoryview
     xs, gaps, values, right, good, s_in = map(view, (xs, gaps, values, right, good, s_in))
-    stack = [0]
-    slopes: list[float] = []
+    starts, ends, firsts = [0], [1], [None]
     idx = 1
     while idx < k:
-        if good[idx - 1] and stack[-2] == idx - 2:
+        # the top is idx - 1; the node below it is idx - 2 when its run holds both
+        if good[idx - 1] and ends[-1] - starts[-1] >= 2:
             while stops[stop] < idx:
                 stop += 1
-            end = stops[stop] + 1
-            stack += range(idx, end)
-            slopes += s_in[idx - 1 : end - 1]
-            idx = end
+            idx = ends[-1] = stops[stop] + 1
             continue
         heights = values if right[idx] else gaps
-        while slopes:
-            top = stack[-1]
-            ys = values if right[top] else gaps
-            s_new = (ys[idx] - ys[top]) / (xs[idx] - xs[top])
-            if s_new > slopes[-1]:
+        while True:
+            top = ends[-1] - 1
+            slope = s_in[top - 1] if top > starts[-1] else firsts[-1]
+            if slope is None:  # the stack holds node 0 alone
                 break
-            stack.pop()
-            slopes.pop()
-        top = stack[-1]
-        slopes.append((heights[idx] - heights[top]) / (xs[idx] - xs[top]))
-        stack.append(idx)
+            ys = values if right[top] else gaps
+            if (ys[idx] - ys[top]) / (xs[idx] - xs[top]) > slope:
+                break
+            if top > starts[-1]:
+                ends[-1] = top
+            else:
+                del starts[-1], ends[-1], firsts[-1]
+        top = ends[-1] - 1
+        if top == idx - 1:
+            ends[-1] = idx + 1
+        else:
+            starts.append(idx)
+            ends.append(idx + 1)
+            firsts.append((heights[idx] - heights[top]) / (xs[idx] - xs[top]))
         idx += 1
-    return stack
+    mask = np.zeros(k + 1, dtype=np.int8)
+    mask[starts] = 1
+    mask[ends] = -1
+    return np.flatnonzero(mask.cumsum(dtype=np.int8)[:-1])
 
 
 def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -295,16 +313,15 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
     a = grid.alphas[: grid.k]
     right = a > 1.0
     gap, value = _both_coordinates(c, a, right)
-    vertices = np.array(_lower_hull(a, gap, value, right))
+    vertices = _lower_hull(a, gap, value, right)
     u, w = vertices[:-1], vertices[1:]
     width = a[w] - a[u]
-    spans = np.diff(vertices)
-    # per-interval slopes of the hull edges in both coordinates, capped where
-    # the curve would rise; in the coordinates of each vertex they are a
+    # the hull edges' slopes in both coordinates, capped where the curve
+    # would rise; in the coordinates of each vertex they are a
     # non-decreasing float sequence, so the kink masses are all >= 0 exactly
-    sigma = np.repeat(np.minimum((gap[w] - gap[u]) / width, 1.0), spans)
-    tau = np.repeat(np.minimum((value[w] - value[u]) / width, 0.0), spans)
-    return _pair_from_slopes(grid, sigma, tau, 0.0)
+    sigma = np.minimum((gap[w] - gap[u]) / width, 1.0)
+    tau = np.minimum((value[w] - value[u]) / width, 0.0)
+    return _pair_from_slopes(grid, sigma, tau, 0.0, vertices)
 
 
 def pb_optimistic_pld(
@@ -330,8 +347,13 @@ def non_uniqueness_fixture(
     curves cross and the pairs are incomparable under domination.
     """
     _require_positive(epsilon, "epsilon")
+    try:
+        k_hi = math.exp(epsilon)
+    except OverflowError:
+        raise RequestError(
+            f"epsilon must keep e^epsilon finite (at most about 709.78), got {epsilon!r}"
+        ) from None
     k_lo = math.exp(-epsilon)
-    k_hi = math.exp(epsilon)
     limit = min(k_hi - k_lo, k_lo)
     if gamma is None:
         gamma = 0.1 * limit

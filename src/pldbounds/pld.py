@@ -44,7 +44,9 @@ import reprlib
 import numpy as np
 
 from .curves import HockeyStickCurve, PiecewiseLinearCurve
-from .errors import NumericalValidityError, RequestError, _is_finite_real, _require_positive
+from .errors import (
+    NumericalValidityError, RequestError, _composition_count, _is_finite_real, _require_positive
+)
 from .grid import (
     _INDEX_MAX, DiscretizationGrid, _frozen, _lattice, _lattice_offset
 )
@@ -160,24 +162,42 @@ def _mass_total(masses: np.ndarray, *cuts: float) -> float:
     return _exact_sum(masses)
 
 
-#: Length of the first prefix ``_tail_count`` sums; supports up to this size take one pass.
+#: Length of the first prefix ``_tail_sums`` sums; supports up to this size take one pass.
 _CUT_PREFIX = 512
 
 
-def _tail_count(values: np.ndarray, budget: float) -> int:
-    """Number of leading entries whose running sum stays at most ``budget``.
+def _running_sums(values: np.ndarray, sums: np.ndarray, done: int, stop: int) -> None:
+    """Continue ``sums[:done]``, the running sums of ``values[:done]``, through ``stop``.
+
+    ``np.cumsum`` adds in sequence, so seeding the first new entry with the
+    last old sum gives the bits of one cumulative sum over ``values[:stop]``.
+    """
+    part = sums[done:stop]
+    part[...] = values[done:stop]
+    if done:
+        part[0] += sums[done - 1]
+    np.cumsum(part, out=part)
+
+
+def _tail_sums(values: np.ndarray, budget: float) -> tuple[int, np.ndarray]:
+    """The number of leading entries whose running sum stays at most ``budget``, and the sums.
 
     Sums a prefix that doubles until the count falls short of it or it
-    covers ``values``, instead of the whole array.  ``np.cumsum`` adds in
-    sequence, so the prefix sums, and hence the count, are those of the
-    full running sum.  The values must be non-negative.
+    covers ``values``, instead of the whole array, each prefix continuing the
+    last (``_running_sums``), so the count is that of the full running sum.
+    Returns the count and an array as long as ``values`` whose summed
+    prefix, at least the count plus one entries or all, holds the running
+    sums; the rest is not written.  The values must be non-negative.
     """
-    prefix = _CUT_PREFIX
+    sums = np.empty(values.size)
+    done, prefix = 0, _CUT_PREFIX
     while True:
-        count = int(values[:prefix].cumsum().searchsorted(budget, side="right"))
-        if count < prefix or prefix >= values.size:
-            return count
-        prefix *= 2
+        stop = min(prefix, values.size)
+        _running_sums(values, sums, done, stop)
+        count = int(sums[:stop].searchsorted(budget, side="right"))
+        if count < stop or stop == values.size:
+            return count, sums
+        done, prefix = stop, 2 * prefix
 
 
 def _require_unit_mass(masses: np.ndarray, name: str) -> None:
@@ -192,8 +212,9 @@ class DiscreteDominatingPair:
 
     ``clamp_count`` records how many negative kink masses within the clamping
     tolerance were zeroed while the pair was built (0 means the construction
-    was accepted without any convexity slack).  The masses are read-only
-    views; float64 arrays are not copied.
+    was accepted without any convexity slack); it must pass
+    ``errors._composition_count``, the rule for integers.  The masses are
+    read-only views; float64 arrays are not copied.
     """
 
     grid: DiscretizationGrid
@@ -202,6 +223,7 @@ class DiscreteDominatingPair:
     clamp_count: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "clamp_count", _composition_count(self.clamp_count, "clamp_count"))
         p = _frozen(self.p_masses)
         q = _frozen(self.q_masses)
         object.__setattr__(self, "p_masses", p)
@@ -215,8 +237,13 @@ class DiscreteDominatingPair:
             raise NumericalValidityError("Q must place no mass at +inf")
         if p[0] != 0.0:
             raise NumericalValidityError("P must place no mass at alpha = 0")
-        finite = self.grid.alphas[1:-1]
-        if not np.allclose(p[1:-1], finite * q[1:-1], rtol=1e-9, atol=1e-15):
+        # a pair built as P = alpha * Q passes the equality alone, which is
+        # allclose's own first test and far cheaper than its whole
+        alpha_q = self.grid.alphas[1:-1] * q[1:-1]
+        if not (
+            np.array_equal(p[1:-1], alpha_q)
+            or np.allclose(p[1:-1], alpha_q, rtol=1e-9, atol=1e-15)
+        ):
             raise NumericalValidityError("P(alpha) = alpha * Q(alpha) violated")
         _require_unit_mass(p, "P")
         _require_unit_mass(q, "Q")
@@ -358,20 +385,28 @@ def _grid_pld(grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True)
 
 
 def _pair_from_slopes(
-    grid: DiscretizationGrid, sigma: np.ndarray, tau: np.ndarray, p_inf: float
+    grid: DiscretizationGrid,
+    sigma: np.ndarray,
+    tau: np.ndarray,
+    p_inf: float,
+    nodes: np.ndarray | None = None,
 ) -> DiscreteDominatingPair:
-    """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) over a_0..a_{k-1}.
+    """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) between ``nodes``.
 
     Both estimators are piecewise linear on the grid and hand in their
-    per-interval slopes (connect-the-dots through ``_interpolating_pair``)
-    in two local coordinates: the gap
+    slopes (connect-the-dots through ``_interpolating_pair``, one per
+    interval; the optimistic hull one per edge between its ascending vertex
+    indices ``nodes``, which start at 0 and end at k - 1; without ``nodes``
+    every grid node a_0..a_{k-1} is one) in two local coordinates: the gap
     g = f - (1 - alpha), which keeps full precision where the curve hugs
     1 - alpha, and the value f, which decays with full relative precision
     past 1 while 1 + f' rounds to 1.  The two differ by an affine shear,
-    which preserves kink masses.  The kink mass at a_i is the slope increase
+    which preserves kink masses.  The kink mass at a node is the slope increase
     there in the coordinates of its own side, the gap at alpha <= 1 and the
     value above; the last kink is -tau[-1] right of 1, else 1 - sigma[-1],
-    and Q(0) = sigma[0] (the gap is 0 at alpha = 0).  Q = [Q(0), kinks at
+    and Q(0) = sigma[0] (the gap is 0 at alpha = 0).  Between nodes the
+    curve is straight, so every other kink mass is 0, which the difference
+    of one interval's slope repeated would give too.  Q = [Q(0), kinks at
     a_1..a_{k-1}, 0], P = alpha * Q off infinity and P(+inf) = p_inf.
 
     A negative kink mass means non-convexity, and a negative Q(0) a curve
@@ -380,25 +415,38 @@ def _pair_from_slopes(
     rejected.
     """
     k = grid.k
-    right = grid.alphas[1:k] > 1.0
-    last = -tau[-1] if right[-1] else 1.0 - sigma[-1]
-    q_interior = np.append(np.where(right[:-1], np.diff(tau), np.diff(sigma)), last)
+    alphas = grid.alphas
+    q = np.zeros(k + 1)
+    # the interior nodes at alpha <= 1 take their kink in gap coordinates, the rest in value
+    if nodes is None:
+        split = int(alphas[1 : k - 1].searchsorted(1.0, side="right"))
+        low, high = slice(1, 1 + split), slice(1 + split, k - 1)
+    else:
+        interior = nodes[1:-1]
+        split = int(alphas[interior].searchsorted(1.0, side="right"))
+        low, high = interior[:split], interior[split:]
+    q[low] = sigma[1 : 1 + split] - sigma[:split]
+    q[high] = tau[split + 1 :] - tau[split:-1]
+    q[k - 1] = -tau[-1] if alphas[k - 1] > 1.0 else 1.0 - sigma[-1]
+    kinks = q[1:k]
     q_at_zero = float(sigma[0])
-    worst = int(np.argmin(q_interior))
-    if q_interior[worst] < -_CLAMP_TOL:
+    worst = int(np.argmin(kinks))
+    if kinks[worst] < -_CLAMP_TOL:
         raise NumericalValidityError(
             f"curve is non-convex at grid index {1 + worst}: "
-            f"kink mass {q_interior[worst]:.3e}"
+            f"kink mass {kinks[worst]:.3e}"
         )
     if q_at_zero < -_CLAMP_TOL:
         raise NumericalValidityError(
             f"curve drops below the line 1 - alpha at grid index 1: "
             f"Q(0) = {q_at_zero:.3e}"
         )
-    clamps = int(np.count_nonzero(q_interior < 0.0)) + int(q_at_zero < 0.0)
-    q = np.concatenate(([max(q_at_zero, 0.0)], np.maximum(q_interior, 0.0), [0.0]))
-    p = np.zeros_like(q)
-    p[1:k] = grid.alphas[1:k] * q[1:k]
+    clamps = int(np.count_nonzero(kinks < 0.0)) + int(q_at_zero < 0.0)
+    q[0] = max(q_at_zero, 0.0)
+    np.maximum(kinks, 0.0, out=kinks)
+    p = np.empty(k + 1)
+    p[0] = 0.0
+    np.multiply(alphas[1:k], kinks, out=p[1:k])
     p[k] = p_inf
     return DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
 
@@ -415,7 +463,10 @@ def _interpolating_pair(
     if abs(values[0] - 1.0) > _CLAMP_TOL:
         raise NumericalValidityError(f"curve value at alpha = 0 is {values[0]!r}, expected 1")
     widths = np.diff(grid.alphas[: grid.k])
-    return _pair_from_slopes(grid, np.diff(gaps) / widths, np.diff(values) / widths, p_inf)
+    sigma, tau = np.diff(gaps), np.diff(values)
+    sigma /= widths
+    tau /= widths
+    return _pair_from_slopes(grid, sigma, tau, p_inf)
 
 
 def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -571,27 +622,42 @@ def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
 
     A point eps_i at least ln 2 above eps_k adds at least m_i / 2 to
     delta(eps_k), so where the top masses first sum past 2 delta_target
-    (``_tail_count``), no point ln 2 or more below can meet the target.
+    (``_tail_sums``), no point ln 2 or more below can meet the target.
     Over the support above that, delta(eps_k) = m(+inf) + S_k - e^(eps_k) T_k
     with suffix sums S_k = sum_{i > k} m_i and T_k = sum_{i > k} m_i e^(-eps_i),
-    taken relative to the tail's first point.  The result is an estimate
-    that ``epsilon_for_delta`` confirms: an overflow of e^(eps_k) on a tail
-    wider than about 700, or rounding where delta is flat, can misplace it.
+    taken relative to the tail's first point.  S is the same top-down
+    running sum that found the tail, continued where it falls short.  The
+    result is an estimate that ``epsilon_for_delta`` confirms: an overflow
+    of e^(eps_k) on a tail wider than about 700, or rounding where delta is
+    flat, can misplace it.
     """
     eps_f = pld.finite_epsilons
     finite = pld.masses[1:-1]
-    count = _tail_count(finite[::-1], 2.0 * delta_target)
+    size = finite.size
+    top = finite[::-1]
+    count, sums = _tail_sums(top, 2.0 * delta_target)
     first = 0
-    if count < finite.size:
-        bound = float(eps_f[finite.size - 1 - count]) - math.log(2.0)
+    if count < size:
+        bound = float(eps_f[size - 1 - count]) - math.log(2.0)
         first = int(eps_f.searchsorted(bound, side="right"))
+    # the running sums from the top over the points above first, as far as
+    # _tail_sums has not summed them yet
+    reach = size - 1 - first
+    done = min(count + 1, size)
+    if done < reach:
+        _running_sums(top, sums, done, reach)
     eps = eps_f[first:]
     m = finite[first:]
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = m * np.exp(eps[0] - eps)
-        above = m[:0:-1].cumsum()[::-1]
+        scaled = np.subtract(eps[0], eps)
+        np.exp(scaled, out=scaled)
+        scaled *= m
         weighted = scaled[:0:-1].cumsum()[::-1]
-        delta = pld.mass_at_infinity + above - np.exp(eps[:-1] - eps[0]) * weighted
+        growth = np.subtract(eps[:-1], eps[0])
+        np.exp(growth, out=growth)
+        growth *= weighted
+        delta = sums[:reach][::-1] + pld.mass_at_infinity
+        delta -= growth
     # the top point meets every target the +inf atom meets
     meets = np.flatnonzero(delta <= delta_target)
     return first + (int(meets[0]) if meets.size else delta.size)

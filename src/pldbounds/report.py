@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .compose import CompositionPolicy, _composition_count, self_compose
+from .compose import CompositionPolicy, self_compose
 from .curves import MechanismSpec, curve_for
-from .errors import NumericalValidityError, RequestError, _is_finite_real
+from .errors import NumericalValidityError, RequestError, _composition_count, _is_finite_real
 from .grid import DiscretizationGrid, default_epsilon_range
 from .optimistic import optimistic_pair, pb_optimistic_pld
 from .pessimistic import pb_pessimistic_pld, pessimistic_pair
@@ -267,13 +267,16 @@ def _compose_and_query(request: AccountingRequest, method: str, single: FinitePL
     )
 
 
-#: Single steps of at least this many points compose in two threads.  Set by
-#: measurement on a 2-vCPU VM with one BLAS thread, 30 alternating rounds per
-#: case: a second thread answered Gaussian sigma = 2 at n = 100 in 0.55 of the
-#: time at 89,470 points and 0.69 at 8,949, and at n = 10 from 17,895 points
-#: on (8.6 -> 5.9 ms); it costs about 1 ms of start-up and lock hand-offs, so
-#: smaller answers, and large steps at n <= 2, lose about that.  The README
-#: sweep (1,672 points, compositions mostly Python) took 2.4x as long.
+#: Single steps of at least this many points compose in two threads.  The
+#: worker overlaps the transforms, which run outside the interpreter lock;
+#: numpy's elementwise stages gain nothing from it on a 2-vCPU VM with one
+#: BLAS thread (two threads' elementwise work took 1.03 times as long as one
+#: thread's, their transforms 0.91).  Measured there on Gaussian sigma = 2,
+#: 30 alternating rounds per case, composition and queries only: a second
+#: thread took 0.97 of the time at n = 100 on 89,470 points (faster in 27 of
+#: 30 rounds) and 0.995 on 8,949 points, and 1.10 at n = 10 on 17,895 points.
+#: The README sweep (1,672 points, compositions mostly Python) took 2.4x as
+#: long with it.
 _CONCURRENT_MIN_SUPPORT = 1 << 14
 
 

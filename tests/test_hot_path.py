@@ -7,15 +7,16 @@ and large transforms must give the bits of ``scipy.fft``: ``compose`` takes
 ``numpy.fft``, which ships the same pocketfft, and picks scipy's lengths,
 the mass gates must reach exactly the verdict of an exactly rounded
 ``math.fsum`` total, ``np.sum`` must stay within the one bound they and
-``self_compose`` use, and ``pld._tail_count``'s doubling prefixes, which
+``self_compose`` use, and ``pld._tail_sums``' doubling prefixes, which
 ``compose._charge`` and ``pld._first_meeting`` rely on, must cut where full
-running sums cut.
+running sums cut and hold their sums.
 """
 
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.signal import fftconvolve
 
 import pldbounds as pb
 from pldbounds import cli, compose
-from pldbounds.pld import _MASS_ATOL, _MASS_SLACK, _mass_total, _sum_error, _tail_count
+from pldbounds.pld import _MASS_ATOL, _MASS_SLACK, _mass_total, _sum_error, _tail_sums
 
 NO_TRUNC = pb.CompositionPolicy(direction="pessimistic", truncation_tail_mass=0.0)
 
@@ -101,6 +102,22 @@ _GAUSSIAN_1 = pb.curve_for(pb.MechanismSpec.gaussian(1.0))
 _GRID_1E3 = pb.DiscretizationGrid.uniform(1e-3, *pb.default_epsilon_range(_GAUSSIAN_1, 1e-3))
 
 
+def _into_out(transform):
+    """``transform(x, n)``, which takes no ``out=``, called as ``compose`` calls numpy's.
+
+    The result is written into ``out`` when one is given.
+    """
+
+    def call(x, n, out=None):
+        result = transform(x, n)
+        if out is None:
+            return result
+        out[...] = result
+        return out
+
+    return call
+
+
 @pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
 @pytest.mark.parametrize(
     "operation, budget",
@@ -117,11 +134,11 @@ def test_large_transforms_give_scipy_fft_bits(monkeypatch, operation, budget, di
         run = lambda: pb.convolve(single, other, policy)  # noqa: E731
     sizes = []
     irfft = compose.irfft
-    monkeypatch.setattr(compose, "irfft", lambda p, n: sizes.append(n) or irfft(p, n))
+    monkeypatch.setattr(compose, "irfft", lambda p, n, out: sizes.append(n) or irfft(p, n, out=out))
     got = run()
     assert sizes and min(sizes) >= 2**17
-    monkeypatch.setattr(compose, "rfft", scipy.fft.rfft)
-    monkeypatch.setattr(compose, "irfft", scipy.fft.irfft)
+    monkeypatch.setattr(compose, "rfft", _into_out(scipy.fft.rfft))
+    monkeypatch.setattr(compose, "irfft", _into_out(scipy.fft.irfft))
     want = run()
     assert np.array_equal(got.masses, want.masses)
     assert np.array_equal(got.finite_epsilons, want.finite_epsilons)
@@ -340,7 +357,11 @@ class TestTailCountCutSearch:
     def test_matches_full_running_sums(self, inputs):
         finite, budget = inputs
         for values in (finite, finite[::-1]):
-            assert _tail_count(values, budget) == _tail_count_full_cumsum(values, budget)
+            count, sums = _tail_sums(values, budget)
+            assert count == _tail_count_full_cumsum(values, budget)
+            # _first_meeting reads the summed prefix back as its suffix sums
+            summed = min(count + 1, values.size)
+            assert np.array_equal(sums[:summed], np.cumsum(values)[:summed])
 
     @settings(max_examples=200, deadline=None)
     @given(truncation_inputs(), st.sampled_from(("pessimistic", "optimistic")))
@@ -365,3 +386,34 @@ def test_import_leaves_out_scipy_fft_signal_and_stats():
     path, heavy = json.loads(done.stdout)
     assert Path(path).resolve().parent == src / "pldbounds"
     assert heavy == []
+
+
+#: The ``fine-gaussian`` reference step: Gaussian sigma = 2 at spacing 1e-4,
+#: composed 100 times at its budget, through a 720,000-point transform.
+_FINE_GAUSSIAN = pb.curve_for(pb.MechanismSpec.gaussian(2.0))
+_GRID_1E4 = pb.DiscretizationGrid.uniform(1e-4, *pb.default_epsilon_range(_FINE_GAUSSIAN, 1e-4))
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+def test_a_large_composition_holds_two_full_length_arrays_at_its_peak(direction):
+    build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
+    single = pb.pld_of(build(_FINE_GAUSSIAN, _GRID_1E4))
+    policy = pb.CompositionPolicy(direction, truncation_tail_mass=1e-9)
+    size = compose._plan([(single, 100)], policy).size
+    assert size == 720_000
+    tracemalloc.start()
+    try:
+        pb.self_compose(single, 100, policy)
+        # what a composition leaves behind: the single step's window cache
+        # (its positive masses' logs and offsets), and no transform buffer
+        kept, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        composed = pb.self_compose(single, 100, policy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 16 * single.support_size + (1 << 16)
+    # the result's masses and epsilons, and a byte per point for the check
+    # that its epsilons are finite: no third full-length array at any time
+    assert composed.support_size > 0.95 * size
+    assert peak - kept <= (2 * 8 + 1) * size

@@ -44,7 +44,7 @@ def sweep_hull(xs: list, gaps: list, values: list, right: list) -> list[int]:
 
 def _agrees(xs: np.ndarray, gaps: np.ndarray, values: np.ndarray, right: np.ndarray) -> list[int]:
     expected = sweep_hull(xs.tolist(), gaps.tolist(), values.tolist(), right.tolist())
-    got = optimistic._lower_hull(xs, gaps, values, right)
+    got = optimistic._lower_hull(xs, gaps, values, right).tolist()
     assert got == expected
     return got
 

@@ -1,7 +1,7 @@
 """One number rule at every public door.
 
 ``errors._is_finite_real`` decides every real a caller hands in and
-``compose._composition_count`` every integer.  Each door below refuses a
+``errors._composition_count`` every integer.  Each door below refuses a
 bool, a numeric string, None, NaN and +-inf (where it needs a finite
 number) with a ``RequestError`` that names the argument, and still answers
 a number it took before with the same bits.
@@ -115,3 +115,35 @@ def test_a_nan_charge_no_longer_composes_into_the_report():
         _finite_pld(truncated_high=math.nan)
     with pytest.raises(pb.RequestError, match="rounding_charge must be a finite number >= 0, got -1e-12"):
         _finite_pld(rounding_charge=-1e-12)
+
+
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (math.nan, "clamp_count must be an integer, got nan"),
+        ("x", "clamp_count must be an integer, got 'x'"),
+        (1.5, "clamp_count must be an integer, got 1.5"),
+        (-1, "clamp_count must be non-negative, got -1"),
+        (True, "clamp_count must be an integer, got True"),
+    ],
+    ids=["nan", "string", "fraction", "negative", "bool"],
+)
+def test_a_pair_refuses_a_clamp_count_that_is_not_a_count(count, message):
+    pair = pb.pessimistic_pair(_CURVE, _GRID)
+    with pytest.raises(pb.RequestError, match=message):
+        pb.DiscreteDominatingPair(_GRID, pair.p_masses, pair.q_masses, clamp_count=count)
+
+
+def test_a_pair_keeps_a_numpy_clamp_count_as_an_int():
+    pair = pb.pessimistic_pair(_CURVE, _GRID)
+    stored = pb.DiscreteDominatingPair(_GRID, pair.p_masses, pair.q_masses, clamp_count=np.int64(3))
+    assert type(stored.clamp_count) is int and stored.clamp_count == 3
+
+
+def test_the_fixture_refuses_an_epsilon_whose_exponential_overflows():
+    # e^709 is finite and builds; e^710 overflows, which used to escape as a raw OverflowError
+    early, late = pb.non_uniqueness_fixture(709.0)
+    assert early.grid.alphas[2] == pytest.approx(0.5 * (1.0 + math.exp(709.0)))
+    assert late.grid.alphas[2] == math.exp(709.0)
+    with pytest.raises(pb.RequestError, match="epsilon must keep e\\^epsilon finite.*got 710.0"):
+        pb.non_uniqueness_fixture(710.0)

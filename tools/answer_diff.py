@@ -333,7 +333,7 @@ DOOR_VALUES = (("true", True), ("string", "0.1"), ("none", None), ("nan", math.n
 #: (label, a value the door takes, function of the ``pldbounds`` module and
 #: a value that calls one public door with it and returns its JSON-ready
 #: answer) of the ``DOOR_OPS``: every door that reads a caller's number
-#: through ``errors._is_finite_real`` or ``compose._composition_count``.
+#: through ``errors._is_finite_real`` or ``errors._composition_count``.
 DOOR_OPS = (
     ("policy-budget", 1e-9, lambda pb, v: repr(pb.CompositionPolicy("pessimistic", truncation_tail_mass=v))),
     ("policy-max-support", 64, lambda pb, v: repr(pb.CompositionPolicy("pessimistic", max_support=v))),

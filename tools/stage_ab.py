@@ -11,11 +11,17 @@ loaded against that package and rebuilds the workload's timed ops (the
 first ``--ops`` of seed ``--seed``).  A round runs the ops in each checkout,
 the two in turn, the first of them alternating from round to round: once
 whole through ``workloads.execute``, as the benchmark times them, and once
-in stages through the library's private steps, which a ``run_sweep`` or
-``run_compute`` call makes in this order: set-up (``report._set_up``), then
-per count and estimator the plan (``compose._plan``), the execution
-(``compose._execute``) and the query (``epsilon_for_delta`` or
-``delta_at``).  One round is run first as a warm-up and not counted.
+in stages through the library's private steps, in the order a
+``run_sweep`` or ``run_compute`` call makes them.  The set-up
+(``report._set_up``) is split into the grid (the curve, its range and the
+uniform grid: ``report._build_grid``) and each estimator's single-step
+build (``report._SINGLE_STEP_BUILDERS``); then come, per count and
+estimator, the plan (``compose._plan``), the execution (``compose._execute``),
+split into the transforms (the time spent in ``compose._spectral_power``,
+which the staged pass wraps in a timer) and the bookkeeping around them,
+and the query (``epsilon_for_delta`` or ``delta_at``), per estimator.  The
+totals ``set-up`` and ``execute`` are printed next to their parts.  One
+round is run first as a warm-up and not counted.
 
 Prints the median over rounds of each stage's time per op, in
 milliseconds, for each checkout, their ratio (change / parent), and the
@@ -41,7 +47,6 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
-STAGES = ("set-up", "plan", "execute", "query", "whole op")
 
 
 def _load(path: Path, name: str, package=None):
@@ -88,32 +93,63 @@ class Checkout:
         """Seconds per stage over ``ops``, each op answered as its public call answers it."""
         report, compose, pld = self.pb.report, self.pb.compose, self.pb.pld
         clock = time.perf_counter
-        spent = dict.fromkeys(STAGES[:-1], 0.0)
-        for op in ops:
-            request = op.request
+        spent = dict.fromkeys(("grid", "plan", "execute", "transforms"), 0.0)
+
+        def add(stage: str, seconds: float) -> None:
+            spent[stage] = spent.get(stage, 0.0) + seconds
+
+        spectral_power = compose._spectral_power
+
+        def timed_power(*args):
             start = clock()
-            setup = report._set_up(request)
-            spent["set-up"] += clock() - start
-            for n in op.counts or (request.compositions,):
-                row = dataclasses.replace(request, compositions=n)
-                for method, single in setup.singles.items():
-                    policy = compose.CompositionPolicy(
-                        direction=method.removeprefix("pb_"),
-                        truncation_tail_mass=report._truncation_budget(row),
-                    )
-                    start = clock()
-                    plan = compose._plan([(single, n)], policy) if n > 1 else None
-                    planned = clock()
-                    composed = compose._execute(plan, policy.direction) if plan else single
-                    executed = clock()
-                    if row.delta_target is not None:
-                        pld.epsilon_for_delta(composed, row.delta_target)
-                    else:
-                        pld.delta_at(composed, row.epsilon_target)
-                    spent["plan"] += planned - start
-                    spent["execute"] += executed - planned
-                    spent["query"] += clock() - executed
+            try:
+                return spectral_power(*args)
+            finally:
+                add("transforms", clock() - start)
+
+        compose._spectral_power = timed_power
+        try:
+            for op in ops:
+                self._stage_op(op, report, compose, pld, add)
+        finally:
+            compose._spectral_power = spectral_power
+        builds = [stage for stage in spent if stage.startswith("build ")]
+        spent["set-up"] = spent["grid"] + sum(spent[stage] for stage in builds)
+        spent["bookkeeping"] = spent["execute"] - spent["transforms"]
         return spent
+
+    @staticmethod
+    def _stage_op(op, report, compose, pld, add) -> None:
+        clock = time.perf_counter
+        request = op.request
+        start = clock()
+        curve = report.curve_for(request.mechanism)
+        grid = report._build_grid(request, curve)
+        add("grid", clock() - start)
+        singles = {}
+        for method in report._estimator_plan(request):
+            start = clock()
+            singles[method] = report._SINGLE_STEP_BUILDERS[method](curve, grid)
+            add(f"build {method}", clock() - start)
+        for n in op.counts or (request.compositions,):
+            row = dataclasses.replace(request, compositions=n)
+            for method, single in singles.items():
+                policy = compose.CompositionPolicy(
+                    direction=method.removeprefix("pb_"),
+                    truncation_tail_mass=report._truncation_budget(row),
+                )
+                start = clock()
+                plan = compose._plan([(single, n)], policy) if n > 1 else None
+                planned = clock()
+                composed = compose._execute(plan, policy.direction) if plan else single
+                executed = clock()
+                if row.delta_target is not None:
+                    pld.epsilon_for_delta(composed, row.delta_target)
+                else:
+                    pld.delta_at(composed, row.epsilon_target)
+                add("plan", planned - start)
+                add("execute", executed - planned)
+                add(f"query {method}", clock() - executed)
 
 
 def _round(checkouts: list[Checkout], ops: dict[str, list]) -> dict[str, dict[str, float]]:
@@ -124,6 +160,14 @@ def _round(checkouts: list[Checkout], ops: dict[str, list]) -> dict[str, dict[st
         count = len(ops[checkout.label])
         times[checkout.label] = {stage: seconds / count for stage, seconds in spent.items()}
     return times
+
+
+def _order(times: dict[str, float]) -> list[str]:
+    """The stages in pipeline order, each total after its parts."""
+    builds = [stage for stage in times if stage.startswith("build ")]
+    queries = [stage for stage in times if stage.startswith("query ")]
+    parts = ["grid", *builds, "set-up", "plan", "transforms", "bookkeeping", "execute"]
+    return parts + queries + ["whole op"]
 
 
 def main(argv: list[str]) -> int:
@@ -145,13 +189,13 @@ def main(argv: list[str]) -> int:
     for r in range(args.rounds):
         rounds.append(_round(checkouts if r % 2 == 0 else checkouts[::-1], ops))
     print(f"{args.workload}: {args.rounds} rounds of {args.ops} op(s), seed {args.seed}; ms per op")
-    print(f"{'stage':<10}{'parent':>10}{'change':>10}{'ratio':>8}{'won':>8}")
-    for stage in STAGES:
+    print(f"{'stage':<24}{'parent':>10}{'change':>10}{'ratio':>8}{'won':>8}")
+    for stage in _order(rounds[0]["parent"]):
         parent = statistics.median(t["parent"][stage] for t in rounds)
         change = statistics.median(t["change"][stage] for t in rounds)
         won = sum(t["change"][stage] < t["parent"][stage] for t in rounds)
         print(
-            f"{stage:<10}{parent * 1e3:>10.3f}{change * 1e3:>10.3f}"
+            f"{stage:<24}{parent * 1e3:>10.3f}{change * 1e3:>10.3f}"
             f"{change / parent if parent else float('nan'):>8.3f}{won:>5}/{args.rounds}"
         )
     ratios = [t["change"]["whole op"] / t["parent"]["whole op"] for t in rounds]
