@@ -77,7 +77,8 @@ def _lattice_offset(epsilons: np.ndarray, spacing: float) -> int:
 class DiscretizationGrid:
     """Ordered alpha grid with endpoints exactly 0 and +inf.
 
-    A uniform grid keeps the lattice offset its check found in ``_offset``.
+    A uniform grid keeps its lattice offset in ``_offset``: the one its
+    check found, or for ``uniform`` the one it built the lattice from.
     """
 
     alphas: np.ndarray
@@ -105,8 +106,11 @@ class DiscretizationGrid:
         off -= epsilons[1:-1]
         if not np.abs(off, out=off).max() <= 1e-9:
             raise RequestError("epsilons must be the logs of the interior alphas")
+        offset = self.__dict__.pop("_known_offset", None)
         if self.spacing is not None:
-            object.__setattr__(self, "_offset", _lattice_offset(epsilons[1:-1], self.spacing))
+            if offset is None:
+                offset = _lattice_offset(epsilons[1:-1], self.spacing)
+            object.__setattr__(self, "_offset", offset)
             if not np.any(epsilons[1:-1] == 0.0):
                 raise RequestError("uniform grids must contain epsilon = 0")
 
@@ -114,6 +118,13 @@ class DiscretizationGrid:
 
     @classmethod
     def from_epsilons(cls, finite_epsilons, spacing: float | None = None) -> "DiscretizationGrid":
+        return cls._from_epsilons(finite_epsilons, spacing)
+
+    @classmethod
+    def _from_epsilons(
+        cls, finite_epsilons, spacing: float | None, offset: int | None = None
+    ) -> "DiscretizationGrid":
+        """``from_epsilons``; the ``offset`` of epsilons that ``_lattice`` built is taken, not checked."""
         finite = np.asarray(finite_epsilons, dtype=float)
         if finite.ndim != 1 or finite.size == 0 or not np.isfinite(finite).all():
             raise RequestError("need a non-empty 1-D array of finite epsilons")
@@ -128,7 +139,11 @@ class DiscretizationGrid:
         alphas = np.empty_like(epsilons)
         alphas[0], alphas[-1] = 0.0, math.inf
         np.exp(finite, out=alphas[1:-1])
-        return cls(alphas=alphas, epsilons=epsilons, spacing=spacing)
+        # __post_init__ pops the offset, so the constructor takes data fields only
+        grid = cls.__new__(cls)
+        grid.__dict__["_known_offset"] = offset
+        grid.__init__(alphas=alphas, epsilons=epsilons, spacing=spacing)
+        return grid
 
     @classmethod
     def from_alphas(cls, alphas) -> "DiscretizationGrid":
@@ -160,7 +175,7 @@ class DiscretizationGrid:
                 f"{points} points, more than {_GRID_MAX_POINTS}"
             )
         j_min = math.floor(low)
-        return cls.from_epsilons(_lattice(j_min, points, spacing), spacing=spacing)
+        return cls._from_epsilons(_lattice(j_min, points, spacing), spacing, j_min)
 
     # -- views ----------------------------------------------------------------
 

@@ -70,6 +70,30 @@ coordinates, and each edge hands in one slope per coordinate, so the kink
 masses are differences of a non-decreasing float sequence and the
 discretization accepts the hull without any clamping.
 
+Masses as differences of tails
+------------------------------
+The loss distribution (``pld_of``) takes its masses from the hull edges'
+intercepts at alpha = 0.  Each edge's line passes through its left vertex
+a_u with the capped slopes above and meets alpha = 0 at B_e, the estimate's
+mass strictly above eps_u; the first edge starts at h(0) = 1 and the tail
+past a_{k-1} is 0.  The mass at an interior vertex is B_{e-1} - B_e, the one
+at a_{k-1} the last edge's B, so the masses telescope to 1.  Left of
+alpha = 1 the tail is kept as 1 - B_e = a_u sigma_e - g_u, right of it as
+B_e = v_u - a_u tau_e, a sum of two non-negative terms; each rounds to
+within a few ulps of its terms.
+
+Why the result stays dominated: the hull is convex and non-increasing, so
+its exact tails do not increase along the edges.  The pass
+(``pld._tail_pass``) lowers each tail to the least tail before it, raises
+none but a negative one to 0, and keeps each tail at most 1.  Lowering a
+tail moves mass from above eps_u to at or below it, and a loss distribution
+moved down in loss has a curve at least as low, because (1 - alpha / A)_+
+rises with the likelihood ratio A.  The exact tails lie in [0, 1], so the
+clip moves no float tail past them either.  So the pass moves mass only
+toward the safe side.  What it cannot see is the few-ulp rounding of each
+B_e and the error of the node values themselves, which nothing charges
+yet.
+
 Privacy-buckets baseline
 ------------------------
 ``pb_optimistic_pld`` rounds the true loss distribution's mass down to the
@@ -321,7 +345,7 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
     # non-decreasing float sequence, so the kink masses are all >= 0 exactly
     sigma = np.minimum((gap[w] - gap[u]) / width, 1.0)
     tau = np.minimum((value[w] - value[u]) / width, 0.0)
-    return _pair_from_slopes(grid, sigma, tau, 0.0, vertices)
+    return _pair_from_slopes(grid, sigma, tau, 0.0, vertices, gaps=gap, values=value, up=False)
 
 
 def pb_optimistic_pld(

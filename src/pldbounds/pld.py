@@ -22,7 +22,9 @@ and Q sum to one.  Connect-the-dots (``pessimistic_pair``) and
 ``discretize_from_curve`` build by this one rule, ``_interpolating_pair``,
 from node values and gaps; the optimistic estimate hands in its slopes, and
 ``_pair_from_slopes`` takes each slope increase in the coordinates accurate
-at its node.
+at its node.  Their loss distributions (``pld_of``) take the same masses as
+differences of the pieces' intercepts at alpha = 0 (``_tail_pass``), which
+telescope to 1.
 
 Given a loss distribution with masses m(eps_i), the hockey-stick divergence
 at e^eps is
@@ -215,12 +217,17 @@ class DiscreteDominatingPair:
     was accepted without any convexity slack); it must pass
     ``errors._composition_count``, the rule for integers.  The masses are
     read-only views; float64 arrays are not copied.
+
+    A pair that the estimators build also carries its tails in the private
+    ``_tails`` (``_tail_pass``), from which ``pld_of`` takes its masses; a
+    pair built by hand, or through ``dataclasses.replace``, carries none.
     """
 
     grid: DiscretizationGrid
     p_masses: np.ndarray
     q_masses: np.ndarray
     clamp_count: int = 0
+    _tails: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "clamp_count", _composition_count(self.clamp_count, "clamp_count"))
@@ -368,10 +375,17 @@ def _lattice_pld(
     )
 
 
-def _grid_pld(grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True) -> FinitePLD:
-    """PLD with ``masses`` on the grid's epsilons, whose lattice the grid checked when built."""
+def _grid_pld(
+    grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True, owned: bool = False
+) -> FinitePLD:
+    """PLD with ``masses`` on the grid's epsilons, whose lattice the grid checked when built.
+
+    With ``owned``, the float64 masses are the caller's to give away
+    (``FinitePLD._on_checked_lattice``).
+    """
     return FinitePLD._on_checked_lattice(
         grid._offset,
+        owned=owned,
         finite_epsilons=grid.finite_epsilons,
         masses=masses,
         spacing=grid.spacing,
@@ -384,12 +398,92 @@ def _grid_pld(grid: DiscretizationGrid, masses: np.ndarray, proper: bool = True)
 # ---------------------------------------------------------------------------
 
 
+def _running(extreme: np.ufunc, x: np.ndarray) -> None:
+    """Set each entry of ``x`` to ``extreme`` (``np.maximum`` or ``np.minimum``) of it and all before it.
+
+    In place.  The accumulation is a slow pass, which an ordered ``x``, the
+    common case, skips.
+    """
+    if (np.less if extreme is np.maximum else np.greater)(x[1:], x[:-1]).any():
+        extreme.accumulate(x, out=x)
+
+
+def _tail_pass(
+    a: np.ndarray,
+    nodes: np.ndarray | None,
+    sigma: np.ndarray,
+    tau: np.ndarray,
+    gaps: np.ndarray,
+    values: np.ndarray,
+    p_inf: float,
+    up: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tails of the pieces between ``nodes`` (every node of ``a`` if None), monotone toward the safe side.
+
+    Piece e is the line over [a_{n_e}, a_{n_{e+1}}] through the node
+    heights ``gaps`` and ``values`` at its left end a_{n_e}, with slopes
+    ``sigma[e]`` and ``tau[e]``.  Its intercept B_e at alpha = 0 is the mass
+    strictly above ln a_{n_e}, P(+inf) included, so the mass at a_{n_{e+1}}
+    is B_e - B_{e+1}.  Pieces starting left of 1 give ``below``,
+    1 - B_e = a sigma_e - g, the mass at or below their start (0 on the
+    first piece, which starts at h(0) = 1); the rest give ``above``,
+    B_e = v - a tau_e, a sum of two non-negative terms, and then P(+inf) for
+    the piece past the last node.
+
+    ``up`` (pessimistic) raises each tail to the largest tail after it;
+    otherwise each tail falls to the least one before it and not below 0.
+    Either way no tail leaves [0, 1], and 1 - ``below[-1]``, rounded once,
+    lies on the same side of ``above[0]`` as the tails, so every difference
+    ``pld_of`` takes is >= 0.
+    """
+    split = int(a.searchsorted(1.0))
+    if nodes is None:
+        m = min(split, sigma.size)
+        left, right = slice(0, m), slice(m, sigma.size)
+    else:
+        m = int(nodes[:-1].searchsorted(split))
+        left, right = nodes[:m], nodes[m:-1]
+    below = a[left] * sigma[:m]
+    below -= gaps[left]
+    below[0] = 0.0
+    above = np.empty(sigma.size - m + 1)
+    np.multiply(a[right], tau[m:], out=above[:-1])
+    np.subtract(values[right], above[:-1], out=above[:-1])
+    above[-1] = p_inf
+    # a running extreme carries a bound put on its first entry to all the
+    # others, and ends in its extreme entry, which alone needs the clip test
+    if up:
+        _running(np.maximum, above[::-1])
+        if above[0] > 1.0:
+            np.minimum(above, 1.0, out=above)
+        cap = 1.0 - above[0]
+        if 1.0 - cap < above[0]:
+            cap = math.nextafter(cap, -math.inf)
+        below[-1] = min(below[-1], cap)
+        _running(np.minimum, below[::-1])
+        if below[0] < 0.0:
+            np.maximum(below, 0.0, out=below)
+    else:
+        _running(np.maximum, below)
+        if below[-1] > 1.0:
+            np.minimum(below, 1.0, out=below)
+        above[0] = min(above[0], 1.0 - below[-1])
+        _running(np.minimum, above)
+        if above[-1] < 0.0:
+            np.maximum(above, 0.0, out=above)
+    return _frozen(below), _frozen(above)
+
+
 def _pair_from_slopes(
     grid: DiscretizationGrid,
     sigma: np.ndarray,
     tau: np.ndarray,
     p_inf: float,
     nodes: np.ndarray | None = None,
+    *,
+    gaps: np.ndarray,
+    values: np.ndarray,
+    up: bool,
 ) -> DiscreteDominatingPair:
     """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) between ``nodes``.
 
@@ -413,6 +507,13 @@ def _pair_from_slopes(
     below 1 - alpha.  Negatives within _CLAMP_TOL are rounding slack: they
     are zeroed and counted in ``clamp_count``; anything more negative is
     rejected.
+
+    ``gaps`` and ``values`` are the curve's heights at a_0..a_{k-1}.  With
+    them the pair also carries its tails (``_tail_pass``; ``up`` for the
+    pessimistic side), and ``pld_of`` takes the loss masses from those: the
+    kink masses above are right in exact arithmetic, but their float sum
+    can miss 1 by far more than an ulp, which an n-fold composition
+    multiplies by n.
     """
     k = grid.k
     alphas = grid.alphas
@@ -448,7 +549,10 @@ def _pair_from_slopes(
     p[0] = 0.0
     np.multiply(alphas[1:k], kinks, out=p[1:k])
     p[k] = p_inf
-    return DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
+    pair = DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
+    below, above = _tail_pass(alphas[:k], nodes, sigma, tau, gaps, values, p_inf, up)
+    object.__setattr__(pair, "_tails", (nodes, below, above))
+    return pair
 
 
 def _interpolating_pair(
@@ -466,7 +570,7 @@ def _interpolating_pair(
     sigma, tau = np.diff(gaps), np.diff(values)
     sigma /= widths
     tau /= widths
-    return _pair_from_slopes(grid, sigma, tau, p_inf)
+    return _pair_from_slopes(grid, sigma, tau, p_inf, gaps=gaps, values=values, up=True)
 
 
 def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -518,8 +622,35 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
 
 
 def pld_of(pair: DiscreteDominatingPair) -> FinitePLD:
-    """Loss distribution of the pair: mass P(a_i) at eps_i, none at -inf."""
-    return _grid_pld(pair.grid, pair.p_masses)
+    """Loss distribution of the pair: mass P(a_i) at eps_i, none at -inf.
+
+    A pair the estimators built (``pessimistic_pair``, ``optimistic_pair``,
+    ``discretize_from_curve``) gives each mass as a difference of its tails
+    (``_tail_pass``), B_{e-1} - B_e at the e-th node, so the masses sum to
+    1 within a few ulps, where P's own sum can miss it by 1e-13.  These
+    masses equal P in exact arithmetic and within rounding in float; the
+    pair's P and Q are left as built.  The pipeline builds every single
+    step by this call, so ``pld_of(pessimistic_pair(curve, grid))`` is bit
+    for bit the single step ``run_compute`` composes, and likewise for
+    ``optimistic_pair``.  A pair built by hand carries no tails and gives P.
+    """
+    if pair._tails is None:
+        return _grid_pld(pair.grid, pair.p_masses)
+    nodes, below, above = pair._tails
+    m = below.size
+    # [alpha = 0, the nodes after the first, +inf]
+    masses = np.empty(m + above.size + 1)
+    masses[0] = 0.0
+    np.subtract(below[1:], below[:-1], out=masses[1:m])
+    masses[m] = (1.0 - below[-1]) - above[0]
+    np.subtract(above[:-1], above[1:], out=masses[m + 1 : -1])
+    masses[-1] = above[-1]
+    if nodes is not None:
+        spread = np.zeros(pair.grid.alphas.size)
+        spread[nodes] = masses[:-1]
+        spread[-1] = masses[-1]
+        masses = spread
+    return _grid_pld(pair.grid, masses, owned=True)
 
 
 def _rounded_pld(

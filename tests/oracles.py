@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 from scipy.optimize import brentq
@@ -231,3 +232,27 @@ def pair_delta_direct(pair: pb.DiscreteDominatingPair, epsilon: float) -> float:
     for pj, qj, aj in zip(pair.p_masses[:-1], pair.q_masses[:-1], pair.grid.alphas[:-1]):
         total += max(pj - a * qj, 0.0)
     return float(total)
+
+
+def rr_epsilon_exact(epsilon: float, folds: int, delta: float) -> float:
+    """Least epsilon whose delta is at most ``delta`` for the folds-fold product of randomized response.
+
+    Enumerates the binomial loss distribution in 50-digit mpmath: k of the
+    folds see the likelier outcome with probability e^eps / (1 + e^eps)
+    each, and the loss is eps (2k - folds).  Walking the atoms down from the
+    top, delta at an atom L is A - e^L T over the atoms above it, with
+    A = sum of their masses and T = sum of mass e^(-loss); the root lies
+    above the first atom where that exceeds ``delta``, at ln((A - delta) / T).
+    """
+    with mpmath.workdps(50):
+        eps = mpmath.mpf(epsilon)
+        p = mpmath.e**eps / (1 + mpmath.e**eps)
+        above = weighted = mpmath.mpf(0)
+        for k in range(folds, -1, -1):
+            loss = eps * (2 * k - folds)
+            if above - mpmath.e**loss * weighted > delta:
+                break
+            mass = mpmath.binomial(folds, k) * p**k * (1 - p) ** (folds - k)
+            above += mass
+            weighted += mass * mpmath.e ** (-loss)
+        return float(mpmath.log((above - delta) / weighted))

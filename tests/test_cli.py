@@ -611,6 +611,17 @@ class TestReadmeCommands:
             low, high = float(r["eps_optimistic"]), float(r["eps_pessimistic"])
             assert low <= high <= float(r["eps_pb_pessimistic"]) + 1e-9
 
+    def test_subsampled_laplace_sweep(self, tmp_path):
+        # its pessimistic single step's kink products summed to 1 + 4.4e-14,
+        # and from n = 300 the sweep exited 3 before printing a row
+        out = tmp_path / "sweep.csv"
+        assert cli.main(with_out(readme_command("sweep", "subsampled-laplace"), out)) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [int(r["compositions"]) for r in rows] == [100, 200, 300, 400, 500]
+        for r in rows:
+            low, high = float(r["eps_optimistic"]), float(r["eps_pessimistic"])
+            assert low <= high <= float(r["eps_pb_pessimistic"]) + 1e-9
+
 
 class TestCurveVerb:
     def test_column_ordering_holds_pointwise(self, capsys):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import irfft, next_fast_len, rfft
 
@@ -227,6 +227,10 @@ def test_atoms_compose_in_closed_form():
     spacing=st.floats(2e-3, 2e-2),
     delta=st.floats(1e-9, 1e-3),
 )
+# two draws whose single steps' kink products summed past 1 + 7e-15, so the
+# 1408-fold composition exited 3 ("PLD masses sum to 1.0000000000100044")
+@example(sigma=0.7421875, n=1408, spacing=0.0078125, delta=1e-3)
+@example(sigma=1.578125, n=1408, spacing=0.00390625, delta=9.936e-4)
 def test_gaussian_bracket_contains_the_closed_form(sigma, n, spacing, delta):
     request = pb.AccountingRequest(
         mechanism=pb.MechanismSpec.gaussian(sigma),
