@@ -599,7 +599,15 @@ def _execute(plan: _Plan, direction: str) -> FinitePLD:
 
     W is recorded in ``truncated_high`` (pessimistic) or ``truncated_low``
     (optimistic) and stays within the policy's per-side budget; the rest of
-    the charge, and D+, in ``rounding_charge``.
+    the charge, and D+, in ``rounding_charge``, together with the factors'
+    charges times n_f.
+
+    The result's mass gate (``FinitePLD``) admits a total within
+    max(1e-11, ``rounding_charge``) of 1.  That is sound: the charge holds
+    R (unless all the finite mass moved), and a total off 1 by at most R is
+    the total of some e with ||e||_1 <= R, which the argument above already
+    pays for.  A defect beyond the charge is not covered and still fails
+    the gate.
 
     Some compositions skip the transform or the charge.  ``method="direct"``
     is the exact reference: binary powering over ``np.convolve`` per factor

@@ -92,7 +92,12 @@ class AccountingRequest:
 
 @dataclasses.dataclass(frozen=True)
 class BoundOutcome:
-    """One estimator's composed answer plus its grid bookkeeping."""
+    """One estimator's composed answer plus its grid bookkeeping.
+
+    ``rounding_charge`` is the composed distribution's: the mass moved to
+    the safe side to cover composition's round-off, which its mass gate
+    also admits as a defect of the total (see ``FinitePLD``).
+    """
 
     method: str
     epsilon: float | None
@@ -101,6 +106,7 @@ class BoundOutcome:
     mass_at_infinity: float
     truncated_low: float
     truncated_high: float
+    rounding_charge: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,6 +168,7 @@ class PrivacyBoundReport:
                 "mass_at_infinity": out.mass_at_infinity,
                 "truncated_mass_low": out.truncated_low,
                 "truncated_mass_high": out.truncated_high,
+                "rounding_charge": out.rounding_charge,
             }
             if out.epsilon is not None:
                 entry["epsilon"] = out.epsilon
@@ -264,6 +271,7 @@ def _compose_and_query(request: AccountingRequest, method: str, single: FinitePL
         mass_at_infinity=composed.mass_at_infinity,
         truncated_low=composed.truncated_low,
         truncated_high=composed.truncated_high,
+        rounding_charge=composed.rounding_charge,
     )
 
 

@@ -275,6 +275,11 @@ _PAYLOAD = {"discretization": 0.1, "epsilon_offset": 1, "masses": [0.5, 0.5], "m
         ("mass_at_neg_infinity", -1e-20),
         ("masses", [0.5, 0.4]),
         ("masses", [0.5, 0.5 + 2e-11]),
+        ("rounding_charge", -1e-12),
+        ("rounding_charge", math.nan),
+        ("rounding_charge", math.inf),
+        ("rounding_charge", True),
+        ("rounding_charge", "1e-9"),
     ],
 )
 def test_malformed_json_payloads_are_refused_naming_the_key(key, value):
