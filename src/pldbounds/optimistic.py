@@ -62,13 +62,15 @@ step, from slopes computed vectorised by the sweep's own float operations,
 so its vertices are exactly those of the plain sweep (see ``_lower_hull``).
 
 Numerically the construction runs in the local coordinates of
-``pld._pair_from_slopes``, the kink rule both estimators share: the gap
+``pld._pair_from_vertices``, the builder both estimators share: the gap
 g = f - (1 - alpha) up to alpha = 1 and the value f past it.  An affine
 shear takes one to the other and preserves hulls, and both have the floor 0
 on their side.  The hull pass tests convexity at each vertex in its own
-coordinates, and each edge hands in one slope per coordinate, so the kink
-masses are differences of a non-decreasing float sequence and the
-discretization accepts the hull without any clamping.
+coordinates, and the builder takes one slope per coordinate on each edge
+between the hull's vertices, by the same float operations, capped where the
+curve would rise; so the kink masses are differences of a non-decreasing
+float sequence and the discretization accepts the hull without any
+clamping.
 
 Masses as differences of tails
 ------------------------------
@@ -123,7 +125,7 @@ from .grid import DiscretizationGrid
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
-    _pair_from_slopes,
+    _pair_from_vertices,
     _rounded_pld,
     discretize_from_curve,
 )
@@ -333,19 +335,13 @@ def optimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discre
             "optimistic construction supports curves vanishing at +inf only; "
             f"this curve has tail value {curve.value_at_infinity}"
         )
-    c, _ = _local_candidates(curve, grid)
     a = grid.alphas[: grid.k]
     right = a > 1.0
-    gap, value = _both_coordinates(c, a, right)
+    # the candidates are not kept: the build holds both coordinates and the
+    # vertices' copies of them at its peak
+    gap, value = _both_coordinates(_local_candidates(curve, grid)[0], a, right)
     vertices = _lower_hull(a, gap, value, right)
-    u, w = vertices[:-1], vertices[1:]
-    width = a[w] - a[u]
-    # the hull edges' slopes in both coordinates, capped where the curve
-    # would rise; in the coordinates of each vertex they are a
-    # non-decreasing float sequence, so the kink masses are all >= 0 exactly
-    sigma = np.minimum((gap[w] - gap[u]) / width, 1.0)
-    tau = np.minimum((value[w] - value[u]) / width, 0.0)
-    return _pair_from_slopes(grid, sigma, tau, 0.0, vertices, gaps=gap, values=value, up=False)
+    return _pair_from_vertices(grid, vertices, gap, value, 0.0, up=False)
 
 
 def pb_optimistic_pld(

@@ -11,10 +11,10 @@ be constant, so the estimate's tail value is h(a_{k-1}): the least constant
 that still dominates.
 
 The estimate is the pair whose curve interpolates given node values, which
-``pld._interpolating_pair`` builds; ``discretize_from_curve`` builds by the
-same rule.  It takes the chord slopes of h from the curve's gap form and from
-its plain values, and ``pld._pair_from_slopes``, the rule both estimators
-share, turns them into kink masses.
+``pld._pair_from_vertices``, the builder both estimators share, makes with
+every node a vertex; ``discretize_from_curve`` builds by the same rule.  It
+takes the chord slopes of h from the curve's gap form and from its plain
+values, and turns them into kink masses.
 
 Masses as differences of tails
 ------------------------------
@@ -54,7 +54,7 @@ from .grid import DiscretizationGrid
 from .pld import (
     DiscreteDominatingPair,
     FinitePLD,
-    _interpolating_pair,
+    _pair_from_vertices,
     _rounded_pld,
 )
 
@@ -67,10 +67,10 @@ def pessimistic_pair(curve: HockeyStickCurve, grid: DiscretizationGrid) -> Discr
     Its curve equals h at every finite grid point, interpolates linearly in
     between, and holds the value h(a_{k-1}) from a_{k-1} on.
     """
-    a = grid.alphas[: grid.k]
+    k = grid.k
     # one reading of each node gives both coordinates the kink masses use
-    values, gaps, _ = curve._evaluate(a)
-    return _interpolating_pair(grid, gaps, values, float(values[-1]))
+    values, gaps, _ = curve._evaluate(grid.alphas[:k])
+    return _pair_from_vertices(grid, slice(k), gaps, values, float(values[-1]), up=True)
 
 
 def pb_pessimistic_pld(

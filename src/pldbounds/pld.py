@@ -18,11 +18,13 @@ the slope increase of the curve at a_i, and Q(a_0) the increase over the
 slope -1 of the line 1 - alpha, so convexity and h >= 1 - alpha are exactly
 mass non-negativity; the values must be constant from a_{k-1} to +inf (a jump
 there cannot be realised by any finitely supported pair), and then both P
-and Q sum to one.  Connect-the-dots (``pessimistic_pair``) and
-``discretize_from_curve`` build by this one rule, ``_interpolating_pair``,
-from node values and gaps; the optimistic estimate hands in its slopes, and
-``_pair_from_slopes`` takes each slope increase in the coordinates accurate
-at its node.  Their loss distributions (``pld_of``) take the same masses as
+and Q sum to one.  Both estimates are convex curves, straight between
+vertices on the grid, and one builder, ``_pair_from_vertices``, makes the
+pair of either from its heights at its vertices: every node for
+connect-the-dots (``pessimistic_pair``) and ``discretize_from_curve``, the
+lower-hull vertices for the optimistic estimate, whose other nodes take no
+mass.  It takes each slope increase in the coordinates accurate at its
+vertex.  Their loss distributions (``pld_of``) take the same masses as
 differences of the pieces' intercepts at alpha = 0 (``_tail_pass``), which
 telescope to 1.
 
@@ -79,6 +81,9 @@ _U = 2.0**-53
 
 #: Tolerance on total probability mass after construction or composition.
 _MASS_ATOL = 1e-11
+
+#: ``FinitePLD``'s truncation and rounding records, each a finite number >= 0.
+_RECORDS = ("truncated_low", "truncated_high", "rounding_charge")
 
 #: ``_exact_sum`` adds at most this many values: a binade's sum of 27-bit
 #: mantissa halves then stays an integer below 2^53, so float adds are exact.
@@ -235,9 +240,10 @@ class DiscreteDominatingPair:
     ``errors._composition_count``, the rule for integers.  The masses are
     read-only views; float64 arrays are not copied.
 
-    A pair that the estimators build also carries its tails in the private
-    ``_tails`` (``_tail_pass``), from which ``pld_of`` takes its masses; a
-    pair built by hand, or through ``dataclasses.replace``, carries none.
+    A pair that the estimators build also carries its vertices and tails in
+    the private ``_tails`` (``_pair_from_vertices``), from which ``pld_of``
+    takes its masses; a pair built by hand, or through
+    ``dataclasses.replace``, carries none.
     """
 
     grid: DiscretizationGrid
@@ -301,7 +307,10 @@ class FinitePLD:
     mass moved to the safe side.  A total off 1 by at most the charge is the
     total of such an e, so the proof already covers it; a larger defect is
     refused.  A distribution without a charge (a single step, one built by
-    hand) meets the fixed ``_MASS_ATOL``.
+    hand) meets the fixed ``_MASS_ATOL``.  A charge that the caller states,
+    here or in a ``pld_from_json_dict`` payload, is trusted: a larger one
+    loosens the distribution's own gate, as nothing yet ties it to the
+    compositions behind the distribution.
 
     A float64 ``finite_epsilons`` array is not copied: the PLD keeps a
     read-only view of it, and the caller's array stays writable.  The masses
@@ -363,7 +372,7 @@ class FinitePLD:
         m = _frozen(np.maximum(m, 0.0, out=m if owned else None))
         object.__setattr__(self, "finite_epsilons", eps)
         object.__setattr__(self, "masses", m)
-        for name in ("truncated_low", "truncated_high", "rounding_charge"):
+        for name in _RECORDS:
             if not (_is_finite_real(value := getattr(self, name)) and value >= 0.0):
                 raise RequestError(f"{name} must be a finite number >= 0, got {value!r}")
         _require_unit_mass(m, "PLD", self.rounding_charge)
@@ -435,26 +444,25 @@ def _running(extreme: np.ufunc, x: np.ndarray) -> None:
 
 
 def _tail_pass(
-    a: np.ndarray,
-    nodes: np.ndarray | None,
-    sigma: np.ndarray,
-    tau: np.ndarray,
+    x: np.ndarray,
     gaps: np.ndarray,
     values: np.ndarray,
+    sigma: np.ndarray,
+    tau: np.ndarray,
     p_inf: float,
     up: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tails of the pieces between ``nodes`` (every node of ``a`` if None), monotone toward the safe side.
+    """Tails of the pieces between vertices ``x``, monotone toward the safe side.
 
-    Piece e is the line over [a_{n_e}, a_{n_{e+1}}] through the node
-    heights ``gaps`` and ``values`` at its left end a_{n_e}, with slopes
-    ``sigma[e]`` and ``tau[e]``.  Its intercept B_e at alpha = 0 is the mass
-    strictly above ln a_{n_e}, P(+inf) included, so the mass at a_{n_{e+1}}
-    is B_e - B_{e+1}.  Pieces starting left of 1 give ``below``,
-    1 - B_e = a sigma_e - g, the mass at or below their start (0 on the
+    Piece e is the line over [x_e, x_{e+1}] through the vertex heights
+    ``gaps`` and ``values`` at its left end x_e, with slopes ``sigma[e]``
+    and ``tau[e]``.  Its intercept B_e at alpha = 0 is the mass strictly
+    above ln x_e, P(+inf) included, so the mass at x_{e+1} is
+    B_e - B_{e+1}.  Pieces starting left of 1 give ``below``,
+    1 - B_e = x sigma_e - g, the mass at or below their start (0 on the
     first piece, which starts at h(0) = 1); the rest give ``above``,
-    B_e = v - a tau_e, a sum of two non-negative terms, and then P(+inf) for
-    the piece past the last node.
+    B_e = v - x tau_e, a sum of two non-negative terms, and then P(+inf) for
+    the piece past the last vertex.
 
     ``up`` (pessimistic) raises each tail to the largest tail after it;
     otherwise each tail falls to the least one before it and not below 0.
@@ -462,19 +470,13 @@ def _tail_pass(
     lies on the same side of ``above[0]`` as the tails, so every difference
     ``pld_of`` takes is >= 0.
     """
-    split = int(a.searchsorted(1.0))
-    if nodes is None:
-        m = min(split, sigma.size)
-        left, right = slice(0, m), slice(m, sigma.size)
-    else:
-        m = int(nodes[:-1].searchsorted(split))
-        left, right = nodes[:m], nodes[m:-1]
-    below = a[left] * sigma[:m]
-    below -= gaps[left]
+    m = min(int(x.searchsorted(1.0)), sigma.size)
+    below = x[:m] * sigma[:m]
+    below -= gaps[:m]
     below[0] = 0.0
     above = np.empty(sigma.size - m + 1)
-    np.multiply(a[right], tau[m:], out=above[:-1])
-    np.subtract(values[right], above[:-1], out=above[:-1])
+    np.multiply(x[m:-1], tau[m:], out=above[:-1])
+    np.subtract(values[m:-1], above[:-1], out=above[:-1])
     above[-1] = p_inf
     # a running extreme carries a bound put on its first entry to all the
     # others, and ends in its extreme entry, which alone needs the clip test
@@ -500,61 +502,70 @@ def _tail_pass(
     return _frozen(below), _frozen(above)
 
 
-def _pair_from_slopes(
+def _pair_from_vertices(
     grid: DiscretizationGrid,
-    sigma: np.ndarray,
-    tau: np.ndarray,
-    p_inf: float,
-    nodes: np.ndarray | None = None,
-    *,
+    vertices: np.ndarray | slice,
     gaps: np.ndarray,
     values: np.ndarray,
+    p_inf: float,
     up: bool,
 ) -> DiscreteDominatingPair:
-    """Pair of the curve with slopes ``sigma`` (gap) and ``tau`` (value) between ``nodes``.
+    """Pair of the curve through its heights at ``vertices``, straight in between, ``p_inf`` past a_{k-1}.
 
-    Both estimators are piecewise linear on the grid and hand in their
-    slopes (connect-the-dots through ``_interpolating_pair``, one per
-    interval; the optimistic hull one per edge between its ascending vertex
-    indices ``nodes``, which start at 0 and end at k - 1; without ``nodes``
-    every grid node a_0..a_{k-1} is one) in two local coordinates: the gap
-    g = f - (1 - alpha), which keeps full precision where the curve hugs
-    1 - alpha, and the value f, which decays with full relative precision
-    past 1 while 1 + f' rounds to 1.  The two differ by an affine shear,
-    which preserves kink masses.  The kink mass at a node is the slope increase
-    there in the coordinates of its own side, the gap at alpha <= 1 and the
-    value above; the last kink is -tau[-1] right of 1, else 1 - sigma[-1],
-    and Q(0) = sigma[0] (the gap is 0 at alpha = 0).  Between nodes the
-    curve is straight, so every other kink mass is 0, which the difference
-    of one interval's slope repeated would give too.  Q = [Q(0), kinks at
-    a_1..a_{k-1}, 0], P = alpha * Q off infinity and P(+inf) = p_inf.
+    ``gaps`` and ``values`` are the curve's heights at a_0..a_{k-1} in two
+    local coordinates: the gap g = f - (1 - alpha), which keeps full
+    precision where the curve hugs 1 - alpha, and the value f, which decays
+    with full relative precision past 1 while 1 + f' rounds to 1.  The
+    curve runs through them at ``vertices``, ascending indices that start at
+    0 and end at k - 1: every node for connect-the-dots (``slice(k)``,
+    which reads the heights as views), the lower-hull vertices for the
+    optimistic estimate.  Each edge takes its slopes sigma (gap) and tau
+    (value) between its ends; on the optimistic side (not ``up``) they are
+    capped at 1 and 0, where the curve would rise.  The two coordinates
+    differ by an affine shear, which preserves kink masses.  The kink mass
+    at a vertex is the slope increase there in the coordinates of its own
+    side, the gap at alpha <= 1 and the value above; the last kink is
+    -tau[-1] right of 1, else 1 - sigma[-1], and Q(0) = sigma[0] (the gap
+    is 0 at alpha = 0).  Between vertices the curve is straight, so every
+    other kink mass is 0.  Q = [Q(0), kinks at a_1..a_{k-1}, 0],
+    P = alpha * Q off infinity and P(+inf) = p_inf.
 
-    A negative kink mass means non-convexity, and a negative Q(0) a curve
-    below 1 - alpha.  Negatives within _CLAMP_TOL are rounding slack: they
-    are zeroed and counted in ``clamp_count``; anything more negative is
-    rejected.
+    The curve must start at h(0) = 1.  A negative kink mass means
+    non-convexity, and a negative Q(0) a curve below 1 - alpha.  Negatives
+    within _CLAMP_TOL are rounding slack: they are zeroed and counted in
+    ``clamp_count``; anything more negative is rejected.
 
-    ``gaps`` and ``values`` are the curve's heights at a_0..a_{k-1}.  With
-    them the pair also carries its tails (``_tail_pass``; ``up`` for the
+    The pair also carries its tails (``_tail_pass``; ``up`` for the
     pessimistic side), and ``pld_of`` takes the loss masses from those: the
     kink masses above are right in exact arithmetic, but their float sum
     can miss 1 by far more than an ulp, which an n-fold composition
     multiplies by n.
     """
+    if abs(values[0] - 1.0) > _CLAMP_TOL:
+        raise NumericalValidityError(f"curve value at alpha = 0 is {values[0]!r}, expected 1")
     k = grid.k
     alphas = grid.alphas
+    x, gaps, values = alphas[vertices], gaps[vertices], values[vertices]
+    width = x[1:] - x[:-1]
+    sigma = np.subtract(gaps[1:], gaps[:-1])
+    sigma /= width
+    tau = np.subtract(values[1:], values[:-1])
+    tau /= width
+    if not up:
+        np.minimum(sigma, 1.0, out=sigma)
+        np.minimum(tau, 0.0, out=tau)
     q = np.zeros(k + 1)
-    # the interior nodes at alpha <= 1 take their kink in gap coordinates, the rest in value
-    if nodes is None:
-        split = int(alphas[1 : k - 1].searchsorted(1.0, side="right"))
-        low, high = slice(1, 1 + split), slice(1 + split, k - 1)
-    else:
-        interior = nodes[1:-1]
-        split = int(alphas[interior].searchsorted(1.0, side="right"))
-        low, high = interior[:split], interior[split:]
-    q[low] = sigma[1 : 1 + split] - sigma[:split]
-    q[high] = tau[split + 1 :] - tau[split:-1]
-    q[k - 1] = -tau[-1] if alphas[k - 1] > 1.0 else 1.0 - sigma[-1]
+    # the interior vertices at alpha <= 1 take their kink in gap coordinates,
+    # the rest in value; a slice's view is written in place, and assigning
+    # it back is then a no-op
+    at = q[vertices]
+    split = int(x[1:-1].searchsorted(1.0, side="right"))
+    np.subtract(sigma[1 : 1 + split], sigma[:split], out=at[1 : 1 + split])
+    np.subtract(tau[split + 1 :], tau[split:-1], out=at[1 + split : -1])
+    at[-1] = -tau[-1] if x[-1] > 1.0 else 1.0 - sigma[-1]
+    q[vertices] = at
+    # two full-length arrays on the hull's path, freed before P and the tails
+    del width, at
     kinks = q[1:k]
     q_at_zero = float(sigma[0])
     worst = int(np.argmin(kinks))
@@ -576,27 +587,9 @@ def _pair_from_slopes(
     np.multiply(alphas[1:k], kinks, out=p[1:k])
     p[k] = p_inf
     pair = DiscreteDominatingPair(grid=grid, p_masses=p, q_masses=q, clamp_count=clamps)
-    below, above = _tail_pass(alphas[:k], nodes, sigma, tau, gaps, values, p_inf, up)
-    object.__setattr__(pair, "_tails", (nodes, below, above))
+    below, above = _tail_pass(x, gaps, values, sigma, tau, p_inf, up)
+    object.__setattr__(pair, "_tails", (vertices, below, above))
     return pair
-
-
-def _interpolating_pair(
-    grid: DiscretizationGrid, gaps: np.ndarray, values: np.ndarray, p_inf: float
-) -> DiscreteDominatingPair:
-    """Pair whose curve interpolates ``values`` at a_0..a_{k-1} and is ``p_inf`` from a_{k-1} on.
-
-    ``gaps`` are the same nodes' values less 1 - alpha, in a form accurate
-    where the curve hugs that line.  The chord slopes in both forms go to
-    ``_pair_from_slopes``.
-    """
-    if abs(values[0] - 1.0) > _CLAMP_TOL:
-        raise NumericalValidityError(f"curve value at alpha = 0 is {values[0]!r}, expected 1")
-    widths = np.diff(grid.alphas[: grid.k])
-    sigma, tau = np.diff(gaps), np.diff(values)
-    sigma /= widths
-    tau /= widths
-    return _pair_from_slopes(grid, sigma, tau, p_inf, gaps=gaps, values=values, up=True)
 
 
 def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominatingPair:
@@ -639,7 +632,8 @@ def discretize_from_curve(h_values, grid: DiscretizationGrid) -> DiscreteDominat
             f"(got {h[k - 1]!r} vs {h[k]!r}): no finitely supported pair jumps there"
         )
     values = h[:k]
-    return _interpolating_pair(grid, values - (1.0 - grid.alphas[:k]), values, float(h[k]))
+    gaps = values - (1.0 - grid.alphas[:k])
+    return _pair_from_vertices(grid, slice(k), gaps, values, float(h[k]), up=True)
 
 
 # ---------------------------------------------------------------------------
@@ -652,30 +646,27 @@ def pld_of(pair: DiscreteDominatingPair) -> FinitePLD:
 
     A pair the estimators built (``pessimistic_pair``, ``optimistic_pair``,
     ``discretize_from_curve``) gives each mass as a difference of its tails
-    (``_tail_pass``), B_{e-1} - B_e at the e-th node, so the masses sum to
-    1 within a few ulps, where P's own sum can miss it by 1e-13.  These
-    masses equal P in exact arithmetic and within rounding in float; the
-    pair's P and Q are left as built.  The pipeline builds every single
-    step by this call, so ``pld_of(pessimistic_pair(curve, grid))`` is bit
-    for bit the single step ``run_compute`` composes, and likewise for
-    ``optimistic_pair``.  A pair built by hand carries no tails and gives P.
+    (``_tail_pass``), B_{e-1} - B_e at the e-th vertex and 0 at the nodes
+    between vertices, so the masses sum to 1 within a few ulps, where P's
+    own sum can miss it by 1e-13.  These masses equal P in exact arithmetic
+    and within rounding in float; the pair's P and Q are left as built.
+    The pipeline builds every single step by this call, so
+    ``pld_of(pessimistic_pair(curve, grid))`` is bit for bit the single
+    step ``run_compute`` composes, and likewise for ``optimistic_pair``.  A
+    pair built by hand carries no tails and gives P.
     """
     if pair._tails is None:
         return _grid_pld(pair.grid, pair.p_masses)
-    nodes, below, above = pair._tails
+    vertices, below, above = pair._tails
     m = below.size
-    # [alpha = 0, the nodes after the first, +inf]
-    masses = np.empty(m + above.size + 1)
-    masses[0] = 0.0
-    np.subtract(below[1:], below[:-1], out=masses[1:m])
-    masses[m] = (1.0 - below[-1]) - above[0]
-    np.subtract(above[:-1], above[1:], out=masses[m + 1 : -1])
+    masses = np.zeros(pair.grid.alphas.size)
+    # [alpha = 0, the vertices after the first], a view when every node is one
+    at = masses[vertices]
+    np.subtract(below[1:], below[:-1], out=at[1:m])
+    at[m] = (1.0 - below[-1]) - above[0]
+    np.subtract(above[:-1], above[1:], out=at[m + 1 :])
+    masses[vertices] = at
     masses[-1] = above[-1]
-    if nodes is not None:
-        spread = np.zeros(pair.grid.alphas.size)
-        spread[nodes] = masses[:-1]
-        spread[-1] = masses[-1]
-        masses = spread
     return _grid_pld(pair.grid, masses, owned=True)
 
 
@@ -884,9 +875,10 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
     Schema: {"discretization": spacing, "epsilon_offset": index that
     epsilon = 0 has, or would have, in "masses" (it may lie outside them),
     "masses": finite lattice masses, "mass_at_infinity": atom}, plus
-    "mass_at_neg_infinity" when an improper distribution carries one and
-    "rounding_charge" when a composed one carries one (its mass gate reads
-    it, see ``FinitePLD``).
+    "mass_at_neg_infinity" when an improper distribution carries one, and
+    each of "truncated_low", "truncated_high" and "rounding_charge" when a
+    composed one records it above 0 (its mass gate reads the charge, see
+    ``FinitePLD``), so a single step keeps its bytes.
     """
     spacing = pld.spacing
     if spacing is None:
@@ -899,8 +891,9 @@ def pld_to_json_dict(pld: FinitePLD) -> dict:
     }
     if pld.masses[0] > 0.0:
         payload["mass_at_neg_infinity"] = float(pld.masses[0])
-    if pld.rounding_charge > 0.0:
-        payload["rounding_charge"] = float(pld.rounding_charge)
+    for name in _RECORDS:
+        if (value := getattr(pld, name)) > 0.0:
+            payload[name] = float(value)
     return payload
 
 
@@ -916,7 +909,7 @@ _PAYLOAD_KEYS = {
     ),
     "mass_at_infinity": ("a finite number", _is_finite_real),
     "mass_at_neg_infinity": ("a finite number", _is_finite_real),
-    "rounding_charge": ("a finite number >= 0", lambda v: _is_finite_real(v) and v >= 0.0),
+    **{name: ("a finite number >= 0", lambda v: _is_finite_real(v) and v >= 0.0) for name in _RECORDS},
 }
 
 
@@ -929,8 +922,8 @@ def pld_from_json_dict(payload: dict) -> FinitePLD:
     """
     if not isinstance(payload, dict):
         raise RequestError(f"a PLD payload must be a JSON object, got {type(payload).__name__}")
-    # omitted for a proper distribution, and for one without a charge
-    payload = {"mass_at_neg_infinity": 0.0, "rounding_charge": 0.0, **payload}
+    # omitted for a proper distribution, and for records of 0
+    payload = {"mass_at_neg_infinity": 0.0, **dict.fromkeys(_RECORDS, 0.0), **payload}
     for key, (expected, valid) in _PAYLOAD_KEYS.items():
         if key not in payload:
             raise RequestError(f"PLD payload lacks key {key!r}")
@@ -946,16 +939,14 @@ def pld_from_json_dict(payload: dict) -> FinitePLD:
         np.asarray(payload["masses"], dtype=float),
         [float(payload["mass_at_infinity"])],
     ))
-    charge = float(payload["rounding_charge"])
-    allowance = max(_MASS_ATOL, charge)
+    records = {name: float(payload[name]) for name in _RECORDS}
+    allowance = max(_MASS_ATOL, records["rounding_charge"])
     if not _within_unit_mass(masses, allowance):
         raise RequestError(
             f"PLD payload key 'masses' and the atoms must sum to 1 within {allowance}, "
             f"got {_exact_sum(masses)!r}"
         )
-    return _lattice_pld(
-        float(payload["discretization"]), -payload["epsilon_offset"], masses, rounding_charge=charge
-    )
+    return _lattice_pld(float(payload["discretization"]), -payload["epsilon_offset"], masses, **records)
 
 
 def pld_to_json(pld: FinitePLD) -> str:

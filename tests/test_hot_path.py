@@ -394,6 +394,21 @@ _FINE_GAUSSIAN = pb.curve_for(pb.MechanismSpec.gaussian(2.0))
 _GRID_1E4 = pb.DiscretizationGrid.uniform(1e-4, *pb.default_epsilon_range(_FINE_GAUSSIAN, 1e-4))
 
 
+@pytest.mark.parametrize(("direction", "arrays"), [("pessimistic", 10), ("optimistic", 12)])
+def test_a_single_step_build_holds_few_full_length_arrays_at_its_peak(direction, arrays):
+    # the builds peak at 9.4 and 11.2 arrays; an optimistic build that also
+    # holds its candidates reads 12.2, and one that holds its edge widths
+    # and vertex kinks through the tail pass 13.1
+    build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
+    tracemalloc.start()
+    try:
+        pb.pld_of(build(_FINE_GAUSSIAN, _GRID_1E4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * _GRID_1E4.alphas.size
+
+
 @pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
 def test_a_large_composition_holds_two_full_length_arrays_at_its_peak(direction):
     build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair

@@ -70,6 +70,33 @@ def test_json_round_trip_is_exact(pld):
     assert back.proper == pld.proper
 
 
+_RECORDS = ("truncated_low", "truncated_high", "rounding_charge")
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+def test_json_keeps_a_compositions_truncation_and_rounding_records(direction):
+    # the payload kept rounding_charge but dropped truncated_low and
+    # truncated_high, so a reloaded composition read 0 for both and its
+    # next compositions recorded 3.33e-10 where the original recorded 3.63e-10
+    curve = pb.curve_for(pb.MechanismSpec.gaussian(2.0))
+    grid = pb.DiscretizationGrid.uniform(0.01, *pb.default_epsilon_range(curve, 0.01))
+    build = pb.pessimistic_pair if direction == "pessimistic" else pb.optimistic_pair
+    single = pb.pld_of(build(curve, grid))
+    assert not set(_RECORDS) & set(pb.pld_to_json_dict(single))
+    policy = pb.CompositionPolicy(direction, truncation_tail_mass=1e-9)
+    composed = pb.self_compose(single, 100, policy)
+    truncated = "truncated_high" if direction == "pessimistic" else "truncated_low"
+    assert getattr(composed, truncated) > 0.0
+    back = pb.pld_from_json(pb.pld_to_json(composed))
+    assert back.masses.tobytes() == composed.masses.tobytes()
+    for name in _RECORDS:
+        assert getattr(back, name) == getattr(composed, name), name
+    again, reloaded = (pb.self_compose(pld, 3, policy) for pld in (composed, back))
+    assert again.masses.tobytes() == reloaded.masses.tobytes()
+    for name in _RECORDS:
+        assert getattr(reloaded, name) == getattr(again, name), name
+
+
 def test_pair_atoms_round_to_the_neighbouring_lattice_points():
     # atoms beyond either end of the lattice land on the +inf / -inf slots
     rng = np.random.default_rng(17)
@@ -280,6 +307,16 @@ _PAYLOAD = {"discretization": 0.1, "epsilon_offset": 1, "masses": [0.5, 0.5], "m
         ("rounding_charge", math.inf),
         ("rounding_charge", True),
         ("rounding_charge", "1e-9"),
+        ("truncated_low", -1e-12),
+        ("truncated_low", math.nan),
+        ("truncated_low", math.inf),
+        ("truncated_low", True),
+        ("truncated_low", "1e-9"),
+        ("truncated_high", -1e-12),
+        ("truncated_high", math.nan),
+        ("truncated_high", -math.inf),
+        ("truncated_high", False),
+        ("truncated_high", None),
     ],
 )
 def test_malformed_json_payloads_are_refused_naming_the_key(key, value):

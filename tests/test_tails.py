@@ -55,6 +55,28 @@ def test_a_single_step_sums_to_one_within_two_ulps(mechanism, spacing, pessimist
     assert abs(total - 1.0) <= _TOTAL_ATOL, total
 
 
+@settings(max_examples=60, deadline=None)
+@given(mechanism=_mechanisms(), spacing=st.floats(1e-3, 0.2), pessimistic=st.booleans())
+def test_the_tail_differences_are_the_kink_products_within_rounding(mechanism, spacing, pessimistic):
+    # one rule places both estimators' tail differences at their vertices:
+    # every node for connect-the-dots, the hull's vertices for the optimistic
+    # estimate, whose other nodes carry neither Q nor loss mass
+    curve = pb.curve_for(mechanism)
+    grid = pb.DiscretizationGrid.uniform(spacing, *pb.default_epsilon_range(curve, spacing))
+    build = pb.pessimistic_pair if pessimistic else pb.optimistic_pair
+    try:
+        pair = build(curve, grid)
+    except pb.NumericalValidityError:
+        # as above, only randomized response may be refused
+        assume(mechanism.kind != "randomized_response")
+        raise
+    masses = pb.pld_of(pair).masses
+    np.testing.assert_allclose(masses, pair.p_masses, rtol=0, atol=1e-12)
+    if not pessimistic:
+        off = np.flatnonzero(pair.q_masses[: grid.k - 1] == 0.0)
+        assert not masses[off].any()
+
+
 REQUESTS = {
     "randomized-response": pb.AccountingRequest(
         _M.randomized_response(1.0), 0.01, compositions=1000, delta_target=1e-6

@@ -25,8 +25,9 @@ tail (one scalar call per point), and over a linear and a geometric lattice
 with ``float.hex``; and both
 privacy-buckets baselines, rounded up and down, from a curve and from a
 pair, on a grid built ``from_alphas``.  Then come the single-step pairs
-(``PAIR_OPS``): P, Q and ``clamp_count`` of ``pessimistic_pair`` and
-``optimistic_pair``, or the build's failure, for every mechanism kind and
+(``PAIR_OPS``): P, Q, ``clamp_count`` and the single step's masses
+(``pld_of``) of ``pessimistic_pair`` and ``optimistic_pair``, or the
+build's failure, for every mechanism kind and
 adjacency at spacings 0.3 to 1e-4 and on a grid whose last finite alpha
 is 1, and of ``discretize_from_curve`` on both ``non_uniqueness_fixture``
 pairs and on the pessimistic node values of the ``DISCRETIZE_OPS``
@@ -470,12 +471,20 @@ def _bits(values) -> list[str] | str:
 
 
 def _pair_answer(build) -> dict:
-    """P, Q and ``clamp_count`` of the pair ``build()`` returns, or its failure."""
+    """P, Q, ``clamp_count`` and the single step's masses of the pair ``build()`` returns, or its failure."""
+    from pldbounds import pld_of
+
     try:
         pair = build()
+        single = pld_of(pair)
     except Exception as err:  # a failure is an answer too
         return {"error": type(err).__name__, "message": str(err)}
-    return {"p": _bits(pair.p_masses), "q": _bits(pair.q_masses), "clamp_count": pair.clamp_count}
+    return {
+        "p": _bits(pair.p_masses),
+        "q": _bits(pair.q_masses),
+        "clamp_count": pair.clamp_count,
+        "single": _bits(single.masses),
+    }
 
 
 def _pair_answers(pb) -> dict[str, dict]:
