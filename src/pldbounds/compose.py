@@ -82,8 +82,11 @@ class CompositionPolicy:
 
     ``truncation_tail_mass`` is the mass one composition may relocate per
     side: its transform window leaves at most W = truncation_tail_mass / N
-    outside on each side, N the total count of single steps, and charges
-    it (see ``_execute``).  With ``method="direct"`` a composition never
+    outside on each side, N the total count of single steps.  It charges
+    only the side whose wrap could move delta the wrong way, by a Chernoff
+    bound on the mass the window really leaves out there, at most W and 0
+    when the window reaches the support's end (``_plan``; the soundness
+    argument is ``_execute``'s).  With ``method="direct"`` a composition never
     truncates: the exact reference works at the full composed support and
     raises on ``max_support`` when that is longer.
     """
@@ -222,7 +225,14 @@ def _lattice_log_mgf(step: _Step, sign: float, j: int, ahead: int) -> float:
 
 
 def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: float) -> float:
-    """A b with mass{S >= s} <= W for every s >= b, S the sum of n_f offsets of each factor.
+    """A b with mass{S >= s} <= W for every s >= b: ``_edge``'s b."""
+    return _edge(steps, n, sign, log_inv_w)[0]
+
+
+def _edge(
+    steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: float
+) -> tuple[float, int | None]:
+    """A b with mass{S >= s} <= W for every s >= b, S the sum of n_f offsets of each factor; and j.
 
     ``steps`` holds each factor's ``_Step`` and count n_f; the offsets are
     ``step.offsets`` times ``sign``: 1 for the high edge, -1 for the low
@@ -232,12 +242,14 @@ def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: f
     at g(t) = (n log M(t) - log W) / t, so every g(t) is a valid b.  The
     edge is the least g on the lattice t_j = 2^(j / 8): n log M - log W is
     convex in t and positive at 0, so g falls, then rises, and a walk
-    downhill from the Gaussian start (below) ends at the lattice minimum.
+    downhill from the Gaussian start (below) ends at the lattice minimum
+    t* = t_j, whose index j is returned with b = g(t*) and whose log M
+    values stay in the memo (``_wrap_bound`` reads them).
     The factors' log M(t_j) are memoised on their steps
     (``_lattice_log_mgf``), so a count near one already planned reads
     them back.  Without a minimum, either the top point alone keeps mass
     >= W and g falls to sum n_f max(offsets_f), or the composed mass is at
-    most W and any b will do.
+    most W and any b will do; j is None then.
     """
     # the offsets ascend, so the largest is the last one, or the first once negated
     top = -1 if sign > 0.0 else 0
@@ -250,9 +262,9 @@ def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: f
         log_m += share * step.log_m0
         var += share * step.var0
     if -log_top <= log_inv_w:
-        return highest
+        return highest, None
     if -n * log_m >= log_inv_w:
-        return lowest
+        return lowest, None
 
     memos = [(step, step.memo[sign > 0.0], count) for step, count in steps]
 
@@ -280,7 +292,34 @@ def _tail_edge(steps: list[tuple[_Step, int]], n: int, sign: float, log_inv_w: f
             j, here = j + ahead, there
         if j != start:
             break
-    return here
+    return here, j
+
+
+def _wrap_bound(
+    steps: list[tuple[_Step, int]], sign: float, j: int | None, s: int, w: float
+) -> float:
+    """An upper bound on mass{S >= s}, at most W = ``w``, from the memoised log M(t_j).
+
+    S and the sign are ``_edge``'s, and j the index it returned for this
+    sign; without one (j is None) the bound is W.  Chernoff's bound at
+    t = t_j is mass{S >= s} <= e^x with x = sum_f n_f log M_f(t) - t s, the
+    exponent of ``_edge``'s b = g(t) at s instead of b: e^x = W e^(-t (s - b)).
+    The log M_f(t_j) are read from the memo and taken as exact, as for the
+    edges; t_j is the float they were evaluated at.  Evaluated in floats,
+    the k products n_f log M_f, their sum, t s and the difference err by at
+    most (k + 3) u (sum |n_f log M_f| + |t s|) together, and ``math.exp``
+    by less than an ulp; the bound raises x by that much and the result by
+    4u.
+    """
+    if j is None:
+        return w
+    ts = _TS_LIST[j + _WALK_MAX] * s
+    x, size = -ts, abs(ts)
+    for step, count in steps:
+        term = count * step.memo[sign > 0.0][j]
+        x += term
+        size += abs(term)
+    return min(w, math.exp(x + (len(steps) + 3) * _U * size) * (1.0 + 4.0 * _U))
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -498,8 +537,11 @@ class _Plan:
     each factor's count times its first index, so the composed support is
     [0, full).  ``budget`` is W = truncation_tail_mass / N, and the window
     [start, start + length) leaves at most W of the composed finite mass
-    below it and at most W above it.  ``size`` is the transform length, or
-    0 where ``_execute`` composes directly.
+    below it and at most W above it.  ``wrap`` bounds the mass it leaves
+    out on the side the direction charges (see ``_execute``): above it
+    (pessimistic) or below it (optimistic); it is at most W, and 0 where
+    the window reaches the support's end on that side.  ``size`` is the
+    transform length, or 0 where ``_execute`` composes directly.
     """
 
     factors: list[tuple[FinitePLD, int]]
@@ -510,6 +552,7 @@ class _Plan:
     start: int
     length: int
     size: int
+    wrap: float
 
 
 def _plan(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> _Plan:
@@ -521,9 +564,14 @@ def _plan(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> _P
     (``_tail_edge``) are lattice minima of the Chernoff bound g, each itself
     a Chernoff bound, read from log M values memoised on the factors'
     single steps; they are rounded outward and the window's length is a
-    fast transform length.  It is the whole support when that is no longer,
-    when W is 0, when a factor has no positive finite mass, and when the
-    composition is direct (see ``_execute``).
+    fast transform length.  The length's slack goes to the side the
+    direction charges: a pessimistic window starts at the low edge, an
+    optimistic one ends at the high edge, each clipped to the support.
+    The wrap is bounded at the first index outside the window on that side
+    by the Chernoff bound at the edge's own lattice point (``_wrap_bound``).
+    The window is the whole support when that is no longer, when W is 0,
+    when a factor has no positive finite mass, and when the composition is
+    direct (see ``_execute``).
     """
     spacing = factors[0][0].spacing
     if spacing is None or any(pld.spacing != spacing for pld, _ in factors):
@@ -541,15 +589,24 @@ def _plan(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> _P
         full += count * (pld.support_size - 1)
         j0 += count * pld.lattice_offset
     budget = policy.truncation_tail_mass / n
-    start, length = 0, full
+    start, length, wrap = 0, full, 0.0
     steps = [] if direct or budget <= 0.0 else [(_step(pld), count) for pld, count in factors]
     if steps and all(step.log_f.size for step, _ in steps):
         center = sum(count * step.center for step, count in steps)
         log_inv_w = -math.log(budget)
-        hi = min(math.floor(center + _tail_edge(steps, n, 1.0, log_inv_w)) + 1, full)
-        lo = max(math.ceil(center - _tail_edge(steps, n, -1.0, log_inv_w)), 0)
+        b_hi, j_hi = _edge(steps, n, 1.0, log_inv_w)
+        b_lo, j_lo = _edge(steps, n, -1.0, log_inv_w)
+        hi = min(math.floor(center + b_hi) + 1, full)
+        lo = max(math.ceil(center - b_lo), 0)
         length = min(_fast_length(max(hi - lo, 1)), full)
-        start = min(lo, full - length)
+        if policy.direction == "pessimistic":
+            start = min(lo, full - length)
+            if start + length < full:
+                wrap = _wrap_bound(steps, 1.0, j_hi, start + length - center, budget)
+        else:
+            start = max(hi - length, 0)
+            if start > 0:
+                wrap = _wrap_bound(steps, -1.0, j_lo, center - start + 1, budget)
     direct = direct or (0.0 < budget and length == full <= _DIRECT_MAX)
     if length > policy.max_support:
         raise RequestError(
@@ -558,7 +615,7 @@ def _plan(factors: list[tuple[FinitePLD, int]], policy: CompositionPolicy) -> _P
         )
     # a window shorter than the support already has a fast length
     size = 0 if direct else length if length < full else _fast_length(full)
-    return _Plan(factors, n, j0, full, budget, start, length, size)
+    return _Plan(factors, n, j0, full, budget, start, length, size, wrap)
 
 
 def _execute(plan: _Plan, direction: str) -> FinitePLD:
@@ -570,34 +627,39 @@ def _execute(plan: _Plan, direction: str) -> FinitePLD:
     at most W = truncation_tail_mass / N of the composed finite mass outside
     it on each side, N the sum of the n_f, and that mass wraps around into
     it: the high tail lands on the window's low end, the low tail on its
-    high end.  W is 0 when the window covers the whole support.
+    high end.
 
     The wrap and the round-off are charged inside the result.  Write the
     exact composed masses folded onto the window as y = w + u + z: w is the
     mass that lies in the window, u the low tail wrapped upward and z the
-    high tail wrapped downward, each of mass at most W.  The computed masses
+    high tail wrapped downward, each of mass at most W.  Only one of them is
+    charged: the plan's ``wrap`` V bounds z (pessimistic) or u (optimistic)
+    from above, by the Chernoff bound at the first index outside the window
+    on that side (``_wrap_bound``), and is 0 when the window reaches the
+    support's end there.  The argument below needs nothing more of V than
+    that bound, and V <= W.  The computed masses
     (after the clip) are y' = y + e with e = e+ - e-, where
     ||e||_1 <= R (``_rounding_bound``) and, as y >= 0, e+ <= y' pointwise.
     A unit of mass at x adds h(x) = [1 - e^(epsilon - x)]_+ to delta at
     epsilon; h does not decrease in x, and g = 1 - h does not increase.
 
-    - pessimistic: the lowest W + R of y' moves to +inf, and D+ is added
+    - pessimistic: the lowest V + R of y' moves to +inf, and D+ is added
       there: an upper bound on the mass y' lacks, D = prod mass_f^n_f
       - sum(y'), floored at 0.  The target is w + u with z moved to +inf.
       Its delta exceeds that of y' by sum(z g) + D + sum(e+ g) - sum(e- g).
       The part of z above y' - e+ is at most e-, so -sum(e- g) outweighs
       it; the rest of z together with e+ is a part of y' of mass at most
-      W + R, and no such part adds more than the lowest W + R of y' moved
+      V + R, and no such part adds more than the lowest V + R of y' moved
       to +inf.  The target bounds the true delta from above: u only moved
       up, and +inf lies above the high tail.
-    - optimistic: the highest W + R of y' moves to -inf.  The target is
+    - optimistic: the highest V + R of y' moves to -inf.  The target is
       w + z, whose delta is that of y' less sum(u h) + sum(e h).  By the same
       split, the part of u outside e- together with e+ is a part of y' of
-      mass at most W + R, and removing the highest W + R of y' lowers delta
+      mass at most V + R, and removing the highest V + R of y' lowers delta
       at least as much.  The target bounds the true delta from below: z
       only moved down, and the low tail's contribution is dropped.
 
-    W is recorded in ``truncated_high`` (pessimistic) or ``truncated_low``
+    V is recorded in ``truncated_high`` (pessimistic) or ``truncated_low``
     (optimistic) and stays within the policy's per-side budget; the rest of
     the charge, and D+, in ``rounding_charge``, together with the factors'
     charges times n_f.
@@ -658,7 +720,7 @@ def _execute(plan: _Plan, direction: str) -> FinitePLD:
         high += count * pld.truncated_high
         charged += count * pld.rounding_charge
     neg_mass, inf_mass = -math.expm1(log_neg), -math.expm1(log_inf)
-    wrap = plan.budget if length < plan.full else 0.0
+    wrap = plan.wrap
     dropped = 0
     if wrap + rounding > 0.0:
         finite, dropped, taken = _charge(finite, wrap + rounding, direction)
@@ -683,9 +745,9 @@ def self_compose(pld: FinitePLD, n: int, policy: CompositionPolicy) -> FinitePLD
     """n-fold self-composition by one power of the spectrum: ``_execute`` of the factor (pld, n).
 
     n = 0 is the empty composition (a point mass at 0), not an error, and
-    n = 1 returns ``pld``.  The wrap W = truncation_tail_mass / n and the
-    round-off are charged on the safe side, as ``convolve`` charges a
-    product; ``method="direct"`` has support n (K - 1) + 1 for K points.
+    n = 1 returns ``pld``.  The wrap, at most W = truncation_tail_mass / n,
+    and the round-off are charged on the safe side, as ``convolve`` charges
+    a product; ``method="direct"`` has support n (K - 1) + 1 for K points.
     """
     n, policy = _composition_count(n), _policy(policy)
     spacing = pld.spacing

@@ -501,9 +501,11 @@ class PoissonSubsampledCurve(HockeyStickCurve):
             lo = a <= self._keep
             # the slope leaves -1 at the kink or after it, value and gap after it
             inner = ~lo if right is None else ~_before(a, self._keep, right)
-            value[inner], gap[inner], inner_slope = self.inner._evaluate(
-                (a[inner] - self._keep) / self._q, right
-            )
+            # alphas near the float maximum, which the range search probes,
+            # give beta = +inf, where the inner curve takes its limits
+            with np.errstate(over="ignore"):
+                beta = (a[inner] - self._keep) / self._q
+            value[inner], gap[inner], inner_slope = self.inner._evaluate(beta, right)
             # q * h_in(beta) - (1 - alpha) == q * gap_in(beta), exactly.
             value[inner] *= self._q
             gap[inner] *= self._q

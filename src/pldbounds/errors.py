@@ -48,7 +48,11 @@ def _is_finite_real(value) -> bool:
       also keep e^epsilon finite);
     - the CLI's ``--config`` values, which are refused naming their key.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    kind = type(value)
+    # exact floats and ints, the usual case, skip the ABC check's cost
+    if kind is not float and kind is not int and (
+        kind is bool or not isinstance(value, numbers.Real)
+    ):
         return False
     try:
         return math.isfinite(value)

@@ -765,8 +765,13 @@ def curve_of(pair: DiscreteDominatingPair) -> PiecewiseLinearCurve:
     return PiecewiseLinearCurve(a, np.clip(values, 0.0, 1.0))
 
 
-def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
-    """The first support index k with delta(eps_k) <= delta_target, by one vectorised pass.
+#: The widest epsilon span of ``_first_meeting``'s pass whose deltas it bounds:
+#: e^600 and e^-600 stay far from overflow and from subnormals.
+_PASS_SPAN = 600.0
+
+
+def _first_meeting(pld: FinitePLD, delta_target: float) -> tuple[int, float, float]:
+    """The first support index k with delta(eps_k) <= delta_target, by one pass, with bounds.
 
     A point eps_i at least ln 2 above eps_k adds at least m_i / 2 to
     delta(eps_k), so where the top masses first sum past 2 delta_target
@@ -775,9 +780,32 @@ def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
     with suffix sums S_k = sum_{i > k} m_i and T_k = sum_{i > k} m_i e^(-eps_i),
     taken relative to the tail's first point.  S is the same top-down
     running sum that found the tail, continued where it falls short.  The
-    result is an estimate that ``epsilon_for_delta`` confirms: an overflow
+    index is an estimate that ``epsilon_for_delta`` checks: an overflow
     of e^(eps_k) on a tail wider than about 700, or rounding where delta is
     flat, can misplace it.
+
+    Returns (k, high, low): high >= delta(eps_k) and low <= delta(eps_{k-1})
+    in exact arithmetic on the stored masses and epsilons, or +inf and -inf
+    where the pass does not bound them (k - 1 below the pass, or a pass
+    wider than ``_PASS_SPAN``).  At the top point delta is the +inf atom.
+    Elsewhere the pass's delta' errs by at most 1.001 e A' + (size + 1)
+    2^-1074 e^X, with A' the computed m(+inf) + S_k, e = (2 size + 2 X
+    + 64) u and X the pass's epsilon span; the second term covers products
+    that round to subnormals.  The sources:
+
+    - S_k is a running sum of at most size non-negative terms:
+      gamma_size S_k;
+    - each term of T_k is m_i e^(x_i) with x_i = eps_0 - eps_i rounded by
+      at most u X, so its exponential errs by a relative u X and by the
+      exp's own error, allowed 8 ulp (16 u), and the product by u; their
+      running sum adds gamma_size, and e^(eps_k - eps_0), rounded the same
+      way, and its product with that sum add u X + 17 u more.  So the
+      computed G_k = e^(eps_k - eps_0) T'_k errs by (2 size + 2 X + 36) u
+      of itself, and G_k <= S_k;
+    - adding m(+inf) and subtracting G_k each round by u of a value at most
+      A', and m(+inf) + S_k <= A' (1 + gamma_size).
+
+    The factor 1.001 covers the products of these relative errors.
     """
     eps_f = pld.finite_epsilons
     finite = pld.masses[1:-1]
@@ -796,6 +824,7 @@ def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
         _running_sums(top, sums, done, reach)
     eps = eps_f[first:]
     m = finite[first:]
+    m_inf = pld.mass_at_infinity
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.subtract(eps[0], eps)
         np.exp(scaled, out=scaled)
@@ -804,11 +833,21 @@ def _first_meeting(pld: FinitePLD, delta_target: float) -> int:
         growth = np.subtract(eps[:-1], eps[0])
         np.exp(growth, out=growth)
         growth *= weighted
-        delta = sums[:reach][::-1] + pld.mass_at_infinity
+        delta = sums[:reach][::-1] + m_inf
         delta -= growth
     # the top point meets every target the +inf atom meets
     meets = np.flatnonzero(delta <= delta_target)
-    return first + (int(meets[0]) if meets.size else delta.size)
+    at = int(meets[0]) if meets.size else reach
+    high, low = (m_inf if at == reach else math.inf), -math.inf
+    span = float(eps[-1] - eps[0])
+    if span <= _PASS_SPAN:
+        rel = (2 * size + 2 * span + 64) * _U * 1.001
+        tiny = (size + 1) * 2.0**-1074 * math.exp(span)
+        if at < reach:
+            high = float(delta[at]) + rel * (float(sums[reach - 1 - at]) + m_inf) + tiny
+        if at:
+            low = float(delta[at - 1]) - rel * (float(sums[reach - at]) + m_inf) - tiny
+    return first + at, high, low
 
 
 def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
@@ -817,10 +856,12 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
     Returns +inf when the +inf atom already exceeds the target (the floor of
     delta) and -inf when every epsilon meets the target.  Otherwise it finds
     the first support point eps_k meeting the target: one vectorised pass
-    over the top of the support proposes k (``_first_meeting``), and
-    ``delta_at`` confirms that eps_k meets the target and eps_{k-1} does
-    not, each by more than ``delta_at``'s rounding, so that no other index
-    can read on the other side.  Where that check fails, bisection over the
+    over the top of the support proposes k (``_first_meeting``) with bounds
+    on delta(eps_k) and delta(eps_{k-1}).  Where a bound clears the target
+    by more than ``delta_at``'s rounding, it confirms that side; elsewhere
+    ``delta_at`` is read there and must clear it by that much.  Then eps_k
+    meets the target and eps_{k-1} does not, so that no other index can read
+    on the other side.  Where that check fails, bisection over the
     support indices finds k, as it did before the proposal was added.  On
     [eps_{k-1}, eps_k] the points above epsilon are those from k on, so
     delta(epsilon) = A - e^(epsilon - eps_k) * T with
@@ -837,13 +878,25 @@ def epsilon_for_delta(pld: FinitePLD, delta_target: float) -> float:
         return -math.inf
     eps_f = pld.finite_epsilons
     # delta_at adds non-negative terms, so it errs by a relative (size + 8) u
-    # at most.  The true delta does not increase, so when the reads at a
-    # proposed k and at k - 1 clear the target by twice that (and some), no
-    # other index reads on the other side, and bisection would give k too.
+    # at most.  The true delta does not increase, so when delta at a proposed
+    # k and at k - 1, read or bounded, clears the target by twice that (and
+    # some), no other index reads on the other side, and bisection would
+    # give k too.
     slack = 1.0 + 6.0 * (eps_f.size + 8) * _U
-    k = _first_meeting(pld, delta_target)
-    confirmed = delta_at(pld, float(eps_f[k])) * slack <= delta_target
-    if not (confirmed and (k == 0 or delta_at(pld, float(eps_f[k - 1])) > delta_target * slack)):
+    located = _first_meeting(pld, delta_target)
+    # a locate that gives a bare index carries no bounds: both sides are read
+    k, high, low = located if isinstance(located, tuple) else (located, math.inf, -math.inf)
+    confirmed = (
+        high * slack <= delta_target or delta_at(pld, float(eps_f[k])) * slack <= delta_target
+    )
+    if not (
+        confirmed
+        and (
+            k == 0
+            or low > delta_target * slack
+            or delta_at(pld, float(eps_f[k - 1])) > delta_target * slack
+        )
+    ):
         # delta at the top support point is the +inf atom, which meets the target
         k = bisect.bisect_left(
             range(eps_f.size), True, key=lambda i: delta_at(pld, float(eps_f[i])) <= delta_target

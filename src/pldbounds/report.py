@@ -212,14 +212,15 @@ def _truncation_budget(request: AccountingRequest) -> float:
     """Per-side mass budget for the request's compositions.
 
     ``self_compose`` sizes its transform window so that at most budget / n
-    of the n-fold mass wraps around on each side, and charges that much on
+    of the n-fold mass wraps around on each side, and charges a bound on
+    the wrap that could move delta the wrong way, at most budget / n, on
     the estimate's safe side (to +inf or to -inf).  The charge shifts delta
     by at most budget / n, in the safe direction, so the budget bounds
     truncation's shift in delta while keeping the composed support tight.
-    That shift is not always negligible: for Gaussian sigma = 2 at spacing
-    1e-4, n = 100, delta = 1e-6 the relative bracket width is 1.27e-6,
-    against 7.4e-7 at a budget 1000 times smaller, where the round-off
-    charge (about 1.2e-11 per side) sets most of it.
+    For Gaussian sigma = 2 at spacing 1e-4, n = 100, delta = 1e-6 the
+    charged wrap is 3.1e-12 per side (budget / n is 1e-11) and the relative
+    bracket width 8.9e-7, against 7.4e-7 at a budget 1000 times smaller;
+    the round-off charge (about 1.2e-11 per side) sets most of both.
     Epsilon-target queries get a conservative fixed budget.
     """
     anchor = request.delta_target if request.delta_target is not None else 1e-9

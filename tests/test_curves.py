@@ -1,6 +1,7 @@
 """Mechanism curve tests: closed forms vs quadrature, shape, derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,32 @@ def test_all_shipped_curves_vanish_at_infinity():
         curve = curve_of_mech(name)
         assert curve.value_at_infinity == 0.0
         assert float(curve.value(math.inf)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        pb.MechanismSpec.gaussian(1.0),
+        pb.MechanismSpec.laplace(1.0),
+        pb.MechanismSpec.randomized_response(1.0),
+    ],
+    ids=["gaussian", "laplace", "rr"],
+)
+def test_huge_alphas_of_a_removal_curve_warn_of_nothing(inner):
+    # the range search probes alphas whose beta = (alpha - (1 - q)) / q
+    # overflows; that is the inner curve's limit, not a numerical fault
+    spec = pb.MechanismSpec.poisson_subsampled(inner, 0.001953125)
+    alphas = np.array([1e300, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = pb.curve_for(spec)
+        values, gaps = curve.value(alphas), curve.gap(alphas)
+        removal = pb.curve_for(pb.MechanismSpec.poisson_subsampled(inner, 0.001953125, "remove"))
+        assert np.array_equal(removal.value(alphas), [0.0, 0.0])
+        if inner.kind == "gaussian":
+            assert pb.default_epsilon_range(curve, 0.171875) == (-2.40625, 2.75)
+    assert np.array_equal(values, [0.0, 0.0])
+    assert np.all(gaps > 0.0)
 
 
 def test_mechanism_spec_validation():

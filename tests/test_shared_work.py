@@ -136,6 +136,79 @@ def test_composed_queries_equal_the_bisection_within_four_delta_evaluations(
         assert eps.hex() == bisection_epsilon_for_delta(dist, target).hex()
 
 
+_COMPOSED_CASES = pytest.mark.parametrize(
+    "spec, spacing, n",
+    [
+        (_M.gaussian(2.0), 1e-3, 100),
+        (_M.poisson_subsampled(_M.gaussian(1.0), 0.01), 0.005, 1000),
+        (_M.randomized_response(1.0), 0.01, 16),
+    ],
+    ids=["gaussian", "subsampled-gaussian", "randomized-response"],
+)
+
+
+def _counted_reads(monkeypatch) -> list[float]:
+    """The epsilons of every ``delta_at`` call the library makes from now on (not the oracle's)."""
+    reads = []
+    delta_at = pld.delta_at
+    monkeypatch.setattr(pld, "delta_at", lambda dist, eps: reads.append(eps) or delta_at(dist, eps))
+    return reads
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+@_COMPOSED_CASES
+def test_a_certified_locate_reads_neither_of_its_points(monkeypatch, spec, spacing, n, direction):
+    # the locate's own pass bounds delta at eps_k and eps_{k-1}; where those
+    # bounds clear the target by delta_at's rounding, only the step-up reads
+    dist = _composed(spec, spacing, n, direction)
+    eps_f = dist.finite_epsilons
+    slack = 1.0 + 6.0 * (eps_f.size + 8) * pld._U
+    reads = _counted_reads(monkeypatch)
+    certified = 0
+    for target in (1e-3, 1e-5, 1e-7, 1e-9):
+        k, high, low = pld._first_meeting(dist, target)
+        reads.clear()
+        eps = pb.epsilon_for_delta(dist, target)
+        if high * slack <= target and (k == 0 or low > target * slack):
+            certified += 1
+            assert float(eps_f[k]) not in reads and (k == 0 or float(eps_f[k - 1]) not in reads)
+        assert eps.hex() == bisection_epsilon_for_delta(dist, target).hex()
+    assert certified
+
+
+def _perturbed(dist: pb.FinitePLD, rng: np.random.Generator) -> pb.FinitePLD:
+    """``dist`` with each positive mass moved by -2 to 2 ulps."""
+    masses = dist.masses.copy()
+    steps = rng.integers(-2, 3, masses.size) * (masses > 0.0)
+    for _ in range(2):
+        moving = steps != 0
+        masses[moving] = np.nextafter(masses[moving], np.where(steps[moving] > 0, np.inf, -np.inf))
+        steps -= np.sign(steps)
+    return pb.FinitePLD(
+        dist.finite_epsilons, masses, spacing=dist.spacing, proper=dist.proper,
+        rounding_charge=dist.rounding_charge,
+    )
+
+
+@pytest.mark.parametrize("direction", ["pessimistic", "optimistic"])
+@_COMPOSED_CASES
+def test_composed_queries_keep_their_read_budget_when_the_last_bits_move(
+    monkeypatch, spec, spacing, n, direction
+):
+    # the read count must not hang on where the root estimate lands within a
+    # few ulps: 16 draws of the composition's masses, each moved by 2 ulps at most
+    dist = _composed(spec, spacing, n, direction)
+    rng = np.random.default_rng(2026)
+    reads = _counted_reads(monkeypatch)
+    for _ in range(16):
+        moved = _perturbed(dist, rng)
+        for target in (1e-3, 1e-5, 1e-7, 1e-9):
+            reads.clear()
+            eps = pb.epsilon_for_delta(moved, target)
+            assert len(reads) <= 4, (target, len(reads))
+            assert eps.hex() == bisection_epsilon_for_delta(moved, target).hex()
+
+
 # ---------------------------------------------------------------------------
 # default_epsilon_range
 # ---------------------------------------------------------------------------

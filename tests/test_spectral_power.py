@@ -135,8 +135,33 @@ def test_narrow_windows_charge_the_wrap():
         out = pb.self_compose(pld, n, _policy(direction, 1e-6))
         assert out.support_size < exact.support_size // 2
         charged = out.truncated_high if direction == "pessimistic" else out.truncated_low
-        assert charged == pytest.approx(1e-6 / n, rel=1e-12)
+        plan = compose._plan([(pld, n)], _policy(direction, 1e-6))
+        below, above = _outside_window(exact, pld, n, plan.start, plan.length)
+        assert (above if direction == "pessimistic" else below) <= charged <= 1e-6 / n
+        assert 0.0 < charged
         assert _on_its_side(out, exact, direction, _eps_sweep(pld, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 64),
+    st.sampled_from(("pessimistic", "optimistic")),
+    st.floats(1e-9, 1e-6),
+)
+def test_the_recorded_wrap_bounds_the_mass_the_window_leaves_out(seed, n, direction, budget):
+    # concentrated masses, so windows are narrow and the certified wrap is
+    # below W; the exact masses beyond the window on the charged side (high
+    # for pessimistic, low for optimistic) must not exceed what was charged
+    pld = _pld(np.random.default_rng(seed).random(60) ** 20, -30)
+    policy = _policy(direction, budget)
+    plan = compose._plan([(pld, n)], policy)
+    exact = pb.self_compose(pld, n, _policy(direction, 0.0, "direct"))
+    below, above = _outside_window(exact, pld, n, plan.start, plan.length)
+    out = pb.self_compose(pld, n, policy)
+    charged = out.truncated_high if direction == "pessimistic" else out.truncated_low
+    assert (above if direction == "pessimistic" else below) <= charged <= budget / n
+    assert _on_its_side(out, exact, direction, _eps_sweep(pld, n))
 
 
 def test_a_window_shorter_than_the_single_step_folds_it():
